@@ -1,7 +1,6 @@
 // Command simlint runs the repository's custom static-analysis suite
-// (detrand, resetcheck, hotpath, hotcall, detflow, sharecheck — see
-// DESIGN.md "Static invariants") over the module, mirroring a x/tools
-// multichecker:
+// (detrand, resetcheck, hotpath, sharecheck — see DESIGN.md "Static
+// invariants") over the module, mirroring a x/tools multichecker:
 //
 //	go run ./cmd/simlint ./...
 //
@@ -15,8 +14,11 @@
 // It prints one line per finding — or one JSON object per line with
 // -json, for CI to turn into per-file annotations — and exits nonzero
 // when any survive their //simlint:allow / //simlint:resetsafe /
-// //simlint:cold suppressions. CI treats a nonzero exit as a build
-// failure, which is the point: the invariants these analyzers enforce
+// //simlint:cold suppressions. A //simlint:allow naming an analyzer
+// outside the suite is itself a finding: it suppresses nothing, so a
+// renamed analyzer cannot leave its directives silently inert. CI
+// treats a nonzero exit as a build failure, which is the point: the
+// invariants these analyzers enforce
 // (explicit RNG streams, complete Reset coverage, allocation-free hot
 // paths, deterministic output rendering, per-worker machine ownership)
 // fail silently at runtime but loudly here.
@@ -28,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/analyzers"
@@ -61,19 +62,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
 		os.Exit(2)
 	}
-	dirs, err := expand(patterns)
+	roots, err := analysis.PackagePaths(modDir, modPath, patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
 		os.Exit(2)
-	}
-	roots := make([]string, 0, len(dirs))
-	for _, dir := range dirs {
-		importPath, err := dirImportPath(modDir, modPath, dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
-			os.Exit(2)
-		}
-		roots = append(roots, importPath)
 	}
 
 	mod, err := analysis.LoadModule(modDir, modPath, roots)
@@ -86,6 +78,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
 		os.Exit(2)
 	}
+	diags = append(diags, mod.UnknownAllows(analyzers.All)...)
 
 	cwd, _ := os.Getwd()
 	enc := json.NewEncoder(os.Stdout)
@@ -135,80 +128,4 @@ func findModule(dir string) (string, string, error) {
 		}
 		abs = parent
 	}
-}
-
-// expand resolves CLI patterns to package directories containing Go
-// files. "dir/..." walks recursively, skipping testdata, hidden, and
-// underscore directories (the go tool's rules).
-func expand(patterns []string) ([]string, error) {
-	seen := map[string]bool{}
-	var out []string
-	add := func(dir string) {
-		if !seen[dir] && hasGoFiles(dir) {
-			seen[dir] = true
-			out = append(out, dir)
-		}
-	}
-	for _, p := range patterns {
-		if base, ok := strings.CutSuffix(p, "/..."); ok {
-			if base == "." || base == "" {
-				base = "."
-			}
-			err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				name := d.Name()
-				if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-					return filepath.SkipDir
-				}
-				add(path)
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		add(p)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// hasGoFiles reports whether dir directly contains a non-test Go file.
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		return true
-	}
-	return false
-}
-
-// dirImportPath maps a package directory to its import path inside the
-// module.
-func dirImportPath(modDir, modPath, dir string) (string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	rel, err := filepath.Rel(modDir, abs)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("%s is outside module %s", dir, modPath)
-	}
-	if rel == "." {
-		return modPath, nil
-	}
-	return modPath + "/" + filepath.ToSlash(rel), nil
 }

@@ -126,29 +126,34 @@ type suppressions map[string]map[int][]string
 
 var allowRE = regexp.MustCompile(`^//simlint:allow\s+([A-Za-z0-9_-]+)\s+\S`)
 
+// forEachAllow calls fn for every //simlint:allow directive (with a
+// reason) in files, with its position and the analyzer it names.
+func forEachAllow(fset *token.FileSet, files []*ast.File, fn func(token.Position, string)) {
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if m := allowRE.FindStringSubmatch(c.Text); m != nil {
+					fn(fset.Position(c.Pos()), m[1])
+				}
+			}
+		}
+	}
+}
+
 // collectSuppressions scans every comment of the package for
 // //simlint:allow directives. A directive on line L covers findings on L
 // (trailing style) and on L+1 (comment-above style).
 func collectSuppressions(fset *token.FileSet, files []*ast.File) suppressions {
 	s := suppressions{}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := allowRE.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				byLine := s[pos.Filename]
-				if byLine == nil {
-					byLine = map[int][]string{}
-					s[pos.Filename] = byLine
-				}
-				byLine[pos.Line] = append(byLine[pos.Line], m[1])
-				byLine[pos.Line+1] = append(byLine[pos.Line+1], m[1])
-			}
+	forEachAllow(fset, files, func(pos token.Position, name string) {
+		byLine := s[pos.Filename]
+		if byLine == nil {
+			byLine = map[int][]string{}
+			s[pos.Filename] = byLine
 		}
-	}
+		byLine[pos.Line] = append(byLine[pos.Line], name)
+		byLine[pos.Line+1] = append(byLine[pos.Line+1], name)
+	})
 	return s
 }
 

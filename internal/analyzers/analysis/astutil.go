@@ -13,68 +13,6 @@ func ObjectOf(info *types.Info, id *ast.Ident) types.Object {
 	return info.Defs[id]
 }
 
-// ParamRooted computes the set of objects rooted in the function's
-// receiver or parameters, propagated through local aliases in source
-// order (pool := &f.pool keeps pool parameter-rooted). A local bound to
-// the result of an append-style call — one whose FIRST argument is a
-// rooted slice, like buf := e.intraGroup(e.nonBufs[cur][:0], a, b) —
-// inherits rootedness too: by that calling convention the result
-// aliases the caller-provided buffer's storage. Shared by the hotpath
-// and hotcall analyzers so "appends to preallocated storage" means the
-// same thing locally and transitively.
-func ParamRooted(info *types.Info, fd *ast.FuncDecl) map[types.Object]bool {
-	rooted := map[types.Object]bool{}
-	addFields := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			for _, name := range f.Names {
-				if obj := info.Defs[name]; obj != nil {
-					rooted[obj] = true
-				}
-			}
-		}
-	}
-	addFields(fd.Recv)
-	addFields(fd.Type.Params)
-	if fd.Body == nil {
-		return rooted
-	}
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		assign, ok := n.(*ast.AssignStmt)
-		if !ok || len(assign.Lhs) != len(assign.Rhs) {
-			return true
-		}
-		for i, lhs := range assign.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok || id.Name == "_" {
-				continue
-			}
-			rhs := assign.Rhs[i]
-			if call, ok := rhs.(*ast.CallExpr); ok && len(call.Args) > 0 {
-				// Append-style: f(buf, ...) returns storage rooted where
-				// buf is.
-				rhs = call.Args[0]
-			}
-			root := RootIdent(rhs)
-			if root == nil {
-				continue
-			}
-			robj := ObjectOf(info, root)
-			if robj == nil || !rooted[robj] {
-				continue
-			}
-			if obj := ObjectOf(info, id); obj != nil {
-				rooted[obj] = true
-			}
-		}
-		return true
-	})
-	return rooted
-}
-
 // RootIdent walks to the identifier at the base of a selector / index /
 // slice / dereference / paren / type-assert chain: the `s` in
 // `s.queues[vc].buf[:0]`. It returns nil when the chain bottoms out in

@@ -149,25 +149,3 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) (callee *types.Func, dyn
 	}
 	return nil, true, true
 }
-
-// Reachable computes forward reachability over static edges from the
-// given roots: every function a root can (statically) cause to run.
-// Dynamic sites contribute no edges — the caller owns that caveat.
-func (g *CallGraph) Reachable(roots []*types.Func) map[*types.Func]bool {
-	seen := map[*types.Func]bool{}
-	stack := append([]*types.Func(nil), roots...)
-	for len(stack) > 0 {
-		fn := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if fn == nil || seen[fn] {
-			continue
-		}
-		seen[fn] = true
-		for _, site := range g.Sites[fn] {
-			if site.Callee != nil && !seen[site.Callee] {
-				stack = append(stack, site.Callee)
-			}
-		}
-	}
-	return seen
-}

@@ -177,3 +177,83 @@ func (l *Loader) Load(path string) (*Package, error) {
 	l.pkgs[path] = pkg
 	return pkg, nil
 }
+
+// PackagePaths resolves go-tool-style patterns to the import paths of
+// the module packages they name. "dir/..." walks recursively, skipping
+// testdata, hidden, and underscore directories (the go tool's rules);
+// a directory counts as a package only if it holds a non-test Go file.
+func PackagePaths(modDir, modPath string, patterns []string) ([]string, error) {
+	seen := map[string]bool{}
+	var out []string
+	add := func(dir string) error {
+		if !hasGoFiles(dir) {
+			return nil
+		}
+		path, err := importPath(modDir, modPath, dir)
+		if err == nil && !seen[path] {
+			seen[path] = true
+			out = append(out, path)
+		}
+		return err
+	}
+	for _, p := range patterns {
+		base, ok := strings.CutSuffix(p, "/...")
+		if !ok {
+			if err := add(p); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if base == "" {
+			base = "."
+		}
+		err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			name := d.Name()
+			if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return add(path)
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
+// hasGoFiles reports whether dir directly contains a non-test Go file.
+func hasGoFiles(dir string) bool {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return false
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") &&
+			!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_") {
+			return true
+		}
+	}
+	return false
+}
+
+// importPath maps a package directory to its import path inside the
+// module.
+func importPath(modDir, modPath, dir string) (string, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return "", err
+	}
+	rel, err := filepath.Rel(modDir, abs)
+	if err != nil || strings.HasPrefix(rel, "..") {
+		return "", fmt.Errorf("%s is outside module %s", dir, modPath)
+	}
+	if rel == "." {
+		return modPath, nil
+	}
+	return modPath + "/" + filepath.ToSlash(rel), nil
+}

@@ -139,6 +139,31 @@ func (m *Module) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 	return diags, nil
 }
 
+// UnknownAllows reports every //simlint:allow directive in the module
+// that names an analyzer outside suite: such a directive suppresses
+// nothing, so a renamed or retired analyzer would otherwise leave it
+// silently inert.
+func (m *Module) UnknownAllows(suite []*Analyzer) []Diagnostic {
+	known := map[string]bool{}
+	for _, a := range suite {
+		known[a.Name] = true
+	}
+	var diags []Diagnostic
+	for _, pkg := range m.Pkgs {
+		forEachAllow(m.Loader.Fset, pkg.Files, func(pos token.Position, name string) {
+			if !known[name] {
+				diags = append(diags, Diagnostic{
+					Pos:      pos,
+					Analyzer: "simlint",
+					Message:  fmt.Sprintf("//simlint:allow names unknown analyzer %q; the directive suppresses nothing", name),
+				})
+			}
+		})
+	}
+	sortDiagnostics(diags)
+	return diags
+}
+
 // ModulePass is the whole-module counterpart of Pass, handed to
 // Analyzer.RunModule after every package pass has completed: the full
 // package list, the call graph, and the accumulated fact store.

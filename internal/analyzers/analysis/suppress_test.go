@@ -66,8 +66,8 @@ func f() {
 }
 
 // TestDirectiveReason pins the //simlint:<name> <reason> extraction used
-// by hotcall's cold grammar: a bare directive is present with an empty
-// reason (which hotcall rejects), and the reason is everything after the
+// by hotpath's cold grammar: a bare directive is present with an empty
+// reason (which hotpath rejects), and the reason is everything after the
 // directive word.
 func TestDirectiveReason(t *testing.T) {
 	const src = `package p

@@ -7,24 +7,21 @@ package analyzers
 
 import (
 	"repro/internal/analyzers/analysis"
-	"repro/internal/analyzers/detflow"
 	"repro/internal/analyzers/detrand"
-	"repro/internal/analyzers/hotcall"
 	"repro/internal/analyzers/hotpath"
 	"repro/internal/analyzers/resetcheck"
 	"repro/internal/analyzers/sharecheck"
 )
 
-// All is the suite cmd/simlint runs, in reporting order. The first
-// three are per-package passes from simlint v1; hotcall and sharecheck
-// are the v2 interprocedural passes over the module call graph and
-// facts store, and detflow is a module pass whose sink-reachability
-// replaces detrand's hardcoded scope on the output side.
+// All is the suite cmd/simlint runs, in reporting order: one analyzer
+// per invariant. detrand (determinism) is a module pass over the
+// simulation-state scope plus every function reachable from an output
+// sink; hotpath (zero allocation) and sharecheck (worker isolation)
+// compose per-function facts over the module call graph; resetcheck
+// (warm-reuse reset coverage) is per package.
 var All = []*analysis.Analyzer{
 	detrand.Analyzer,
 	resetcheck.Analyzer,
 	hotpath.Analyzer,
-	hotcall.Analyzer,
-	detflow.Analyzer,
 	sharecheck.Analyzer,
 }

@@ -21,3 +21,12 @@ func TestDetrandFlagsSimPackages(t *testing.T) {
 func TestDetrandIgnoresOutOfScope(t *testing.T) {
 	atest.Run(t, "testdata", "outofscope", detrand.Analyzer)
 }
+
+// TestDetrandReachableFromSinks runs the analyzer over a package outside
+// the simulation scope whose map iteration is reachable from output
+// sinks: ranges and unsorted key reads below a sink are flagged with the
+// witness, while the sorted-keys idioms, allowed sites, and functions no
+// sink reaches stay silent.
+func TestDetrandReachableFromSinks(t *testing.T) {
+	atest.Run(t, "testdata", "render", detrand.Analyzer)
+}

@@ -3,7 +3,9 @@
 package sim
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -40,6 +42,17 @@ func sumMapAllowed(m map[string]int) int {
 		t += v
 	}
 	return t
+}
+
+// keyReads: maps.Keys and maps.Values iterate in map order too; only
+// the slices.Sorted wrapper erases it.
+func keyReads(m map[string]int) ([]int, []string) {
+	n := 0
+	for k := range maps.Keys(m) { // want "unsorted map-key read is nondeterministic"
+		n += len(k)
+	}
+	vals := slices.Collect(maps.Values(m)) // want "unsorted map-key read is nondeterministic"
+	return append(vals, n), slices.Sorted(maps.Keys(m))
 }
 
 // concurrency: goroutines and select leak runtime scheduling order.

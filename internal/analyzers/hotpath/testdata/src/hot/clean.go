@@ -20,6 +20,7 @@ func (p *pool) push(vals []int, v int) []int {
 	add := func(d int) { v += d }
 	add(1) // call-only local literal (the routing engine's consider pattern)
 	add(2)
+	_ = "hot" + "path" // constant-folded: no allocation
 	return vals
 }
 

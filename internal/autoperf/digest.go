@@ -47,7 +47,7 @@ func (r *Report) Reduce() *Reduced {
 		CallTime:    make(map[string]sim.Time, len(r.Profile.ByCall)),
 		LocalTiles:  r.LocalTiles,
 	}
-	for name, s := range r.Profile.ByCall { //simlint:allow detflow map-to-map copy; the result is order-insensitive
+	for name, s := range r.Profile.ByCall { //simlint:allow detrand map-to-map copy; the result is order-insensitive
 		d.CallTime[name] = s.Time
 	}
 	return d
@@ -71,7 +71,7 @@ func (d *Reduced) MemBytes() int {
 	}
 	const structBase = 64 + 16*int(topology.NumTileClasses)
 	b := structBase + len(d.App)
-	for name := range d.CallTime { //simlint:allow detflow order-insensitive size sum
+	for name := range d.CallTime { //simlint:allow detrand order-insensitive size sum
 		// map entry: key header+bytes, value, bucket overhead
 		b += 16 + len(name) + 8 + 16
 	}

@@ -78,6 +78,7 @@ func (f *Fabric) allocPacket() *Packet {
 		p.reset()
 		return p
 	}
+	//simlint:allow hotpath arena growth on a pool miss: each slot is allocated once per fabric, then recycled
 	p := &Packet{idx: int32(len(pool.arena)), hop: -1}
 	pool.arena = append(pool.arena, p)
 	pool.next = len(pool.arena)

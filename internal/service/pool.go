@@ -179,7 +179,7 @@ func (p *MachinePool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	idle := 0
-	for _, free := range p.free { //simlint:allow detflow order-insensitive sum
+	for _, free := range p.free { //simlint:allow detrand order-insensitive sum
 		idle += len(free)
 	}
 	return PoolStats{

@@ -112,7 +112,7 @@ var topologies = map[string]func() topology.Config{
 // TopologyNames lists the accepted topology names, sorted.
 func TopologyNames() []string {
 	out := make([]string, 0, len(topologies))
-	for name := range topologies { //simlint:allow detrand sorted immediately below
+	for name := range topologies {
 		out = append(out, name)
 	}
 	sort.Strings(out)

@@ -81,8 +81,9 @@ func (h *recordingHandler) HandleEvent(kind uint8, a, b int64) {
 // in steady state. Fire runs on the fabric's packet-delivery hot path
 // (every completed message fires its Done signal), and before proc
 // resume closures were hoisted to spawn time it allocated one closure
-// per waiter per fire — an interprocedural leak the per-function hotpath
-// gate could not see (simlint's hotcall analyzer caught it). Signals are
+// per waiter per fire — an interprocedural leak no per-function check
+// could see (simlint's hotpath analyzer caught it through its callee
+// summaries). Signals are
 // one-shot, so the test prepares one signal with parked waiters per
 // AllocsPerRun round rather than reusing one.
 func TestSignalFireAllocFree(t *testing.T) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # escapes.sh — compiler-truth escape-analysis gate for the hot packages.
 #
-# simlint's hotpath/hotcall analyzers enforce the repo's allocation
+# simlint's hotpath analyzer enforces the repo's allocation
 # discipline structurally, but the compiler's escape analysis is the
 # ground truth for what actually reaches the heap. This gate freezes
 # that truth: it runs `go build -gcflags=-m` over the three packages on
