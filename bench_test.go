@@ -74,12 +74,12 @@ func BenchmarkEnsembleParallel(b *testing.B) {
 }
 
 // BenchmarkEnsembleWorkers is the worker-sweep scaling curve: the same
-// MILC campaign at -j 1, 2, 4, and 8, the measurement scripts/bench.sh
-// turns into BENCH_3.json's speedup-vs-workers trajectory. On a
+// MILC campaign at -j 1, 2, 4, and 8 (BENCH_3.json keeps an earlier run
+// of it as history; the end-to-end benchmark is _perfbench). On a
 // single-CPU host all points collapse onto sequential throughput (the
 // workers run concurrently but not in parallel); the curve is only
-// meaningful where runtime.NumCPU allows real overlap, which is why the
-// emitted report records host_cpus alongside it.
+// meaningful where runtime.NumCPU allows real overlap, so read it
+// alongside the host's CPU count.
 func BenchmarkEnsembleWorkers(b *testing.B) {
 	for _, j := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {

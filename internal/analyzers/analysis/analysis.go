@@ -78,23 +78,9 @@ func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
 	return p.Module.facts.importObject(p.Analyzer, obj, ptr)
 }
 
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.Module.facts.exportPackage(p.Analyzer, p.Pkg, fact)
-}
-
-// ImportPackageFact copies pkg's fact of ptr's concrete type into *ptr.
-func (p *Pass) ImportPackageFact(pkg *types.Package, ptr Fact) bool {
-	return p.Module.facts.importPackage(p.Analyzer, pkg, ptr)
-}
-
-// ObjectFact and PackageFact are available on module passes too.
+// ImportObjectFact is available on module passes too.
 func (p *ModulePass) ImportObjectFact(obj types.Object, ptr Fact) bool {
 	return p.Module.facts.importObject(p.Analyzer, obj, ptr)
-}
-
-func (p *ModulePass) ImportPackageFact(pkg *types.Package, ptr Fact) bool {
-	return p.Module.facts.importPackage(p.Analyzer, pkg, ptr)
 }
 
 // Diagnostic is one finding at one position.

@@ -25,25 +25,17 @@ type objFactKey struct {
 	obj types.Object
 }
 
-// pkgFactKey identifies one analyzer's fact set on one package.
-type pkgFactKey struct {
-	a   *Analyzer
-	pkg *types.Package
-}
-
 // factStore is the module-wide fact table shared by every pass of one
 // driver run. Objects are unique per loader (one token.FileSet, one
 // type-checked package graph), so types.Object identity is a sound key
 // across packages.
 type factStore struct {
 	obj map[objFactKey][]Fact
-	pkg map[pkgFactKey][]Fact
 }
 
 func newFactStore() *factStore {
 	return &factStore{
 		obj: map[objFactKey][]Fact{},
-		pkg: map[pkgFactKey][]Fact{},
 	}
 }
 
@@ -90,33 +82,6 @@ func (s *factStore) importObject(a *Analyzer, obj types.Object, ptr Fact) bool {
 	}
 	t := reflect.TypeOf(ptr)
 	for _, f := range s.obj[objFactKey{a, obj}] {
-		if reflect.TypeOf(f) == t {
-			reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(f).Elem())
-			return true
-		}
-	}
-	return false
-}
-
-// exportPackage records fact on pkg, replacing any prior same-type fact.
-func (s *factStore) exportPackage(a *Analyzer, pkg *types.Package, fact Fact) {
-	validFactType(a, fact)
-	key := pkgFactKey{a, pkg}
-	t := reflect.TypeOf(fact)
-	for i, f := range s.pkg[key] {
-		if reflect.TypeOf(f) == t {
-			s.pkg[key][i] = fact
-			return
-		}
-	}
-	s.pkg[key] = append(s.pkg[key], fact)
-}
-
-// importPackage copies pkg's fact of ptr's concrete type into *ptr.
-func (s *factStore) importPackage(a *Analyzer, pkg *types.Package, ptr Fact) bool {
-	validFactType(a, ptr)
-	t := reflect.TypeOf(ptr)
-	for _, f := range s.pkg[pkgFactKey{a, pkg}] {
 		if reflect.TypeOf(f) == t {
 			reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(f).Elem())
 			return true

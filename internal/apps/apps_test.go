@@ -273,6 +273,28 @@ func TestNoisePatternsComplete(t *testing.T) {
 	}
 }
 
+// TestNoiseRNGLazy pins the lazy per-rank source: stencil and shift
+// ranks pick destinations without ever building one, while uniform and
+// hotspot ranks build it on their first message.
+func TestNoiseRNGLazy(t *testing.T) {
+	const size, hot = 16, 3
+	for _, p := range []NoisePattern{NoiseUniform, NoiseHotspot, NoiseStencil, NoiseShift} {
+		n := Noise{Pattern: p}
+		for rank := 0; rank < size; rank++ {
+			rng := lazyRNG{cfg: Config{Seed: 7}, rank: rank}
+			for it := 0; it < 2*size; it++ {
+				if dst := n.dest(&rng, rank, size, hot, it); dst < 0 || dst >= size || dst == rank {
+					t.Fatalf("%v rank %d iteration %d: destination %d", p, rank, it, dst)
+				}
+			}
+			draws := p == NoiseUniform || p == NoiseHotspot
+			if built := rng.src != nil; built != draws {
+				t.Fatalf("%v rank %d: source built = %v, want %v", p, rank, built, draws)
+			}
+		}
+	}
+}
+
 func TestNoiseSingleRankNoop(t *testing.T) {
 	noise := Noise{Pattern: NoiseUniform, Duration: sim.Millisecond}
 	w := runApp(t, noise, 1, Config{Iterations: 1, Scale: 1, Seed: 1})

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -73,38 +74,63 @@ func (n Noise) Main(cfg Config) func(r *mpi.Rank) {
 		if size <= 1 {
 			return
 		}
-		rng := rankRNG(cfg, r.ID())
+		rng := lazyRNG{cfg: cfg, rank: r.ID()}
 		deadline := r.Now() + n.Duration
 		hot := int(cfg.Seed % int64(size))
 		if hot < 0 {
 			hot += size
 		}
 		for it := 0; r.Now() < deadline && (n.Cancel == nil || !n.Cancel.Fired()); it++ {
-			var dst int
-			switch n.Pattern {
-			case NoiseHotspot:
-				if rng.Intn(4) > 0 { // 75% of traffic into the hotspot
-					dst = hot
-				} else {
-					dst = rng.Intn(size)
-				}
-			case NoiseStencil:
-				if it%2 == 0 {
-					dst = (r.ID() + 1) % size
-				} else {
-					dst = (r.ID() - 1 + size) % size
-				}
-			case NoiseShift:
-				dst = (r.ID() + 1 + it%(size-1)) % size
-			default: // NoiseUniform
-				dst = rng.Intn(size)
-			}
-			if dst == r.ID() {
-				dst = (dst + 1) % size
-			}
-			q := r.Isend(dst, 9000, msg)
+			q := r.Isend(n.dest(&rng, r.ID(), size, hot, it), 9000, msg)
 			r.Wait(q)
 			r.Compute(gap)
 		}
 	}
+}
+
+// dest picks the destination of rank's it-th message in a size-rank job
+// whose hotspot is rank hot. Only the uniform and hotspot patterns draw
+// from rng.
+func (n Noise) dest(rng *lazyRNG, rank, size, hot, it int) int {
+	var dst int
+	switch n.Pattern {
+	case NoiseHotspot:
+		if rng.Intn(4) > 0 { // 75% of traffic into the hotspot
+			dst = hot
+		} else {
+			dst = rng.Intn(size)
+		}
+	case NoiseStencil:
+		if it%2 == 0 {
+			dst = (rank + 1) % size
+		} else {
+			dst = (rank - 1 + size) % size
+		}
+	case NoiseShift:
+		dst = (rank + 1 + it%(size-1)) % size
+	default: // NoiseUniform
+		dst = rng.Intn(size)
+	}
+	if dst == rank {
+		dst = (dst + 1) % size
+	}
+	return dst
+}
+
+// lazyRNG is a rank's deterministic random stream (rankRNG), built on the
+// first draw. A rand source is about 5 KB, and stencil and shift ranks —
+// a large share of every production background — never draw, so they
+// never pay for one. The stream a rank does draw is unchanged.
+type lazyRNG struct {
+	cfg  Config
+	rank int
+	src  *rand.Rand
+}
+
+// Intn draws from the rank's stream, building it on first use.
+func (l *lazyRNG) Intn(n int) int {
+	if l.src == nil {
+		l.src = rankRNG(l.cfg, l.rank)
+	}
+	return l.src.Intn(n)
 }

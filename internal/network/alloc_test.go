@@ -39,7 +39,7 @@ func (f *Fabric) injectRaw(src, dst topology.NodeID, bytes int) {
 	p.sendTime = f.k.Now()
 	inj := f.inject[src]
 	inj.bumpOcc(0, p.flits, f.k.Now())
-	inj.pushPacket(0, p)
+	f.pushPacket(inj, 0, p)
 	f.PacketsSent++
 	f.tryStart(inj)
 }

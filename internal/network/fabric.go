@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 
@@ -123,16 +124,19 @@ type server struct {
 	lat      sim.Time //simlint:resetsafe immutable config: propagation after serialization
 	flitTime sim.Time //simlint:resetsafe immutable config: one flit period at bw
 
-	queues   []pktQueue // per VC
-	occ      []int      // buffered flits per VC
-	occTotal int        // sum of occ (cached for O(1) load estimates)
-	nonEmpty uint32     // bitmask of VCs with queued packets
-	capFlits int        //simlint:resetsafe immutable config: per-VC capacity; 0 = unbounded (injection)
+	queues []pktQueue // per VC; carved from a fabric-wide slab
+	// occ is the buffered flits per VC, carved from a fabric-wide slab.
+	// int32 holds any bounded buffer, and 2^31 flits (32 GiB at the
+	// default 16-byte flit) of unsent data in an unbounded injection
+	// queue; past that it wraps negative and bumpOcc panics.
+	occ      []int32
+	occTotal int    // sum of occ (cached for O(1) load estimates)
+	nonEmpty uint32 // bitmask of VCs with queued packets
+	capFlits int    //simlint:resetsafe immutable config: per-VC capacity; 0 = unbounded (injection)
 
-	busy    bool
-	lastVC  int // round-robin arbitration pointer
-	blocked bool
-	stallAt sim.Time
+	busy, blocked bool
+	lastVC        int // round-robin arbitration pointer
+	stallAt       sim.Time
 
 	// Fused-hop state (Params.FuseLinks). While a fused transmission is
 	// in flight the sender-side completion (flit count, dequeue, buffer
@@ -142,9 +146,8 @@ type server struct {
 	// (needed only when backlog or waiters appear mid-flight). Every
 	// reader of sender-side state settles first, so the deferral is
 	// unobservable — see (*Fabric).settle.
-	pendingTx bool
-	freeAt    sim.Time
-	settleEvt bool
+	pendingTx, settleEvt bool
+	freeAt               sim.Time
 
 	// Credit-style load estimation state: occInt integrates occupancy
 	// over time (flit-picoseconds) so the estimate exposed to routing is
@@ -158,11 +161,11 @@ type server struct {
 	loadIntMark  float64
 
 	// Backpressure bookkeeping (see pool.go): waiters is the list of
-	// upstream servers blocked on space here; waking is the snapshot a
-	// pending batched wake will flush; wakeGen invalidates waitingOn
-	// registrations wholesale on each flush.
-	waiters   []*server
-	waking    []*server
+	// upstream servers (by Fabric.servers index) blocked on space here;
+	// waking is the snapshot a pending batched wake will flush; wakeGen
+	// invalidates waitingOn registrations wholesale on each flush.
+	waiters   []int32
+	waking    []int32
 	wakeGen   uint64
 	waitingOn []waitReg // downstream servers we are registered with
 }
@@ -170,13 +173,25 @@ type server struct {
 // queued reports whether any VC holds a packet.
 func (s *server) queued() bool { return s.nonEmpty != 0 }
 
-// pushPacket appends p to VC vc's queue (buffer space must already be
+// pushPacket appends p to s's VC vc queue (buffer space must already be
 // accounted via occ/occTotal).
 //
 //simlint:hotpath
-func (s *server) pushPacket(vc int, p *Packet) {
-	s.queues[vc].push(p)
+func (f *Fabric) pushPacket(s *server, vc int, p *Packet) {
+	s.queues[vc].push(f.pool.arena, p)
 	s.nonEmpty |= 1 << uint(vc)
+}
+
+// popPacket dequeues the head of s's VC vc queue.
+//
+//simlint:hotpath
+func (f *Fabric) popPacket(s *server, vc int) *Packet {
+	q := &s.queues[vc]
+	p := q.pop(f.pool.arena)
+	if q.empty() {
+		s.nonEmpty &^= 1 << uint(vc)
+	}
+	return p
 }
 
 // Fabric is a live simulated Aries network on a kernel.
@@ -190,8 +205,10 @@ type Fabric struct {
 	links  []*server //simlint:resetsafe by LinkID; views into servers, which Reset rewinds element-wise
 	inject []*server //simlint:resetsafe by NodeID; views into servers, which Reset rewinds element-wise
 	eject  []*server //simlint:resetsafe by NodeID; views into servers, which Reset rewinds element-wise
-	// servers holds all of the above, by server.idx (typed-event lookup).
-	servers  []*server
+	// servers is the one slab every server lives in, by server.idx
+	// (typed-event and waiter lookup): links first, then each node's
+	// injection and ejection servers.
+	servers  []server
 	hid      sim.HandlerID //simlint:resetsafe handler registration survives kernel Reset by design
 	counters *Counters
 
@@ -235,77 +252,70 @@ func New(k *sim.Kernel, topo *topology.Topology, params Params, engineCfg routin
 	f.hid = k.RegisterHandler(f)
 	f.counters = NewCounters(topo)
 
-	f.links = make([]*server, len(topo.Links))
+	nLinks := len(topo.Links)
+	slots := topo.Cfg.Capacity()
+	f.servers = make([]server, nLinks+2*slots)
+	f.links = make([]*server, nLinks)
 	for i := range topo.Links {
 		l := &topo.Links[i]
-		f.links[i] = &server{
+		s := &f.servers[i]
+		*s = server{
 			fab: f, link: l, kind: kindLink,
 			bw: l.Bandwidth, lat: l.Latency,
 			flitTime: sim.Time(float64(params.FlitBytes) / l.Bandwidth * 1e12),
-			queues:   make([]pktQueue, f.numVC),
-			occ:      make([]int, f.numVC),
 			capFlits: params.BufferFlits,
 		}
+		f.links[i] = s
 	}
-	slots := topo.Cfg.Capacity()
 	injFlit := sim.Time(float64(params.FlitBytes) / topo.Cfg.InjectionBandwidth * 1e12)
 	ejFlit := sim.Time(float64(params.FlitBytes) / topo.Cfg.EjectBW() * 1e12)
 	f.inject = make([]*server, slots)
 	f.eject = make([]*server, slots)
 	for n := 0; n < slots; n++ {
-		f.inject[n] = &server{
+		inj, ej := &f.servers[nLinks+2*n], &f.servers[nLinks+2*n+1]
+		*inj = server{
 			fab: f, node: topology.NodeID(n), kind: kindInject,
 			bw: topo.Cfg.InjectionBandwidth, lat: topo.Cfg.NICLatency,
 			flitTime: injFlit,
-			queues:   make([]pktQueue, 1), occ: make([]int, 1),
 			capFlits: 0, // unbounded: host memory
 		}
-		f.eject[n] = &server{
+		*ej = server{
 			fab: f, node: topology.NodeID(n), kind: kindEject,
 			bw: topo.Cfg.EjectBW(), lat: topo.Cfg.NICLatency,
 			flitTime: ejFlit,
-			queues:   make([]pktQueue, 1), occ: make([]int, 1),
 			capFlits: params.BufferFlits,
 		}
-	}
-	f.servers = make([]*server, 0, len(f.links)+2*slots)
-	for _, s := range f.links {
-		f.servers = append(f.servers, s)
-	}
-	for n := 0; n < slots; n++ {
-		f.servers = append(f.servers, f.inject[n], f.eject[n])
-	}
-	for i, s := range f.servers {
-		s.idx = int32(i)
+		f.inject[n], f.eject[n] = inj, ej
 	}
 
-	// Pre-size every hot-path growth surface out of shared slabs so the
-	// steady state starts at construction: without this, each (server,VC)
-	// queue and waiter list grows lazily through the 1→2→4→8 append
-	// doublings the first time traffic touches it, and those cold-path
-	// allocations show up as a long decaying tail in the per-packet
-	// allocation gate. Three-index slicing caps each sub-slice so an
-	// append past its slot copies out of the slab instead of stomping its
-	// neighbor.
-	const (
-		queueSlots  = 8 // initial packets per VC queue
-		waiterSlots = 8 // initial blocked-upstream entries per server
-	)
-	nq := 0
-	for _, s := range f.servers {
-		nq += len(s.queues)
-	}
-	qslab := make([]*Packet, nq*queueSlots)
-	off := 0
-	for _, s := range f.servers {
-		for vc := range s.queues {
-			s.queues[vc].buf = qslab[off : off : off+queueSlots]
-			off += queueSlots
-		}
-	}
-	wslab := make([]*server, 2*len(f.servers)*waiterSlots)
+	// Carve every server's per-VC queues and occupancies, and pre-size its
+	// waiter lists, out of shared slabs: a handful of allocations instead
+	// of several per server. Queues are list headers into the packet arena
+	// (see pktQueue), so they need no backing storage of their own. The
+	// waiter lists start with room for waiterSlots entries so the steady
+	// state starts at construction: without it, each list grows lazily
+	// through the 1→2→4→8 append doublings the first time traffic blocks
+	// on its server, and those cold-path allocations show up as a long
+	// decaying tail in the per-packet allocation gate. Three-index slicing
+	// caps each sub-slice so an append past its slot copies out of the
+	// slab instead of stomping its neighbor.
+	const waiterSlots = 8 // initial blocked-upstream entries per server
+	nq := nLinks*f.numVC + 2*slots
+	qslab := make([]pktQueue, nq)
+	oslab := make([]int32, nq)
+	wslab := make([]int32, 2*len(f.servers)*waiterSlots)
 	rslab := make([]waitReg, len(f.servers)*waiterSlots)
-	for i, s := range f.servers {
+	off := 0
+	for i := range f.servers {
+		s := &f.servers[i]
+		s.idx = int32(i)
+		nvc := 1
+		if s.kind == kindLink {
+			nvc = f.numVC
+		}
+		s.queues = qslab[off : off+nvc : off+nvc]
+		s.occ = oslab[off : off+nvc : off+nvc]
+		off += nvc
 		wo := 2 * i * waiterSlots
 		s.waiters = wslab[wo : wo : wo+waiterSlots]
 		s.waking = wslab[wo+waiterSlots : wo+waiterSlots : wo+2*waiterSlots]
@@ -347,20 +357,20 @@ const (
 func (f *Fabric) HandleEvent(kind uint8, a, b int64) {
 	switch kind {
 	case evFinishTx:
-		s := f.servers[a]
-		p := s.queues[s.lastVC].front()
+		s := &f.servers[a]
+		p := s.queues[s.lastVC].front(f.pool.arena)
 		f.finishTx(s, p, f.next(s, p), s.lastVC)
 	case evArrive:
-		n := f.servers[a]
+		n := &f.servers[a]
 		p := f.packetOf(b)
-		n.pushPacket(f.vcForHop(n, p.hop), p)
+		f.pushPacket(n, f.vcForHop(n, p.hop), p)
 		f.tryStart(n)
 	case evWake:
-		f.wakeWaiters(f.servers[a])
+		f.wakeWaiters(&f.servers[a])
 	case evHopDone:
-		f.hopDone(f.servers[a], f.packetOf(b))
+		f.hopDone(&f.servers[a], f.packetOf(b))
 	case evSettle:
-		s := f.servers[a]
+		s := &f.servers[a]
 		s.settleEvt = false
 		f.settle(s)
 		f.tryStart(s)
@@ -437,7 +447,10 @@ func (s *server) syncOcc(now sim.Time) {
 // bumpOcc adjusts a VC's occupancy, keeping the integral consistent. An
 // overdue fused completion settles first (its release is backdated to
 // freeAt, so it must land before occAt advances past that instant); the
-// settle path itself re-enters with pendingTx already cleared.
+// settle path itself re-enters with pendingTx already cleared. Every
+// release matches an earlier reservation of the same packet's flits, so
+// occupancy never goes negative; if it does, the model is broken and
+// occUnderflow panics rather than silently clamping.
 //
 //simlint:hotpath
 func (s *server) bumpOcc(vc, delta int, now sim.Time) {
@@ -445,15 +458,19 @@ func (s *server) bumpOcc(vc, delta int, now sim.Time) {
 		s.fab.settle(s)
 	}
 	s.syncOcc(now)
-	s.occ[vc] += delta
+	s.occ[vc] += int32(delta)
 	s.occTotal += delta
 	if s.occ[vc] < 0 {
-		s.occTotal -= s.occ[vc]
-		s.occ[vc] = 0
+		s.occUnderflow(vc, delta)
 	}
-	if s.occTotal < 0 {
-		s.occTotal = 0
-	}
+}
+
+// occUnderflow reports a buffer release with no matching reservation.
+//
+//simlint:cold panic formatting on a model-bug path that never returns
+func (s *server) occUnderflow(vc, delta int) {
+	panic(fmt.Sprintf("network: server %d released %d flits on VC %d it never reserved (VC occupancy %d)",
+		s.idx, -delta, vc, s.occ[vc]))
 }
 
 // jitter applies the estimate error model: a multiplicative uniform error
@@ -521,7 +538,7 @@ func (f *Fabric) Send(src, dst topology.NodeID, bytes int, mode routing.Mode) *M
 		p.bytes, p.flits = sz, f.flitsOf(sz)
 		p.sendTime, p.msg = f.k.Now(), m
 		inj.bumpOcc(0, p.flits, f.k.Now())
-		inj.pushPacket(0, p)
+		f.pushPacket(inj, 0, p)
 	}
 	f.PacketsSent += uint64(nPackets)
 	f.tryStart(inj)
@@ -614,7 +631,7 @@ func (s *server) hasSpace(vc, flits int) bool {
 	if s.occ[vc] == 0 {
 		return true
 	}
-	return s.occ[vc]+flits <= s.capFlits
+	return int(s.occ[vc])+flits <= s.capFlits
 }
 
 // tile returns the (router, tileIndex) whose counters record traffic
@@ -667,13 +684,9 @@ func (f *Fabric) settle(s *server) {
 	}
 	s.pendingTx = false
 	vc := s.lastVC
-	p := s.queues[vc].front()
+	p := f.popPacket(s, vc)
 	r, tIdx := s.tile(p)
 	f.counters.Flits[r][tIdx] += uint64(p.flits)
-	s.queues[vc].pop()
-	if s.queues[vc].empty() {
-		s.nonEmpty &^= 1 << uint(vc)
-	}
 	s.bumpOcc(vc, -p.flits, s.freeAt)
 	s.busy = false
 	f.flushWaiters(s)
@@ -710,7 +723,7 @@ func (f *Fabric) hopDone(s *server, p *Packet) {
 	f.settle(s)
 	n := f.next(s, p)
 	p.hop = f.hopAfter(s, p)
-	n.pushPacket(f.vcForHop(n, p.hop), p)
+	f.pushPacket(n, f.vcForHop(n, p.hop), p)
 	f.tryStart(n)
 	f.tryStart(s)
 }
@@ -720,8 +733,8 @@ func (f *Fabric) hopDone(s *server, p *Packet) {
 // reference model would show at this instant. Counter snapshots call it
 // so fused and reference runs read identically at every sample point.
 func (f *Fabric) settleAll() {
-	for _, s := range f.servers {
-		if s.pendingTx {
+	for i := range f.servers {
+		if s := &f.servers[i]; s.pendingTx {
 			f.settle(s)
 		}
 	}
@@ -781,7 +794,7 @@ func (f *Fabric) tryStart(s *server) {
 //
 //simlint:hotpath
 func (f *Fabric) startVC(s *server, vc int) bool {
-	p := s.queues[vc].front()
+	p := s.queues[vc].front(f.pool.arena)
 	if s.kind == kindInject && !p.routed {
 		// Route lazily at the head of the injection queue so the
 		// adaptive decision sees current congestion.
@@ -865,10 +878,7 @@ func (f *Fabric) finishTx(s *server, p *Packet, n *server, vc int) {
 	f.counters.Flits[r][tIdx] += uint64(p.flits)
 
 	// Dequeue and free our input buffer space.
-	s.queues[vc].pop()
-	if s.queues[vc].empty() {
-		s.nonEmpty &^= 1 << uint(vc)
-	}
+	f.popPacket(s, vc)
 	s.bumpOcc(vc, -p.flits, f.k.Now())
 	s.busy = false
 
@@ -955,7 +965,7 @@ func (f *Fabric) deliver(p *Packet) {
 		rsp.sendTime = reqSent // pair latency spans request + response
 		inj := f.inject[reqDst]
 		inj.bumpOcc(0, rsp.flits, f.k.Now())
-		inj.pushPacket(0, rsp)
+		f.pushPacket(inj, 0, rsp)
 		f.tryStart(inj)
 	}
 }

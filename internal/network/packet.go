@@ -29,8 +29,12 @@ import (
 // the time it fires the sender may have settled, re-arbitrated, and be
 // serializing a different packet — so it carries idx in its payload, the
 // same way evArrive always has.
+//
+// qnext threads the per-VC queues through the arena (see pktQueue): a
+// packet sits in at most one queue at a time, so one link suffices.
 type Packet struct {
 	idx      int32 //simlint:resetsafe arena-slot identity, fixed for the life of the Fabric
+	qnext    int32 // arena slot of the next packet in its VC queue; meaningful only while one is queued behind it
 	src, dst topology.NodeID
 	bytes    int
 	flits    int

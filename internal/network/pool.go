@@ -2,10 +2,11 @@ package network
 
 // This file holds the fabric's hot-path memory discipline: the packet
 // arena (a free list that recycles Packet values and their route slices at
-// delivery) and the per-VC packet queue (a head-indexed ring that reuses
-// its backing array instead of re-slicing it away). Together with the
-// typed kernel events in fabric.go these make the steady-state per-packet
-// path allocation-free; the AllocsPerRun gates in alloc_test.go pin that.
+// delivery) and the per-VC packet queue (an intrusive list threaded
+// through that arena, so an empty queue owns no backing array). Together
+// with the typed kernel events in fabric.go these make the steady-state
+// per-packet path allocation-free; the AllocsPerRun gates in alloc_test.go
+// pin that.
 
 // PoolStats reports packet-arena activity for one fabric. Allocated counts
 // packets issued from the arena cursor (fresh Packet values on a cold
@@ -103,6 +104,7 @@ func (f *Fabric) releasePacket(p *Packet) {
 //
 //simlint:hotpath
 func (p *Packet) reset() {
+	p.qnext = 0
 	p.src, p.dst = 0, 0
 	p.bytes, p.flits = 0, 0
 	p.route = p.route[:0]
@@ -118,44 +120,38 @@ func (p *Packet) reset() {
 //simlint:hotpath
 func (f *Fabric) packetOf(idx int64) *Packet { return f.pool.arena[idx] }
 
-// pktQueue is one virtual channel's FIFO of queued packets. A plain
-// `q = q[1:]` dequeue leaks the backing array's front capacity and forces
-// a fresh allocation every few packets; this head-indexed form reuses the
-// array, compacting only when the queue drains (the common case — servers
-// mostly run near-empty) or when the dead prefix outgrows the live tail.
+// pktQueue is one virtual channel's FIFO of queued packets: a singly
+// linked list threaded through the packet arena. head and tail are arena
+// slots, each queued packet's qnext names its successor, and both ends are
+// meaningful only while n > 0. A packet is in at most one VC queue at any
+// moment — settle and finishTx pop it before hopDone or evArrive pushes it
+// downstream — so the one link per packet is enough, and a queue costs 12
+// bytes whether it is empty or holds a thousand packets.
+// TestQueueListsConsistent walks every list against n and nonEmpty.
 type pktQueue struct {
-	buf  []*Packet
-	head int
+	head, tail, n int32
 }
 
-func (q *pktQueue) empty() bool    { return q.head == len(q.buf) }
-func (q *pktQueue) len() int       { return len(q.buf) - q.head }
-func (q *pktQueue) front() *Packet { return q.buf[q.head] }
+func (q *pktQueue) empty() bool                   { return q.n == 0 }
+func (q *pktQueue) len() int                      { return int(q.n) }
+func (q *pktQueue) front(arena []*Packet) *Packet { return arena[q.head] }
 
 //simlint:hotpath
-func (q *pktQueue) push(p *Packet) {
-	if q.head > 64 && q.head > len(q.buf)-q.head {
-		// More dead slots than live packets: slide the tail down so the
-		// backing array stops growing.
-		n := copy(q.buf, q.buf[q.head:])
-		for i := n; i < len(q.buf); i++ {
-			q.buf[i] = nil
-		}
-		q.buf = q.buf[:n]
-		q.head = 0
+func (q *pktQueue) push(arena []*Packet, p *Packet) {
+	if q.n == 0 {
+		q.head = p.idx
+	} else {
+		arena[q.tail].qnext = p.idx
 	}
-	q.buf = append(q.buf, p)
+	q.tail = p.idx
+	q.n++
 }
 
 //simlint:hotpath
-func (q *pktQueue) pop() *Packet {
-	p := q.buf[q.head]
-	q.buf[q.head] = nil // no stale reference to a recycled packet
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
+func (q *pktQueue) pop(arena []*Packet) *Packet {
+	p := arena[q.head]
+	q.head = p.qnext
+	q.n--
 	return p
 }
 
@@ -166,7 +162,7 @@ func (q *pktQueue) pop() *Packet {
 // map[*server]struct{}, whose inserts and deletes allocated per blocking
 // episode).
 type waitReg struct {
-	n   *server
+	n   int32 // server index (Fabric.servers)
 	gen uint64
 }
 
@@ -178,17 +174,17 @@ type waitReg struct {
 func (f *Fabric) registerWaiter(s, n *server) {
 	for i := range s.waitingOn {
 		r := &s.waitingOn[i]
-		if r.n == n {
+		if r.n == n.idx {
 			if r.gen == n.wakeGen {
 				return // still registered from an earlier block
 			}
 			r.gen = n.wakeGen
-			n.waiters = append(n.waiters, s)
+			n.waiters = append(n.waiters, s.idx)
 			return
 		}
 	}
-	s.waitingOn = append(s.waitingOn, waitReg{n: n, gen: n.wakeGen})
-	n.waiters = append(n.waiters, s)
+	s.waitingOn = append(s.waitingOn, waitReg{n: n.idx, gen: n.wakeGen})
+	n.waiters = append(n.waiters, s.idx)
 }
 
 // flushWaiters snapshots s's current waiters for a batched wake and
@@ -225,9 +221,8 @@ func (f *Fabric) flushWaiters(s *server) {
 //
 //simlint:hotpath
 func (f *Fabric) wakeWaiters(s *server) {
-	for i, w := range s.waking {
-		s.waking[i] = nil
-		f.tryStart(w)
+	for _, w := range s.waking {
+		f.tryStart(&f.servers[w])
 	}
 	s.waking = s.waking[:0]
 }
@@ -260,7 +255,7 @@ func (f *Fabric) queuedFlitsWalk() int {
 	total := 0
 	walk := func(s *server) {
 		for _, o := range s.occ {
-			total += o
+			total += int(o)
 		}
 	}
 	for _, s := range f.links {

@@ -56,6 +56,118 @@ func TestQueuedFlitsMatchesWalk(t *testing.T) {
 	}
 }
 
+// checkQueueLists walks every VC list of f and fails unless each holds
+// exactly its count of packets, ending at its tail; its nonEmpty bit
+// agrees with that count; no packet sits in two queues or on the free list
+// while queued; and each server's per-VC occupancies sum to occTotal. It
+// reports the packets queued and whether any server was blocked or had
+// waiters.
+func checkQueueLists(t *testing.T, f *Fabric) (queued int, congested bool) {
+	t.Helper()
+	arena := f.pool.arena
+	free := make(map[int32]bool, len(f.pool.free))
+	for _, idx := range f.pool.free {
+		free[idx] = true
+	}
+	seen := make(map[int32]int32, len(arena)) // packet slot -> server holding it
+	for i := range f.servers {
+		s := &f.servers[i]
+		occ := 0
+		for vc := range s.queues {
+			occ += int(s.occ[vc])
+			q := s.queues[vc]
+			if bit := s.nonEmpty&(1<<uint(vc)) != 0; bit != (q.n > 0) {
+				t.Fatalf("server %d VC %d: nonEmpty bit %v with n=%d", s.idx, vc, bit, q.n)
+			}
+			if q.n < 0 {
+				t.Fatalf("server %d VC %d: negative length %d", s.idx, vc, q.n)
+			}
+			if q.n == 0 {
+				continue
+			}
+			walked := int32(0)
+			for slot := q.head; ; slot = arena[slot].qnext {
+				if walked == q.n {
+					t.Fatalf("server %d VC %d: list runs past its count %d without reaching tail %d",
+						s.idx, vc, q.n, q.tail)
+				}
+				walked++
+				if prev, ok := seen[slot]; ok {
+					t.Fatalf("packet %d queued twice (servers %d and %d)", slot, prev, s.idx)
+				}
+				seen[slot] = s.idx
+				if free[slot] {
+					t.Fatalf("packet %d is queued at server %d and on the free list", slot, s.idx)
+				}
+				if slot == q.tail {
+					break
+				}
+			}
+			if walked != q.n {
+				t.Fatalf("server %d VC %d: walked %d packets, n=%d", s.idx, vc, walked, q.n)
+			}
+			queued += int(walked)
+		}
+		if occ != s.occTotal {
+			t.Fatalf("server %d: per-VC occupancy sums to %d, occTotal=%d", s.idx, occ, s.occTotal)
+		}
+		if s.blocked || len(s.waiters) > 0 {
+			congested = true
+		}
+	}
+	return queued, congested
+}
+
+// TestQueueListsConsistent runs congested random traffic through the
+// fused and the split model and checks every intrusive VC list against
+// its count, its nonEmpty bit and the occupancy totals at every step.
+func TestQueueListsConsistent(t *testing.T) {
+	for _, fuse := range []bool{true, false} {
+		topo, err := topology.Build(topology.TestConfig(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		params := DefaultParams()
+		params.FuseLinks = fuse
+		f := New(sim.NewKernel(), topo, params, routing.DefaultConfig(), 5)
+		driveTraffic(f, rand.New(rand.NewSource(77)), 300)
+
+		sawQueued, sawCongested := false, false
+		deadline := sim.Time(0)
+		for f.Kernel().Pending() > 0 {
+			deadline += 200 * sim.Nanosecond
+			f.Kernel().RunUntil(deadline)
+			f.settleAll()
+			queued, congested := checkQueueLists(t, f)
+			sawQueued = sawQueued || queued > 1
+			sawCongested = sawCongested || congested
+		}
+		if !sawQueued || !sawCongested {
+			t.Fatalf("fuse=%v: traffic never queued (%v) or congested (%v); test is vacuous",
+				fuse, sawQueued, sawCongested)
+		}
+		if queued, _ := checkQueueLists(t, f); queued != 0 {
+			t.Fatalf("fuse=%v: %d packets still queued after drain", fuse, queued)
+		}
+	}
+}
+
+// TestUnmatchedReleasePanics pins the occupancy invariant: releasing
+// buffer space that was never reserved is a model bug and panics instead
+// of being clamped away.
+func TestUnmatchedReleasePanics(t *testing.T) {
+	f := testFabric(t, 2, 1)
+	s := f.links[0]
+	s.bumpOcc(3, 8, 0)
+	s.bumpOcc(3, -8, 0) // matched: fine
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unmatched release did not panic")
+		}
+	}()
+	s.bumpOcc(3, -1, 0)
+}
+
 // TestResponseSamplingCountsDataOnly pins the response-sampling clock to
 // data packets: with ResponseEvery=N, exactly floor(data/N) responses are
 // generated no matter how many responses are themselves delivered. (Gating

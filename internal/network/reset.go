@@ -12,17 +12,11 @@ package network
 // (TestMachineResetEquivalence pins this end to end).
 
 // reset rewinds one server to its post-construction state, keeping every
-// backing array (queues, occ, waiter slabs) at its grown capacity.
+// backing array (queue and occupancy slab views, waiter slices) at its
+// grown capacity.
 func (s *server) reset() {
-	for vc := range s.queues {
-		q := &s.queues[vc]
-		for i := q.head; i < len(q.buf); i++ {
-			q.buf[i] = nil
-		}
-		q.buf = q.buf[:0]
-		q.head = 0
-		s.occ[vc] = 0
-	}
+	clear(s.queues)
+	clear(s.occ)
 	s.occTotal = 0
 	s.nonEmpty = 0
 	s.busy = false
@@ -37,13 +31,7 @@ func (s *server) reset() {
 	s.loadSample = 0
 	s.loadSampleAt = 0
 	s.loadIntMark = 0
-	for i := range s.waiters {
-		s.waiters[i] = nil
-	}
 	s.waiters = s.waiters[:0]
-	for i := range s.waking {
-		s.waking[i] = nil
-	}
 	s.waking = s.waking[:0]
 	s.wakeGen = 0
 	s.waitingOn = s.waitingOn[:0]
@@ -75,8 +63,8 @@ func (c *Counters) Reset() {
 // delivered, kernel queue empty); resetting mid-flight discards packets
 // without firing their messages' Done signals.
 func (f *Fabric) Reset(seed int64) {
-	for _, s := range f.servers {
-		s.reset()
+	for i := range f.servers {
+		f.servers[i].reset()
 	}
 	f.counters.Reset()
 	f.pool.reset()
