@@ -10,13 +10,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/placement"
+	"repro/internal/profiling"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -24,8 +24,9 @@ import (
 	"repro/internal/workload"
 )
 
+var profiles = profiling.Register(flag.CommandLine)
+
 func main() {
-	prof := flag.String("cpuprofile", "", "write cpu profile")
 	appName := flag.String("app", "MILC", "app to run")
 	runs := flag.Int("runs", 6, "runs per mode")
 	iters := flag.Int("iters", 10, "app iterations")
@@ -37,22 +38,21 @@ func main() {
 	buffer := flag.Int("buffer", 0, "override BufferFlits")
 	flag.Parse()
 
-	if *prof != "" {
-		f, _ := os.Create(*prof)
-		pprof.StartCPUProfile(f)
-		defer pprof.StopCPUProfile()
+	if err := profiles.Start(); err != nil {
+		fatal(err)
 	}
+	defer stopProfiles()
 
 	m, err := core.NewMachine(topology.ThetaMiniConfig())
 	if err != nil {
-		panic(err)
+		fatal(err)
 	}
 	if *buffer > 0 {
 		m.Net.BufferFlits = *buffer
 	}
 	app, err := apps.ByName(*appName)
 	if err != nil {
-		panic(err)
+		fatal(err)
 	}
 	for _, mode := range []routing.Mode{routing.MinimalOnly, routing.ValiantOnly, routing.AD0, routing.AD3} {
 		var runtimes, ratio []float64
@@ -84,7 +84,7 @@ func main() {
 				Warmup:     1 * sim.Millisecond,
 			})
 			if err != nil {
-				panic(err)
+				fatal(err)
 			}
 			runtimes = append(runtimes, job.Runtime.Seconds())
 			lt := job.Report.LocalTiles
@@ -119,4 +119,18 @@ func main() {
 		}
 		fmt.Println()
 	}
+}
+
+// stopProfiles flushes the profiles; fatal calls it explicitly, since
+// deferred calls do not run past os.Exit.
+func stopProfiles() {
+	if err := profiles.Stop(); err != nil {
+		fmt.Fprintln(os.Stderr, "calibrate:", err)
+	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "calibrate:", err)
+	stopProfiles()
+	os.Exit(1)
 }

@@ -7,6 +7,10 @@
 //	          [-nodes 24] [-mode AD0|AD1|AD2|AD3|MIN|VAL]
 //	          [-placement compact|dispersed] [-groups N]
 //	          [-iters 10] [-scale 0.1] [-noise] [-seed 1]
+//	          [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
+//
+// -cpuprofile / -memprofile / -trace write pprof CPU and heap profiles and
+// a runtime execution trace of the run (see internal/profiling).
 package main
 
 import (
@@ -20,10 +24,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/placement"
+	"repro/internal/profiling"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
+
+var profiles = profiling.Register(flag.CommandLine)
 
 func main() {
 	machine := flag.String("machine", "theta-mini", "theta-mini, cori-mini, theta, or cori")
@@ -37,6 +44,11 @@ func main() {
 	noise := flag.Bool("noise", false, "fill the rest of the machine with production noise")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
+
+	if err := profiles.Start(); err != nil {
+		fatal(err)
+	}
+	defer stopProfiles()
 
 	var cfg topology.Config
 	switch *machine {
@@ -108,7 +120,16 @@ func parseMode(s string) (routing.Mode, error) {
 	return routing.ParseMode(s)
 }
 
+// stopProfiles flushes the profiles; fatal calls it explicitly, since
+// deferred calls do not run past os.Exit.
+func stopProfiles() {
+	if err := profiles.Stop(); err != nil {
+		fmt.Fprintln(os.Stderr, "dragonsim:", err)
+	}
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "dragonsim:", err)
+	stopProfiles()
 	os.Exit(1)
 }

@@ -16,13 +16,11 @@
 // the output is identical for every -j value.
 //
 // -cpuprofile / -memprofile / -trace write pprof CPU and heap profiles and
-// a runtime execution trace covering the selected experiments; pair them
-// with -exp to profile one campaign in isolation. Ensemble worker
-// goroutines carry the pprof label worker=<slot>, so per-slot time splits
-// are one `pprof -tagfocus worker=N` (or the trace viewer's goroutine
-// grouping) away. The heap profile is written at exit after a forced GC,
-// so it shows live retained memory; inspect with `go tool pprof` /
-// `go tool trace`.
+// a runtime execution trace covering the selected experiments (see
+// internal/profiling); pair them with -exp to profile one campaign in
+// isolation. Ensemble worker goroutines carry the pprof label
+// worker=<slot>, so per-slot time splits are one `pprof -tagfocus
+// worker=N` (or the trace viewer's goroutine grouping) away.
 package main
 
 import (
@@ -31,16 +29,17 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
-	"runtime/trace"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/parallel"
+	"repro/internal/profiling"
 )
 
 // renderer produces one experiment's text.
 type renderer interface{ Render() string }
+
+var profiles = profiling.Register(flag.CommandLine)
 
 func main() {
 	profileName := flag.String("profile", "quick", "experiment scale: quick or standard")
@@ -48,53 +47,12 @@ func main() {
 	seed := flag.Int64("seed", 1, "base random seed")
 	jobs := flag.Int("j", runtime.NumCPU(), "parallel runs per campaign (output is identical for any value)")
 	out := flag.String("out", "", "directory for text artifacts (optional)")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile (live objects after GC) to this file at exit")
-	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		pf, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(pf); err != nil {
-			fatal(err)
-		}
-		atExit(func() {
-			pprof.StopCPUProfile()
-			pf.Close()
-		})
+	if err := profiles.Start(); err != nil {
+		fatal(err)
 	}
-	if *traceFile != "" {
-		tf, err := os.Create(*traceFile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := trace.Start(tf); err != nil {
-			fatal(err)
-		}
-		atExit(func() {
-			trace.Stop()
-			tf.Close()
-		})
-	}
-	if *memProfile != "" {
-		path := *memProfile
-		atExit(func() {
-			mf, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "reproduce:", err)
-				return
-			}
-			defer mf.Close()
-			runtime.GC() // flush dead objects so the profile shows live memory
-			if err := pprof.WriteHeapProfile(mf); err != nil {
-				fmt.Fprintln(os.Stderr, "reproduce:", err)
-			}
-		})
-	}
-	defer runExitHooks()
+	defer stopProfiles()
 
 	var p experiments.Profile
 	switch *profileName {
@@ -104,6 +62,7 @@ func main() {
 		p = experiments.Standard()
 	default:
 		fmt.Fprintf(os.Stderr, "unknown profile %q\n", *profileName)
+		stopProfiles()
 		os.Exit(2)
 	}
 	p.Workers = parallel.Workers(*jobs)
@@ -276,26 +235,21 @@ func main() {
 
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; valid: all fig1..fig14 table1 table2\n", *exp)
-		runExitHooks()
+		stopProfiles()
 		os.Exit(2)
 	}
 }
 
-// exitHooks are profiler/trace finalizers that must flush even on the
-// os.Exit paths (defers don't run there).
-var exitHooks []func()
-
-func atExit(fn func()) { exitHooks = append(exitHooks, fn) }
-
-func runExitHooks() {
-	for i := len(exitHooks) - 1; i >= 0; i-- {
-		exitHooks[i]()
+// stopProfiles flushes the profiles; os.Exit paths call it explicitly,
+// since deferred calls do not run there.
+func stopProfiles() {
+	if err := profiles.Stop(); err != nil {
+		fmt.Fprintln(os.Stderr, "reproduce:", err)
 	}
-	exitHooks = nil
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "reproduce:", err)
-	runExitHooks()
+	stopProfiles()
 	os.Exit(1)
 }

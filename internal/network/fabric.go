@@ -112,32 +112,17 @@ const (
 // other VCs — and because a packet's VC index is its hop count, the
 // buffer-wait graph over (link, VC) pairs strictly increases and can
 // never cycle: the fabric is deadlock-free by construction.
+//
+// Field order is a cache layout. Servers live in one slab (Fabric.servers)
+// and are exactly 256 bytes, so each starts on a cache-line boundary, and
+// the first line holds everything arbitration and a downstream space or
+// backlog check read: kind, the busy/blocked/pending flags, idx, the VC
+// mask, the round-robin pointer, occupancy, capacity and the timing
+// constants. TestHotLayout pins the size and the offsets.
 type server struct {
-	fab *Fabric //simlint:resetsafe immutable wiring back to the owning fabric
-
-	link *topology.Link  //simlint:resetsafe immutable identity: nil for NIC servers
-	node topology.NodeID //simlint:resetsafe immutable identity: NIC servers' node
-	kind serverKind      //simlint:resetsafe immutable identity
-	idx  int32           //simlint:resetsafe position in Fabric.servers; typed-event payload
-
-	bw       float64  //simlint:resetsafe immutable config: bytes/second
-	lat      sim.Time //simlint:resetsafe immutable config: propagation after serialization
-	flitTime sim.Time //simlint:resetsafe immutable config: one flit period at bw
-
-	queues []pktQueue // per VC; carved from a fabric-wide slab
-	// occ is the buffered flits per VC, carved from a fabric-wide slab.
-	// int32 holds any bounded buffer, and 2^31 flits (32 GiB at the
-	// default 16-byte flit) of unsent data in an unbounded injection
-	// queue; past that it wraps negative and bumpOcc panics.
-	occ      []int32
-	occTotal int    // sum of occ (cached for O(1) load estimates)
-	nonEmpty uint32 // bitmask of VCs with queued packets
-	capFlits int    //simlint:resetsafe immutable config: per-VC capacity; 0 = unbounded (injection)
-
+	// First cache line: per-hop state.
+	kind          serverKind //simlint:resetsafe immutable identity
 	busy, blocked bool
-	lastVC        int // round-robin arbitration pointer
-	stallAt       sim.Time
-
 	// Fused-hop state (Params.FuseLinks). While a fused transmission is
 	// in flight the sender-side completion (flit count, dequeue, buffer
 	// release, waiter wake) is deferred: pendingTx marks it owed, freeAt
@@ -145,20 +130,36 @@ type server struct {
 	// records that an evSettle is already scheduled for exactly freeAt
 	// (needed only when backlog or waiters appear mid-flight). Every
 	// reader of sender-side state settles first, so the deferral is
-	// unobservable — see (*Fabric).settle.
-	pendingTx, settleEvt bool
-	freeAt               sim.Time
+	// unobservable — see (*Fabric).settle. A link's Fabric.loads entry
+	// mirrors freeAt in due while pendingTx holds.
+	pendingTx bool
+	idx       int32  //simlint:resetsafe position in Fabric.servers; typed-event payload
+	nonEmpty  uint32 // bitmask of VCs with queued packets
+	settleEvt bool
+	lastVC    int // round-robin arbitration pointer
+	occTotal  int // sum of occ (cached for O(1) load estimates)
+	capFlits  int //simlint:resetsafe immutable config: per-VC capacity; 0 = unbounded (injection)
+	freeAt    sim.Time
+	flitTime  sim.Time //simlint:resetsafe immutable config: one flit period at bw
+	bw        float64  //simlint:resetsafe immutable config: bytes/second
 
-	// Credit-style load estimation state: occInt integrates occupancy
-	// over time (flit-picoseconds) so the estimate exposed to routing is
-	// the MEAN occupancy over the last staleness window — a busy link
-	// never reads zero just because its queue momentarily drained,
-	// matching the credit-outstanding metric of the hardware.
-	occInt       float64
-	occAt        sim.Time
-	loadSample   int
-	loadSampleAt sim.Time
-	loadIntMark  float64
+	queues []pktQueue // per VC; carved from a fabric-wide slab
+	// occ is the buffered flits per VC, carved from a fabric-wide slab.
+	// int32 holds any bounded buffer, and 2^31 flits (32 GiB at the
+	// default 16-byte flit) of unsent data in an unbounded injection
+	// queue; past that it wraps negative and bumpOcc panics.
+	occ []int32
+	// occInt integrates occupancy over time (flit-picoseconds) so the load
+	// estimate exposed to routing is the MEAN occupancy over the last
+	// staleness window (see Fabric.Load and linkLoad).
+	occInt float64
+	occAt  sim.Time
+
+	fab     *Fabric        //simlint:resetsafe immutable wiring back to the owning fabric
+	link    *topology.Link //simlint:resetsafe immutable identity: nil for NIC servers
+	lat     sim.Time       //simlint:resetsafe immutable config: propagation after serialization
+	stallAt sim.Time
+	node    topology.NodeID //simlint:resetsafe immutable identity: NIC servers' node
 
 	// Backpressure bookkeeping (see pool.go): waiters is the list of
 	// upstream servers (by Fabric.servers index) blocked on space here;
@@ -168,6 +169,28 @@ type server struct {
 	waking    []int32
 	wakeGen   uint64
 	waitingOn []waitReg // downstream servers we are registered with
+
+	_ [8]byte // pad to 256 bytes: keeps every slab entry line-aligned
+}
+
+// linkLoad is one link's congestion-estimate state, kept apart from its
+// server in the dense Fabric.loads array so a routing decision's dozens of
+// Load queries each touch 32 bytes instead of a server's cache line.
+//
+// Credit-style estimation: the estimate exposed to routing is the mean
+// occupancy over the last staleness window — a busy link never reads zero
+// just because its queue momentarily drained, matching the
+// credit-outstanding metric of the hardware. sample is that mean (in
+// LoadUnitBytes units) as of sampleAt, and intMark the server's occInt at
+// sampleAt. due mirrors the server's owed fused completion: its freeAt
+// while pendingTx holds, 0 when nothing is owed (a link serialization
+// never ends at time 0, since every packet first crosses its NIC), so
+// Load can tell whether a settle is due without touching the server.
+type linkLoad struct {
+	sample   int
+	sampleAt sim.Time
+	intMark  float64
+	due      sim.Time
 }
 
 // queued reports whether any VC holds a packet.
@@ -202,13 +225,14 @@ type Fabric struct {
 	params Params             //simlint:resetsafe immutable config; changes force a rebuild (core.Machine warm checks)
 	rng    *rand.Rand
 
-	links  []*server //simlint:resetsafe by LinkID; views into servers, which Reset rewinds element-wise
 	inject []*server //simlint:resetsafe by NodeID; views into servers, which Reset rewinds element-wise
 	eject  []*server //simlint:resetsafe by NodeID; views into servers, which Reset rewinds element-wise
 	// servers is the one slab every server lives in, by server.idx
-	// (typed-event and waiter lookup): links first, then each node's
-	// injection and ejection servers.
-	servers  []server
+	// (typed-event and waiter lookup): links first, so a LinkID is also
+	// its server's index, then each node's injection and ejection servers.
+	servers []server
+	// loads is each link's congestion-estimate state, by LinkID.
+	loads    []linkLoad
 	hid      sim.HandlerID //simlint:resetsafe handler registration survives kernel Reset by design
 	counters *Counters
 
@@ -255,7 +279,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params Params, engineCfg routin
 	nLinks := len(topo.Links)
 	slots := topo.Cfg.Capacity()
 	f.servers = make([]server, nLinks+2*slots)
-	f.links = make([]*server, nLinks)
+	f.loads = make([]linkLoad, nLinks)
 	for i := range topo.Links {
 		l := &topo.Links[i]
 		s := &f.servers[i]
@@ -265,7 +289,6 @@ func New(k *sim.Kernel, topo *topology.Topology, params Params, engineCfg routin
 			flitTime: sim.Time(float64(params.FlitBytes) / l.Bandwidth * 1e12),
 			capFlits: params.BufferFlits,
 		}
-		f.links[i] = s
 	}
 	injFlit := sim.Time(float64(params.FlitBytes) / topo.Cfg.InjectionBandwidth * 1e12)
 	ejFlit := sim.Time(float64(params.FlitBytes) / topo.Cfg.EjectBW() * 1e12)
@@ -411,26 +434,27 @@ const LoadUnitBytes = 256
 //
 //simlint:hotpath
 func (f *Fabric) Load(id topology.LinkID) int {
-	s := f.links[id]
-	// An overdue fused release is part of the occupancy history. Guarded
-	// at the call site: Load runs dozens of times per routing decision,
-	// and the settle call (not inlinable) would otherwise tax the
-	// reference model for a fused-only obligation.
-	if s.pendingTx {
-		f.settle(s)
-	}
+	ld := &f.loads[id]
 	now := f.k.Now()
+	// An overdue fused release is part of the occupancy history. The due
+	// mirror answers "is a settle owed now?" from the dense load array;
+	// the server itself is touched only when one is, or when the sample
+	// window rolls over. Load runs dozens of times per routing decision.
+	if d := ld.due; d != 0 && now >= d {
+		f.settle(&f.servers[id])
+	}
 	if f.params.LoadStaleness <= 0 {
-		return f.jitter(s.occTotal * f.params.FlitBytes / LoadUnitBytes)
+		return f.jitter(f.servers[id].occTotal * f.params.FlitBytes / LoadUnitBytes)
 	}
-	if dt := now - s.loadSampleAt; dt >= f.params.LoadStaleness {
+	if dt := now - ld.sampleAt; dt >= f.params.LoadStaleness {
+		s := &f.servers[id]
 		s.syncOcc(now)
-		meanFlits := (s.occInt - s.loadIntMark) / float64(dt)
-		s.loadSample = int(meanFlits) * f.params.FlitBytes / LoadUnitBytes
-		s.loadIntMark = s.occInt
-		s.loadSampleAt = now
+		meanFlits := (s.occInt - ld.intMark) / float64(dt)
+		ld.sample = int(meanFlits) * f.params.FlitBytes / LoadUnitBytes
+		ld.intMark = s.occInt
+		ld.sampleAt = now
 	}
-	return f.jitter(s.loadSample)
+	return f.jitter(ld.sample)
 }
 
 // syncOcc folds the occupancy-time integral forward to now. Must be
@@ -546,16 +570,21 @@ func (f *Fabric) Send(src, dst topology.NodeID, bytes int, mode routing.Mode) *M
 }
 
 // routePacket assigns p's route using the adaptive engine and live load.
-// The winning path is appended into the packet's pooled route slice, so
-// only the engine's internal scratch and p's own recycled buffer are
-// touched — no per-decision allocation.
+// The winning path is copied into the packet's inline route array, so
+// only the engine's internal scratch and p itself are touched — no
+// per-decision allocation. The capped slice makes a path longer than the
+// array reallocate rather than overrun it; routeOverflow then panics, so
+// such a path can never silently move a route to the heap.
 //
 //simlint:hotpath
 func (f *Fabric) routePacket(p *Packet, mode routing.Mode) {
 	srcR := f.topo.RouterOfNode(p.src)
 	dstR := f.topo.RouterOfNode(p.dst)
-	links, nonMin := f.engine.RouteInto(p.route[:0], mode, f.rng, srcR, dstR, 0)
-	p.route = links
+	links, nonMin := f.engine.RouteInto(p.route[:0:len(p.route)], mode, f.rng, srcR, dstR, 0)
+	if len(links) > len(p.route) {
+		routeOverflow(len(links))
+	}
+	p.nroute = uint8(len(links))
 	p.routed = true
 	p.routedAt = f.k.Now()
 	p.nonMin = nonMin
@@ -570,6 +599,14 @@ func (f *Fabric) routePacket(p *Packet, mode routing.Mode) {
 			p.msg.minimal++
 		}
 	}
+}
+
+// routeOverflow reports a routing decision longer than a packet's inline
+// route array.
+//
+//simlint:cold panic formatting on a model-bug path that never returns
+func routeOverflow(n int) {
+	panic(fmt.Sprintf("network: route of %d links exceeds routing.MaxPathLinks (%d)", n, routing.MaxPathLinks))
 }
 
 // vcForHop returns the buffer index used at a server by a packet whose hop
@@ -595,13 +632,13 @@ func (f *Fabric) vcForHop(s *server, hop int) int {
 func (f *Fabric) next(s *server, p *Packet) *server {
 	switch s.kind {
 	case kindInject:
-		if len(p.route) == 0 {
+		if p.nroute == 0 {
 			return f.eject[p.dst]
 		}
-		return f.links[p.route[0]]
+		return &f.servers[p.route[0]]
 	case kindLink:
-		if p.hop+1 < len(p.route) {
-			return f.links[p.route[p.hop+1]]
+		if h := p.hop + 1; h < int(p.nroute) {
+			return &f.servers[p.route[h]]
 		}
 		return f.eject[p.dst]
 	default:
@@ -683,6 +720,7 @@ func (f *Fabric) settle(s *server) {
 		return
 	}
 	s.pendingTx = false
+	f.loads[s.idx].due = 0 // only link servers fuse, so idx is a LinkID
 	vc := s.lastVC
 	p := f.popPacket(s, vc)
 	r, tIdx := s.tile(p)
@@ -854,6 +892,7 @@ func (f *Fabric) startVC(s *server, vc int) bool {
 		// delivery).
 		s.pendingTx = true
 		s.freeAt = f.k.Now() + ser
+		f.loads[s.idx].due = s.freeAt
 		delay := ser + s.lat
 		if hc := f.params.HopContention; hc > 0 && n.occTotal > 0 {
 			delay += sim.Time(hc * float64(n.occTotal) * float64(n.flitTime))

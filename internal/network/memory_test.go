@@ -3,6 +3,7 @@ package network
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -46,5 +47,55 @@ func TestFabricFootprint(t *testing.T) {
 		len(topo.Links), topo.Cfg.Capacity(), float64(got)/(1<<20), budget>>20)
 	if got > budget {
 		t.Errorf("network.New on Theta retains %d bytes, over the %d-byte budget", got, budget)
+	}
+}
+
+// TestHotLayout pins the cache layout of the per-hop state. A server is
+// exactly 256 bytes, so every entry of the Fabric.servers slab starts on a
+// cache line, and the fields arbitration and downstream checks read sit in
+// that first line. A Packet stays within the 128-byte size class with its
+// route inline. A field added to either struct must keep these, or move
+// the layout on deliberately with this test.
+func TestHotLayout(t *testing.T) {
+	if got := unsafe.Sizeof(server{}); got != 256 {
+		t.Errorf("server is %d bytes, want 256", got)
+	}
+	var s server
+	hot := map[string]uintptr{
+		"kind":      unsafe.Offsetof(s.kind),
+		"busy":      unsafe.Offsetof(s.busy),
+		"blocked":   unsafe.Offsetof(s.blocked),
+		"pendingTx": unsafe.Offsetof(s.pendingTx),
+		"idx":       unsafe.Offsetof(s.idx),
+		"nonEmpty":  unsafe.Offsetof(s.nonEmpty),
+		"settleEvt": unsafe.Offsetof(s.settleEvt),
+		"lastVC":    unsafe.Offsetof(s.lastVC),
+		"occTotal":  unsafe.Offsetof(s.occTotal),
+		"capFlits":  unsafe.Offsetof(s.capFlits),
+		"freeAt":    unsafe.Offsetof(s.freeAt),
+		"flitTime":  unsafe.Offsetof(s.flitTime),
+		"bw":        unsafe.Offsetof(s.bw),
+	}
+	for name, off := range hot {
+		if off >= 64 {
+			t.Errorf("server.%s at offset %d, outside the first cache line", name, off)
+		}
+	}
+	if got := unsafe.Sizeof(linkLoad{}); got != 32 {
+		t.Errorf("linkLoad is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(Packet{}); got > 128 {
+		t.Errorf("Packet is %d bytes, want at most 128", got)
+	}
+	var p Packet
+	end := unsafe.Offsetof(p.route) + 8*unsafe.Sizeof(p.route[0])
+	for name, off := range map[string]uintptr{
+		"qnext": unsafe.Offsetof(p.qnext), "dst": unsafe.Offsetof(p.dst),
+		"hop": unsafe.Offsetof(p.hop), "nroute": unsafe.Offsetof(p.nroute),
+		"route[:8]": end - 1,
+	} {
+		if off >= 64 {
+			t.Errorf("Packet.%s at offset %d, outside the first cache line", name, off)
+		}
 	}
 }

@@ -32,18 +32,25 @@ import (
 //
 // qnext threads the per-VC queues through the arena (see pktQueue): a
 // packet sits in at most one queue at a time, so one link suffices.
+//
+// The route is stored inline (route[:nroute]) rather than in a separately
+// allocated slice, so the per-hop next-server lookup reads one object, and
+// the fields it needs — dst, hop, nroute and the first eight route links
+// (a Valiant route's maximum) — share the packet's first cache line.
+// TestHotLayout pins the 128-byte bound.
 type Packet struct {
 	idx      int32 //simlint:resetsafe arena-slot identity, fixed for the life of the Fabric
 	qnext    int32 // arena slot of the next packet in its VC queue; meaningful only while one is queued behind it
 	src, dst topology.NodeID
+	hop      int   // index into route of the link currently holding us
+	nroute   uint8 // links in route
+	routed   bool  // route assigned (happens lazily at injection head)
+	response bool  // response-VC packet (ack); does not trigger a response
+	nonMin   bool  // took a Valiant route
+	rspMode  routing.Mode
+	route    [routing.MaxPathLinks]topology.LinkID //simlint:resetsafe dead past nroute, which reset zeroes; routePacket overwrites it
 	bytes    int
 	flits    int
-	route    []topology.LinkID
-	hop      int  // index into route of the link currently holding us
-	routed   bool // route assigned (happens lazily at injection head)
-	response bool // response-VC packet (ack); does not trigger a response
-	nonMin   bool // took a Valiant route
-	rspMode  routing.Mode
 	sendTime sim.Time
 	routedAt sim.Time // when the route was chosen (injection head)
 	msg      *Message // nil for responses

@@ -1,12 +1,11 @@
 package network
 
 // This file holds the fabric's hot-path memory discipline: the packet
-// arena (a free list that recycles Packet values and their route slices at
-// delivery) and the per-VC packet queue (an intrusive list threaded
-// through that arena, so an empty queue owns no backing array). Together
-// with the typed kernel events in fabric.go these make the steady-state
-// per-packet path allocation-free; the AllocsPerRun gates in alloc_test.go
-// pin that.
+// arena (a free list that recycles Packet values at delivery) and the
+// per-VC packet queue (an intrusive list threaded through that arena, so
+// an empty queue owns no backing array). Together with the typed kernel
+// events in fabric.go these make the steady-state per-packet path
+// allocation-free; the AllocsPerRun gates in alloc_test.go pin that.
 
 // PoolStats reports packet-arena activity for one fabric. Allocated counts
 // packets issued from the arena cursor (fresh Packet values on a cold
@@ -86,9 +85,7 @@ func (f *Fabric) allocPacket() *Packet {
 	return p
 }
 
-// releasePacket returns a delivered packet to the free list. The route
-// slice keeps its backing array so the next occupant routes without
-// allocating.
+// releasePacket returns a delivered packet to the free list.
 //
 //simlint:hotpath
 func (f *Fabric) releasePacket(p *Packet) {
@@ -99,15 +96,16 @@ func (f *Fabric) releasePacket(p *Packet) {
 	f.pool.free = append(f.pool.free, p.idx)
 }
 
-// reset clears a recycled packet to its zero state, keeping idx and the
-// route slice's capacity.
+// reset clears a recycled packet to its zero state, keeping idx. The route
+// array is left as is: nroute = 0 makes its contents dead, and routePacket
+// overwrites them.
 //
 //simlint:hotpath
 func (p *Packet) reset() {
 	p.qnext = 0
 	p.src, p.dst = 0, 0
 	p.bytes, p.flits = 0, 0
-	p.route = p.route[:0]
+	p.nroute = 0
 	p.hop = -1
 	p.routed, p.response, p.nonMin = false, false, false
 	p.rspMode = 0
@@ -236,14 +234,8 @@ func (f *Fabric) wakeWaiters(s *server) {
 func (f *Fabric) QueuedFlits() int {
 	f.settleAll()
 	total := 0
-	for _, s := range f.links {
-		total += s.occTotal
-	}
-	for _, s := range f.inject {
-		total += s.occTotal
-	}
-	for _, s := range f.eject {
-		total += s.occTotal
+	for i := range f.servers {
+		total += f.servers[i].occTotal
 	}
 	return total
 }
@@ -253,19 +245,10 @@ func (f *Fabric) QueuedFlits() int {
 func (f *Fabric) queuedFlitsWalk() int {
 	f.settleAll()
 	total := 0
-	walk := func(s *server) {
-		for _, o := range s.occ {
+	for i := range f.servers {
+		for _, o := range f.servers[i].occ {
 			total += int(o)
 		}
-	}
-	for _, s := range f.links {
-		walk(s)
-	}
-	for _, s := range f.inject {
-		walk(s)
-	}
-	for _, s := range f.eject {
-		walk(s)
 	}
 	return total
 }

@@ -59,9 +59,10 @@ func TestQueuedFlitsMatchesWalk(t *testing.T) {
 // checkQueueLists walks every VC list of f and fails unless each holds
 // exactly its count of packets, ending at its tail; its nonEmpty bit
 // agrees with that count; no packet sits in two queues or on the free list
-// while queued; and each server's per-VC occupancies sum to occTotal. It
-// reports the packets queued and whether any server was blocked or had
-// waiters.
+// while queued; each server's per-VC occupancies sum to occTotal; and
+// each link's Fabric.loads due mirror is nonzero exactly while its server
+// owes a fused completion, and then equals freeAt. It reports the packets
+// queued and whether any server was blocked or had waiters.
 func checkQueueLists(t *testing.T, f *Fabric) (queued int, congested bool) {
 	t.Helper()
 	arena := f.pool.arena
@@ -111,6 +112,12 @@ func checkQueueLists(t *testing.T, f *Fabric) (queued int, congested bool) {
 		if occ != s.occTotal {
 			t.Fatalf("server %d: per-VC occupancy sums to %d, occTotal=%d", s.idx, occ, s.occTotal)
 		}
+		if i < len(f.loads) {
+			if due := f.loads[i].due; (due != 0) != s.pendingTx || (s.pendingTx && due != s.freeAt) {
+				t.Fatalf("link %d: load mirror due=%v, server pendingTx=%v freeAt=%v",
+					i, due, s.pendingTx, s.freeAt)
+			}
+		}
 		if s.blocked || len(s.waiters) > 0 {
 			congested = true
 		}
@@ -120,7 +127,8 @@ func checkQueueLists(t *testing.T, f *Fabric) (queued int, congested bool) {
 
 // TestQueueListsConsistent runs congested random traffic through the
 // fused and the split model and checks every intrusive VC list against
-// its count, its nonEmpty bit and the occupancy totals at every step.
+// its count, its nonEmpty bit and the occupancy totals, and every link's
+// load mirror against its server, at every step.
 func TestQueueListsConsistent(t *testing.T) {
 	for _, fuse := range []bool{true, false} {
 		topo, err := topology.Build(topology.TestConfig(3))
@@ -132,7 +140,7 @@ func TestQueueListsConsistent(t *testing.T) {
 		f := New(sim.NewKernel(), topo, params, routing.DefaultConfig(), 5)
 		driveTraffic(f, rand.New(rand.NewSource(77)), 300)
 
-		sawQueued, sawCongested := false, false
+		sawQueued, sawCongested, sawOwed := false, false, false
 		deadline := sim.Time(0)
 		for f.Kernel().Pending() > 0 {
 			deadline += 200 * sim.Nanosecond
@@ -141,10 +149,13 @@ func TestQueueListsConsistent(t *testing.T) {
 			queued, congested := checkQueueLists(t, f)
 			sawQueued = sawQueued || queued > 1
 			sawCongested = sawCongested || congested
+			for i := range f.loads {
+				sawOwed = sawOwed || f.loads[i].due != 0
+			}
 		}
-		if !sawQueued || !sawCongested {
-			t.Fatalf("fuse=%v: traffic never queued (%v) or congested (%v); test is vacuous",
-				fuse, sawQueued, sawCongested)
+		if !sawQueued || !sawCongested || sawOwed != fuse {
+			t.Fatalf("fuse=%v: traffic never queued (%v) or congested (%v), or owed completions seen=%v; test is vacuous",
+				fuse, sawQueued, sawCongested, sawOwed)
 		}
 		if queued, _ := checkQueueLists(t, f); queued != 0 {
 			t.Fatalf("fuse=%v: %d packets still queued after drain", fuse, queued)
@@ -157,7 +168,7 @@ func TestQueueListsConsistent(t *testing.T) {
 // of being clamped away.
 func TestUnmatchedReleasePanics(t *testing.T) {
 	f := testFabric(t, 2, 1)
-	s := f.links[0]
+	s := &f.servers[0]
 	s.bumpOcc(3, 8, 0)
 	s.bumpOcc(3, -8, 0) // matched: fine
 	defer func() {

@@ -28,9 +28,6 @@ func (s *server) reset() {
 	s.settleEvt = false
 	s.occInt = 0
 	s.occAt = 0
-	s.loadSample = 0
-	s.loadSampleAt = 0
-	s.loadIntMark = 0
 	s.waiters = s.waiters[:0]
 	s.waking = s.waking[:0]
 	s.wakeGen = 0
@@ -66,6 +63,7 @@ func (f *Fabric) Reset(seed int64) {
 	for i := range f.servers {
 		f.servers[i].reset()
 	}
+	clear(f.loads)
 	f.counters.Reset()
 	f.pool.reset()
 	// Reseeding the existing source restarts the identical stream a fresh

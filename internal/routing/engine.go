@@ -65,9 +65,9 @@ type Engine struct {
 	nonBufs [2][]topology.LinkID // bestNonMinimal candidate / incumbent
 }
 
-// maxPathLinks bounds any candidate path: an inter-group Valiant route is
+// MaxPathLinks bounds any candidate path: an inter-group Valiant route is
 // at most 2 + 1 + 2 + 1 + 2 = 8 links; 12 leaves slack.
-const maxPathLinks = 12
+const MaxPathLinks = 12
 
 // NewEngine builds an engine. est may be nil (all links idle).
 func NewEngine(topo *topology.Topology, est LoadEstimator, cfg Config) *Engine {
@@ -83,8 +83,8 @@ func NewEngine(topo *topology.Topology, est LoadEstimator, cfg Config) *Engine {
 	e := &Engine{topo: topo, est: est, cfg: cfg}
 	e.gwBuf = make([]topology.LinkID, 0, 8)
 	for i := range e.minBufs {
-		e.minBufs[i] = make([]topology.LinkID, 0, maxPathLinks)
-		e.nonBufs[i] = make([]topology.LinkID, 0, maxPathLinks)
+		e.minBufs[i] = make([]topology.LinkID, 0, MaxPathLinks)
+		e.nonBufs[i] = make([]topology.LinkID, 0, MaxPathLinks)
 	}
 	return e
 }
@@ -371,7 +371,7 @@ func (e *Engine) route(mode Mode, rng *rand.Rand, src, dst topology.RouterID, ho
 
 // RouteInto makes one adaptive routing decision for a packet from src to
 // dst under the given mode, appending the winning path to dst0 (typically
-// a pooled route slice with spare capacity) and reporting whether it is
+// an empty slice over a packet's inline MaxPathLinks array) and reporting whether it is
 // non-minimal. This is the allocation-free entry the fabric uses: losing
 // candidates live and die in engine scratch. hopsTaken is nonzero only for
 // progressive re-evaluation (AD1).

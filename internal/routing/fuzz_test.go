@@ -14,9 +14,10 @@ func clampFuzz(v uint8, lo, hi int) int {
 
 // FuzzMinimalPaths drives MinimalOnly routing over randomized small
 // dragonfly shapes and random endpoint pairs. Properties: the path is
-// link-contiguous from src to dst, and minimal routes take at most 5
+// link-contiguous from src to dst, minimal routes take at most 5
 // router-to-router hops (<=2 intra-group to the gateway, 1 rank-3
-// crossing, <=2 intra-group to the destination). The f.Add corpus doubles
+// crossing, <=2 intra-group to the destination), and neither a minimal
+// nor a Valiant route exceeds MaxPathLinks. The f.Add corpus doubles
 // as a regression suite under plain `go test`.
 func FuzzMinimalPaths(f *testing.F) {
 	f.Add(uint8(2), uint8(1), uint8(1), uint8(1), uint16(0), uint16(1), int64(1))
@@ -52,6 +53,16 @@ func FuzzMinimalPaths(f *testing.F) {
 		}
 		if src == dst && p.Hops() != 0 {
 			t.Fatalf("self route has %d hops", p.Hops())
+		}
+		// Valiant paths are the longest the engine builds; packets store
+		// routes inline in MaxPathLinks-sized arrays.
+		v := e.Route(ValiantOnly, rng, src, dst, 0)
+		validatePath(t, topo, src, dst, v)
+		for _, q := range []Path{p, v} {
+			if len(q.Links) > MaxPathLinks {
+				t.Fatalf("path %d->%d has %d links (> MaxPathLinks %d): %v",
+					src, dst, len(q.Links), MaxPathLinks, q.Links)
+			}
 		}
 	})
 }

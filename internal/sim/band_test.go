@@ -259,3 +259,37 @@ func TestResetLiveProcsPanics(t *testing.T) {
 	}()
 	k.Reset()
 }
+
+// TestMixedEventsReusedSlotsOrder checks closure and typed events at one
+// timestamp fire in (t, seq) order when the closures sit in recycled
+// slots. Slots are handed out LIFO from the free list, so the later
+// closures here occupy lower slots than the earlier ones: order must come
+// from the sequence number alone, through the heap and the band alike.
+func TestMixedEventsReusedSlotsOrder(t *testing.T) {
+	k := NewKernel()
+	var order []int
+	rec := k.RegisterHandler(&recordingHandler{order: &order})
+	for i := 0; i < 4; i++ {
+		k.At(Time(1+i), func() {})
+	}
+	k.Run() // four slots now vacant, reissued highest first
+	k.At(10, func() {
+		order = append(order, 1)
+		k.After(0, func() { order = append(order, 5) }) // band, closure
+		k.AfterEvent(0, rec, 0, 6, 0)                   // band, typed
+	})
+	k.AtEvent(10, rec, 0, 2, 0)
+	k.At(10, func() { order = append(order, 3) })
+	k.AtEvent(10, rec, 0, 4, 0)
+	k.At(12, func() { order = append(order, 7) })
+	k.Run()
+	want := []int{1, 2, 3, 4, 5, 6, 7}
+	if len(order) != len(want) {
+		t.Fatalf("ran %d events, want %d: %v", len(order), len(want), order)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("execution order %v, want %v", order, want)
+		}
+	}
+}

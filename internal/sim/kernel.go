@@ -17,33 +17,36 @@ type Handler interface {
 
 // HandlerID names a handler registered with RegisterHandler. IDs are
 // stored in events instead of the interface value itself so the event
-// struct stays small and carries only one pointer word.
+// struct stays small and pointer-free.
 type HandlerID int32
 
-// Typed-event payload packing. The whole (kind, handler, a, b) payload is
-// packed into one uint64 so the event struct is exactly 32 bytes with a
-// single pointer field: structs with pointers that stay ≤32 bytes are
-// copied with inline moves, while anything larger goes through a
-// typedmemmove call per copy — measured at 3× the per-event cost on the
-// heap's sift swaps, the hottest loop in the simulator. The packing caps a
-// kernel at 256 handlers, 256 kinds per handler, and payload scalars in
-// [0, 2^24); AtEvent panics past any of these limits (they are far above
-// what any realistic fabric needs — a and b index servers and live
-// packets).
+// Event payload packing. Every heap event carries one uint64 payload and
+// no pointer, so the event struct is 24 bytes: the heap's sift swaps, the
+// hottest loop in the simulator, move it with plain word copies, and the
+// garbage collector never scans the queue. A typed event packs (kind,
+// handler, a, b); a closure event names a slot of the kernel's closure
+// table through the reserved handler id closureHandler. The packing caps a
+// kernel at 255 registered handlers, 256 kinds per handler, and typed
+// payload scalars in [0, 2^24); AtEvent and RegisterHandler panic past any
+// of these limits (they are far above what any realistic fabric needs — a
+// and b index servers and live packets).
 const (
 	payloadBits = 24
 	maxPayload  = 1<<payloadBits - 1
-	maxHandlers = 256
+	// closureHandler, the largest id the 8 handler bits hold, is reserved
+	// for closure events: their payload is closureHandler<<48 | slot, with
+	// the func in Kernel.closures[slot]. RegisterHandler never issues it.
+	closureHandler = 0xff
+	closureSlot    = 1<<48 - 1 // payload bits holding a closure slot
 )
 
-// event is one scheduled callback: either a closure (fn) or, when fn is
-// nil, the packed typed payload in pay. Keep this struct at 32 bytes (see
-// above) — every push/pop sift swap copies it.
+// event is one scheduled callback, identified by its packed payload (see
+// above). Keep this struct at 24 bytes and free of pointers — every
+// push/pop sift swap copies it.
 type event struct {
 	t   Time
 	seq uint64 // tie-breaker: FIFO among equal timestamps
-	fn  func()
-	pay uint64 // kind<<56 | handler<<48 | a<<24 | b
+	pay uint64 // kind<<56 | handler<<48 | a<<24 | b, or closureHandler<<48 | slot
 }
 
 // less orders events by (t, seq): deterministic FIFO among equal times.
@@ -82,7 +85,6 @@ func (h *eventHeap) pop() event {
 	top := s[0]
 	last := len(s) - 1
 	s[0] = s[last]
-	s[last] = event{} // release the closure for GC
 	s = s[:last]
 	*h = s
 	// Sift down.
@@ -185,9 +187,15 @@ type Kernel struct {
 	inEvent bool       // an event handler is currently executing
 	// handlers is the typed-event dispatch table, by HandlerID.
 	handlers []Handler //simlint:resetsafe registrations survive Reset by contract: warm fabrics keep their HandlerID
-	stopped  bool
-	parked   chan struct{} //simlint:resetsafe channel identity; parked procs forbid Reset anyway (panic guard)
-	nProcs   int           //simlint:resetsafe live procs; Reset panics unless zero, so zero is preserved
+	// closures holds the funcs of closure events queued in the heap, by
+	// slot; freeSlots lists the vacant ones. A slot is vacated as its
+	// event fires, so the table stays at the peak number of closures
+	// pending at once.
+	closures  []func()
+	freeSlots []int32
+	stopped   bool
+	parked    chan struct{} //simlint:resetsafe channel identity; parked procs forbid Reset anyway (panic guard)
+	nProcs    int           //simlint:resetsafe live procs; Reset panics unless zero, so zero is preserved
 	// tieArmed is true when the clock's current reading was set by a heap
 	// event (as opposed to an idle RunUntil advance or a fresh kernel),
 	// so a further heap event at the same reading is a genuine
@@ -261,7 +269,35 @@ func (k *Kernel) At(t Time, fn func()) {
 		return
 	}
 	k.seq++
-	k.events.push(event{t: t, seq: k.seq, fn: fn})
+	k.events.push(event{t: t, seq: k.seq, pay: k.stashClosure(fn)})
+}
+
+// stashClosure parks fn in a vacant closure slot and returns the event
+// payload naming it.
+func (k *Kernel) stashClosure(fn func()) uint64 {
+	if n := len(k.freeSlots); n > 0 {
+		slot := k.freeSlots[n-1]
+		k.freeSlots = k.freeSlots[:n-1]
+		k.closures[slot] = fn
+		return closureHandler<<48 | uint64(slot)
+	}
+	k.closures = append(k.closures, fn)
+	return closureHandler<<48 | uint64(len(k.closures)-1)
+}
+
+// takeClosure returns the func of a closure event's payload and vacates
+// its slot, or nil for a typed event.
+//
+//simlint:hotpath
+func (k *Kernel) takeClosure(pay uint64) func() {
+	if pay>>48 != closureHandler {
+		return nil
+	}
+	slot := pay & closureSlot
+	fn := k.closures[slot]
+	k.closures[slot] = nil
+	k.freeSlots = append(k.freeSlots, int32(slot))
+	return fn
 }
 
 // After schedules fn to run d after the current time.
@@ -272,7 +308,7 @@ func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 // the id; registration itself may allocate (table growth) but scheduling
 // never does.
 func (k *Kernel) RegisterHandler(h Handler) HandlerID {
-	if len(k.handlers) >= maxHandlers {
+	if len(k.handlers) >= closureHandler {
 		panic("sim: too many registered handlers")
 	}
 	k.handlers = append(k.handlers, h)
@@ -376,7 +412,7 @@ func (k *Kernel) step() bool {
 			k.stats.TimestampTies++
 		}
 		e := k.events.pop()
-		k.exec(e.fn, e.pay)
+		k.exec(k.takeClosure(e.pay), e.pay)
 		return true
 	}
 	if !k.band.empty() {
@@ -390,7 +426,7 @@ func (k *Kernel) step() bool {
 	e := k.events.pop()
 	k.now = e.t
 	k.tieArmed = true
-	k.exec(e.fn, e.pay)
+	k.exec(k.takeClosure(e.pay), e.pay)
 	return true
 }
 
@@ -436,10 +472,10 @@ func (k *Kernel) Reset() {
 	if k.nProcs != 0 {
 		panic(fmt.Sprintf("sim: Reset with %d live procs", k.nProcs))
 	}
-	for i := range k.events {
-		k.events[i] = event{} // release closures for GC
-	}
 	k.events = k.events[:0]
+	clear(k.closures) // release the dropped events' closures for GC
+	k.closures = k.closures[:0]
+	k.freeSlots = k.freeSlots[:0]
 	k.band.reset()
 	k.tail = k.tail[:0]
 	k.inEvent = false

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTimeString(t *testing.T) {
@@ -327,4 +329,100 @@ func TestProcOrderingProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestEventLayout pins the heap event at 24 bytes with no pointer field:
+// sift swaps move it with plain word copies and the collector never scans
+// the queue. Closures live in the kernel's slot table instead.
+func TestEventLayout(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 24 {
+		t.Errorf("event is %d bytes, want 24", got)
+	}
+	typ := reflect.TypeOf(event{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int64, reflect.Uint64:
+		default:
+			t.Errorf("event.%s is a %v; heap events must hold only scalars", f.Name, f.Type)
+		}
+	}
+}
+
+// TestClosureSlotsRecycled checks a closure's table slot is vacated when
+// its event fires and reissued to the next closure, so the table stays at
+// the peak number of closures pending at once however many fire.
+func TestClosureSlotsRecycled(t *testing.T) {
+	k := NewKernel()
+	const depth, fires = 8, 10000
+	n := 0
+	var tick func()
+	tick = func() {
+		n++
+		if n <= fires-depth {
+			k.After(Time(1+n%3), tick)
+		}
+	}
+	for i := 0; i < depth; i++ {
+		k.At(Time(1+i), tick)
+	}
+	k.Run()
+	if n != fires {
+		t.Fatalf("fired %d closures, want %d", n, fires)
+	}
+	if len(k.closures) > depth {
+		t.Fatalf("closure table grew to %d slots for %d pending at once", len(k.closures), depth)
+	}
+	if len(k.freeSlots) != len(k.closures) {
+		t.Fatalf("drained kernel has %d of %d slots vacant", len(k.freeSlots), len(k.closures))
+	}
+	for i, fn := range k.closures {
+		if fn != nil {
+			t.Fatalf("vacant slot %d still holds its closure", i)
+		}
+	}
+}
+
+// TestResetDropsClosures checks Reset releases every queued closure and
+// the slot table, and the kernel then runs as a fresh one.
+func TestResetDropsClosures(t *testing.T) {
+	k := NewKernel()
+	ran := 0
+	for i := 0; i < 5; i++ {
+		k.At(Time(10+i), func() { ran++ })
+	}
+	k.RunUntil(11) // two fired, three still queued
+	k.Reset()
+	if len(k.closures) != 0 || len(k.freeSlots) != 0 {
+		t.Fatalf("after Reset: %d closure slots, %d vacant; want 0/0", len(k.closures), len(k.freeSlots))
+	}
+	if full := k.closures[:cap(k.closures)]; len(full) > 0 {
+		for i, fn := range full {
+			if fn != nil {
+				t.Fatalf("Reset kept the closure in slot %d alive", i)
+			}
+		}
+	}
+	k.At(3, func() { ran += 100 })
+	k.Run()
+	if ran != 102 {
+		t.Fatalf("ran = %d, want 102 (two before Reset, none of the dropped, one after)", ran)
+	}
+}
+
+// TestRegisterHandlerReservedID checks registration stops short of the
+// handler id reserved for closure events.
+func TestRegisterHandlerReservedID(t *testing.T) {
+	k := NewKernel()
+	h := &recordingHandler{order: new([]int)}
+	for i := 0; i < closureHandler; i++ {
+		if id := k.RegisterHandler(h); id != HandlerID(i) {
+			t.Fatalf("registration %d got id %d", i, id)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RegisterHandler issued the reserved closure id")
+		}
+	}()
+	k.RegisterHandler(h)
 }
