@@ -3,12 +3,14 @@
 //
 // Usage:
 //
-//	reproduce [-profile quick|standard] [-exp all|fig1|table1|fig2|...] [-seed N] [-j N] [-out DIR]
+//	reproduce [-profile quick|standard] [-exp all|t2family|fig1|table1|fig2|...] [-seed N] [-j N] [-out DIR]
 //	          [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 //
 // With -out set, each experiment's output is also written to
 // DIR/<exp>.txt. Figures 2/5/6/7/8 are derived from the Table II
-// production campaign, so requesting any of them runs that campaign once.
+// production campaign, so requesting any of them runs that campaign once
+// ("-exp t2family" renders all six); fig13 and fig14 likewise share one
+// pair of campaigns.
 //
 // -j sets how many runs execute concurrently (default: all CPUs). Each
 // worker simulates on its own machine instance (reused warm across the
@@ -29,6 +31,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
@@ -39,11 +43,93 @@ import (
 // renderer produces one experiment's text.
 type renderer interface{ Render() string }
 
+// entry is one campaign: the artifacts it renders, in output order, and
+// the run that produces them (one renderer per name). An entry that
+// renders several artifacts runs its campaign once for all of them.
+type entry struct {
+	names []string
+	run   func(p experiments.Profile, seed int64) ([]renderer, error)
+}
+
+// one adapts a single-artifact harness to an entry's run.
+func one[R renderer](h func(experiments.Profile, int64) (R, error)) func(experiments.Profile, int64) ([]renderer, error) {
+	return func(p experiments.Profile, seed int64) ([]renderer, error) {
+		r, err := h(p, seed)
+		if err != nil {
+			return nil, err
+		}
+		return []renderer{r}, nil
+	}
+}
+
+// table lists every campaign in output order. The Table II production
+// campaign also feeds Figs. 2, 5, 6, 7 and 8; "-exp t2family" selects
+// all of its artifacts.
+var table = []entry{
+	{[]string{"fig1"}, func(p experiments.Profile, seed int64) ([]renderer, error) {
+		return []renderer{experiments.Fig1JobSizes(p, seed)}, nil
+	}},
+	{[]string{"table1"}, one(experiments.Table1Characterization)},
+	{[]string{"table2", "fig2", "fig5", "fig6", "fig7", "fig8"},
+		func(p experiments.Profile, seed int64) ([]renderer, error) {
+			t2, err := experiments.Table2AllApps(p, seed)
+			if err != nil {
+				return nil, err
+			}
+			return []renderer{t2,
+				experiments.Fig2FromSamples(t2.Nodes, t2.Samples),
+				experiments.Fig5FromSamples(t2.Samples),
+				experiments.Fig6FromTable2(t2),
+				experiments.Fig7NormalizedAllApps(t2),
+				experiments.Fig8HACCBreakdown(t2)}, nil
+		}},
+	{[]string{"fig3"}, one(experiments.Fig3GroupsSpanned)},
+	{[]string{"fig4"}, one(experiments.Fig4CoriGroupsSpanned)},
+	{[]string{"fig9"}, one(experiments.Fig9ControlledAllModes)},
+	{[]string{"fig10"}, one(experiments.Fig10MILCEnsembleCounters)},
+	{[]string{"fig11"}, one(experiments.Fig11RegimeComparison)},
+	{[]string{"fig12"}, one(experiments.Fig12HACCEnsembleCounters)},
+	{[]string{"fig13", "fig14"}, func(p experiments.Profile, seed int64) ([]renderer, error) {
+		r, err := experiments.Fig13DefaultSwitch(p, seed)
+		if err != nil {
+			return nil, err
+		}
+		return []renderer{r, experiments.Fig14LatencyPercentiles(r)}, nil
+	}},
+}
+
+// t2family is the -exp value naming the Table II entry's artifacts.
+const t2family = "t2family"
+
+// selection returns the artifact names -exp picks: every artifact for
+// "all", the Table II entry's for "t2family", else the one named. It is
+// empty for an unknown name.
+func selection(exp string) map[string]bool {
+	sel := map[string]bool{}
+	for _, e := range table {
+		for _, name := range e.names {
+			if exp == "all" || exp == name || (exp == t2family && e.names[0] == "table2") {
+				sel[name] = true
+			}
+		}
+	}
+	return sel
+}
+
+// validNames lists every accepted -exp value.
+func validNames() string {
+	names := []string{"all", t2family}
+	for _, e := range table {
+		names = append(names, e.names...)
+	}
+	return strings.Join(names, " ")
+}
+
 var profiles = profiling.Register(flag.CommandLine)
 
 func main() {
 	profileName := flag.String("profile", "quick", "experiment scale: quick or standard")
-	exp := flag.String("exp", "all", "experiment to run: all, fig1, table1, fig2..fig14, table2")
+	exp := flag.String("exp", "all", "experiment to run: all, t2family, fig1, table1, table2, fig2..fig14")
 	seed := flag.Int64("seed", 1, "base random seed")
 	jobs := flag.Int("j", runtime.NumCPU(), "parallel runs per campaign (output is identical for any value)")
 	out := flag.String("out", "", "directory for text artifacts (optional)")
@@ -67,176 +153,43 @@ func main() {
 	}
 	p.Workers = parallel.Workers(*jobs)
 
-	// "t2family" regenerates the six artifacts derived from the Table II
-	// production campaign in one pass.
-	t2family := map[string]bool{"table2": true, "fig2": true, "fig5": true,
-		"fig6": true, "fig7": true, "fig8": true}
-	want := func(name string) bool {
-		if *exp == "t2family" && t2family[name] {
-			return true
-		}
-		return *exp == "all" || *exp == name
-	}
-	emit := func(name string, r renderer) {
-		text := r.Render()
-		fmt.Println(text)
-		if *out != "" {
-			if err := os.MkdirAll(*out, 0o755); err != nil {
-				fatal(err)
-			}
-			path := filepath.Join(*out, name+".txt")
-			if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	step := func(name string) func() {
-		start := time.Now()
-		fmt.Fprintf(os.Stderr, "== %s (%s profile) ==\n", name, p.Name)
-		return func() {
-			fmt.Fprintf(os.Stderr, "== %s done in %.1fs ==\n", name, time.Since(start).Seconds())
-		}
-	}
-
-	ran := 0
-	if want("fig1") {
-		done := step("fig1")
-		emit("fig1", experiments.Fig1JobSizes(p, *seed))
-		done()
-		ran++
-	}
-	if want("table1") {
-		done := step("table1")
-		r, err := experiments.Table1Characterization(p, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		emit("table1", r)
-		done()
-		ran++
-	}
-
-	// The Table II campaign also feeds Figs. 2, 5, 6, 7 and 8.
-	needT2 := false
-	for _, n := range []string{"table2", "fig2", "fig5", "fig6", "fig7", "fig8"} {
-		if want(n) {
-			needT2 = true
-		}
-	}
-	if needT2 {
-		done := step("table2 campaign")
-		t2, err := experiments.Table2AllApps(p, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		done()
-		if want("table2") {
-			emit("table2", t2)
-			ran++
-		}
-		if want("fig2") {
-			emit("fig2", experiments.Fig2FromSamples(t2.Nodes, t2.Samples))
-			ran++
-		}
-		if want("fig5") {
-			emit("fig5", experiments.Fig5FromSamples(t2.Samples))
-			ran++
-		}
-		if want("fig6") {
-			emit("fig6", experiments.Fig6FromTable2(t2))
-			ran++
-		}
-		if want("fig7") {
-			emit("fig7", experiments.Fig7NormalizedAllApps(t2))
-			ran++
-		}
-		if want("fig8") {
-			emit("fig8", experiments.Fig8HACCBreakdown(t2))
-			ran++
-		}
-	}
-
-	if want("fig3") {
-		done := step("fig3")
-		r, err := experiments.Fig3GroupsSpanned(p, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig3", r)
-		done()
-		ran++
-	}
-	if want("fig4") {
-		done := step("fig4")
-		r, err := experiments.Fig4CoriGroupsSpanned(p, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig4", r)
-		done()
-		ran++
-	}
-	if want("fig9") {
-		done := step("fig9")
-		r, err := experiments.Fig9ControlledAllModes(p, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig9", r)
-		done()
-		ran++
-	}
-	if want("fig10") {
-		done := step("fig10")
-		r, err := experiments.Fig10MILCEnsembleCounters(p, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig10", r)
-		done()
-		ran++
-	}
-	if want("fig11") {
-		done := step("fig11")
-		r, err := experiments.Fig11RegimeComparison(p, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig11", r)
-		done()
-		ran++
-	}
-	if want("fig12") {
-		done := step("fig12")
-		r, err := experiments.Fig12HACCEnsembleCounters(p, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig12", r)
-		done()
-		ran++
-	}
-	if want("fig13") || want("fig14") {
-		done := step("fig13+fig14 campaigns")
-		r, err := experiments.Fig13DefaultSwitch(p, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		done()
-		if want("fig13") {
-			emit("fig13", r)
-			ran++
-		}
-		if want("fig14") {
-			emit("fig14", experiments.Fig14LatencyPercentiles(r))
-			ran++
-		}
-	}
-
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; valid: all fig1..fig14 table1 table2\n", *exp)
+	sel := selection(*exp)
+	if len(sel) == 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; valid: %s\n", *exp, validNames())
 		stopProfiles()
 		os.Exit(2)
+	}
+	for _, e := range table {
+		if !slices.ContainsFunc(e.names, func(n string) bool { return sel[n] }) {
+			continue
+		}
+		label := strings.Join(e.names, "+")
+		start := time.Now()
+		fmt.Fprintf(os.Stderr, "== %s (%s profile) ==\n", label, p.Name)
+		rs, err := e.run(p, *seed)
+		if err != nil {
+			fatal(err)
+		}
+		for i, name := range e.names {
+			if sel[name] {
+				emit(*out, name, rs[i].Render())
+			}
+		}
+		fmt.Fprintf(os.Stderr, "== %s done in %.1fs ==\n", label, time.Since(start).Seconds())
+	}
+}
+
+// emit prints one artifact and, with dir set, writes it to dir/name.txt.
+func emit(dir, name, text string) {
+	fmt.Println(text)
+	if dir == "" {
+		return
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name+".txt"), []byte(text), 0o644); err != nil {
+		fatal(err)
 	}
 }
 

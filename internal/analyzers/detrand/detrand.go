@@ -33,8 +33,9 @@
 //
 //  1. Sink roots are the functions that render output — structurally,
 //     any module function with an io.Writer, http.ResponseWriter,
-//     *bytes.Buffer, or *strings.Builder parameter, plus the explicit
-//     value-returning renderers in ExtraSinks.
+//     *bytes.Buffer, or *strings.Builder parameter and any Render()
+//     string method, plus the explicit value-returning renderers in
+//     ExtraSinks.
 //  2. Every function statically reachable from a sink root can execute
 //     during rendering; a nondeterministic iteration there can reach
 //     output bytes, and is flagged with the witness root.
@@ -90,7 +91,8 @@ var WriterTypes = map[string]bool{
 }
 
 // ExtraSinks names value-returning renderers the structural rule cannot
-// see (they build output without taking a writer). Entries are
+// see (they build output without taking a writer and are not Render()
+// string methods). Entries are
 // module-relative: "pkg/path.Func" for functions, "pkg/path.Recv.Func"
 // for methods.
 var ExtraSinks = []string{
@@ -259,9 +261,15 @@ func sinkRoots(m *analysis.Module) []*types.Func {
 	return roots
 }
 
-// isStructuralSink reports whether fn has a writer-ish parameter.
+// isStructuralSink reports whether fn has a writer-ish parameter or is a
+// value-returning renderer: a Render() string method.
 func isStructuralSink(fn *types.Func) bool {
-	params := fn.Type().(*types.Signature).Params()
+	sig := fn.Type().(*types.Signature)
+	params, results := sig.Params(), sig.Results()
+	if sig.Recv() != nil && fn.Name() == "Render" && params.Len() == 0 &&
+		results.Len() == 1 && results.At(0).Type().String() == "string" {
+		return true
+	}
 	for i := 0; i < params.Len(); i++ {
 		if WriterTypes[params.At(i).Type().String()] {
 			return true

@@ -39,3 +39,17 @@ func RenderKeyed(w io.Writer, counts map[string]int) {
 		io.WriteString(w, name)
 	}
 }
+
+// Totals renders by value: a Render() string method is a sink root even
+// without a writer parameter.
+type Totals struct{ parts map[string]float64 }
+
+// Render sums in map order, so the float total (and the printed digits)
+// can change from run to run.
+func (t *Totals) Render() string {
+	total := 0.0
+	for _, v := range t.parts { // want "map iteration order can reach rendered output"
+		total += v
+	}
+	return fmt.Sprintf("%.4f\n", total)
+}

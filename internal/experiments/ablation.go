@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/mpi"
 	"repro/internal/parallel"
 	"repro/internal/placement"
 	"repro/internal/routing"
@@ -46,38 +46,33 @@ func (r *AblationResult) Render() string {
 
 // ablationRun executes p.Runs production runs of MILC with the given mode
 // and returns the aggregate point. The seeded runs are independent, so
-// they fan out across the pool; aggregation walks them in run order.
+// they fan out across the pool; each result folds in run order and is
+// dropped right after, so the sweep retains O(workers) full results.
 func ablationRun(mp *machinePool, p Profile, mode routing.Mode, label string, seed int64) (AblationPoint, error) {
-	jobs, err := parallel.Map(mp.workers(), p.Runs,
+	var times []float64
+	var stalls, flits float64
+	var nonMin, total uint64
+	err := parallel.ReduceContext(context.Background(), mp.workers(), p.Runs,
 		func(worker, i int) (*core.JobResult, error) {
-			spec := core.JobSpec{
-				App:       apps.MILC{},
-				Cfg:       apps.Config{Iterations: p.iterationsFor("MILC"), Scale: p.scaleFor("MILC"), Seed: seed + int64(i)},
-				Nodes:     p.NodesMedium,
-				Placement: placement.Dispersed,
-				Env:       mpi.UniformEnv(mode),
-			}
+			spec := p.jobSpec(apps.MILC{}, p.NodesMedium, mode, placement.Dispersed, 0, seed+int64(i))
 			job, _, err := mp.machine(worker).RunOne(spec, core.RunOpts{
 				Seed:       seed + int64(i),
 				Background: core.DefaultBackground(),
 				Warmup:     p.Warmup,
 			})
 			return job, err
+		},
+		func(_ int, job *core.JobResult) {
+			times = append(times, job.Runtime.Seconds())
+			for _, class := range networkClasses {
+				stalls += job.Report.LocalTiles.Stalls[class]
+				flits += float64(job.Report.LocalTiles.Flits[class])
+			}
+			nonMin += job.NonMinimalPkts
+			total += job.MinimalPkts + job.NonMinimalPkts
 		})
 	if err != nil {
 		return AblationPoint{}, err
-	}
-	var times []float64
-	var stalls, flits float64
-	var nonMin, total uint64
-	for _, job := range jobs {
-		times = append(times, job.Runtime.Seconds())
-		for _, class := range networkClasses {
-			stalls += job.Report.LocalTiles.Stalls[class]
-			flits += float64(job.Report.LocalTiles.Flits[class])
-		}
-		nonMin += job.NonMinimalPkts
-		total += job.MinimalPkts + job.NonMinimalPkts
 	}
 	mean, std := stats.MeanStd(times)
 	pt := AblationPoint{Label: label, MeanRuntime: mean, StdRuntime: std}

@@ -66,15 +66,9 @@ func checkEnsembleDeterminism(t *testing.T, app apps.App) {
 func TestFig6DeterminismAcrossWorkers(t *testing.T) {
 	p := testProfile()
 	p.Workers = 1
-	seq, err := Fig6MILCTileRatios(p, 42)
-	if err != nil {
-		t.Fatalf("workers=1: %v", err)
-	}
+	seq := Fig6FromTable2(milcStudy(t, p, 42, false))
 	p.Workers = 8
-	par, err := Fig6MILCTileRatios(p, 42)
-	if err != nil {
-		t.Fatalf("workers=8: %v", err)
-	}
+	par := Fig6FromTable2(milcStudy(t, p, 42, false))
 	a, b := seq.Render(), par.Render()
 	if a != b {
 		t.Errorf("rendered Fig. 6 artifact differs:\n--- workers=1 ---\n%s--- workers=8 ---\n%s", a, b)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/routing"
 	"repro/internal/sim"
 )
@@ -80,11 +81,25 @@ func TestTable1(t *testing.T) {
 	}
 }
 
-func TestFig2(t *testing.T) {
-	r, err := Fig2MILCRuntimePDF(testProfile(), 3)
+// milcStudy runs the production study over MILC alone, or over MILC
+// and MILCREORDER with reorder set: the MILC part of the Table II
+// campaign that Figs. 2, 5 and 6 derive from.
+func milcStudy(t *testing.T, p Profile, seed int64, reorder bool) *Table2Result {
+	t.Helper()
+	list := []apps.App{apps.MILC{}}
+	if reorder {
+		list = append(list, apps.MILC{Reorder: true})
+	}
+	t2, err := p.productionStudy(list, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return t2
+}
+
+func TestFig2(t *testing.T) {
+	t2 := milcStudy(t, testProfile(), 3, true)
+	r := Fig2FromSamples(t2.Nodes, t2.Samples)
 	for _, app := range []string{"MILC", "MILCREORDER"} {
 		for _, mode := range []routing.Mode{routing.AD0, routing.AD3} {
 			ms := r.PerApp[app][mode]
@@ -135,10 +150,7 @@ func TestFig3AndFig4(t *testing.T) {
 
 func TestFig5Fig6(t *testing.T) {
 	p := testProfile()
-	b, err := Fig5MILCBreakdown(p, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := Fig5FromSamples(milcStudy(t, p, 6, false).Samples)
 	if len(b.Runs) != 2*p.Runs {
 		t.Fatalf("breakdown runs = %d", len(b.Runs))
 	}
@@ -154,10 +166,7 @@ func TestFig5Fig6(t *testing.T) {
 		t.Error("render incomplete")
 	}
 
-	f6, err := Fig6MILCTileRatios(p, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f6 := Fig6FromTable2(milcStudy(t, p, 7, false))
 	for _, mode := range []routing.Mode{routing.AD0, routing.AD3} {
 		if len(f6.Ratios[mode]) == 0 {
 			t.Fatalf("no ratios for %s", mode)

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
-	"repro/internal/apps"
 	"repro/internal/routing"
 	"repro/internal/stats"
 )
@@ -35,46 +35,8 @@ func modeStats(mode routing.Mode, values *stats.Agg, lo, hi float64, bins int) M
 // for MILC and MILCREORDER at the medium job size under AD0 vs AD3 in
 // production conditions.
 type Fig2Result struct {
-	Nodes   int
-	PerApp  map[string]map[routing.Mode]ModeStats
-	Samples []Sample
-}
-
-// Fig2MILCRuntimePDF runs the production campaigns and builds the PDFs.
-// Runtimes fold into per-mode aggregates as the runs stream; the retained
-// samples are compact (no Reports).
-func Fig2MILCRuntimePDF(p Profile, seed int64) (*Fig2Result, error) {
-	mp, err := p.thetaPool()
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig2Result{Nodes: p.NodesMedium, PerApp: map[string]map[routing.Mode]ModeStats{}}
-	modes := []routing.Mode{routing.AD0, routing.AD3}
-	for _, a := range []apps.App{apps.MILC{}, apps.MILC{Reorder: true}} {
-		all := stats.NewAgg()
-		perModeAgg := map[routing.Mode]*stats.Agg{}
-		err := productionReduce(mp, p, a, p.NodesMedium, modes, seed,
-			func(idx int, s *Sample) {
-				res.Samples = append(res.Samples, s.Compact())
-				all.Add(s.RuntimeSec)
-				agg := perModeAgg[s.Mode]
-				if agg == nil {
-					agg = stats.NewAgg()
-					perModeAgg[s.Mode] = agg
-				}
-				agg.Add(s.RuntimeSec)
-			})
-		if err != nil {
-			return nil, err
-		}
-		lo, hi := all.Min(), all.Max()
-		perMode := map[routing.Mode]ModeStats{}
-		for mode, agg := range perModeAgg {
-			perMode[mode] = modeStats(mode, agg, lo, hi, 10)
-		}
-		res.PerApp[a.Name()] = perMode
-	}
-	return res, nil
+	Nodes  int
+	PerApp map[string]map[routing.Mode]ModeStats
 }
 
 // Render prints mean / σ / P95 and the density series per app per mode.
@@ -108,27 +70,26 @@ func (r *Fig2Result) Render() string {
 	return b.String()
 }
 
-// Fig2FromSamples derives the Fig. 2 PDFs from an existing sample set
-// (e.g. Table II's runs) instead of launching a fresh campaign. Compact
-// samples suffice — only runtimes are consumed.
+// Fig2FromSamples derives the Fig. 2 PDFs from a production sample set
+// (Table II's runs). Compact samples suffice — only runtimes are
+// consumed. Each app's density bins span its runtimes under both modes.
 func Fig2FromSamples(nodes int, samples []Sample) *Fig2Result {
-	res := &Fig2Result{Nodes: nodes, PerApp: map[string]map[routing.Mode]ModeStats{}}
-	perApp := map[string][]Sample{}
+	aggs := map[string]map[routing.Mode]*stats.Agg{}
 	for _, s := range samples {
 		if s.App == "MILC" || s.App == "MILCREORDER" {
-			perApp[s.App] = append(perApp[s.App], s)
-			res.Samples = append(res.Samples, s)
+			aggAt(aggs, s.App, s.Mode).Add(s.RuntimeSec)
 		}
 	}
-	for app, ss := range perApp {
-		lo, hi := stats.MinMax(runtimes(ss))
-		perMode := map[routing.Mode]ModeStats{}
-		for mode, ms := range byMode(ss) {
-			agg := stats.NewAgg()
-			agg.AddAll(runtimes(ms))
-			perMode[mode] = modeStats(mode, agg, lo, hi, 10)
+	res := &Fig2Result{Nodes: nodes, PerApp: map[string]map[routing.Mode]ModeStats{}}
+	for app, perMode := range aggs {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, agg := range perMode {
+			lo, hi = min(lo, agg.Min()), max(hi, agg.Max())
 		}
-		res.PerApp[app] = perMode
+		res.PerApp[app] = map[routing.Mode]ModeStats{}
+		for mode, agg := range perMode {
+			res.PerApp[app][mode] = modeStats(mode, agg, lo, hi, 10)
+		}
 	}
 	return res
 }

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/routing"
 	"repro/internal/stats"
 )
@@ -67,8 +69,8 @@ func groupsSpannedStudy(mp *machinePool, machine string, p Profile,
 				perMode[m] = stats.NewAgg()
 			}
 			pts := make([]GroupsPoint, 0, p.Runs*len(modes))
-			err := productionReduce(mp, p, a, nodes, modes, seed+int64(nodes),
-				func(idx int, s *Sample) {
+			err := production(context.Background(), mp, p, a, nodes, modes,
+				core.DefaultBackground(), seed+int64(nodes), func(s *Sample) {
 					pooled.Add(s.RuntimeSec)
 					perMode[s.Mode].Add(s.RuntimeSec)
 					pts = append(pts, GroupsPoint{

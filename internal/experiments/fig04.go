@@ -13,11 +13,6 @@ func Fig4CoriGroupsSpanned(p Profile, seed int64) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := groupsSpannedStudy(mp, "Cori", p,
-		[]apps.App{apps.MILC{}},
+	return groupsSpannedStudy(mp, "Cori", p, []apps.App{apps.MILC{}},
 		[]int{p.NodesSmall, p.CoriNodesMedium, p.NodesLarge}, seed)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }

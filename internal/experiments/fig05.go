@@ -58,23 +58,6 @@ func breakdownFromSamples(app, figure string, dominant []string, samples []Sampl
 	return res
 }
 
-// Fig5MILCBreakdown reproduces the paper's Fig. 5: MILC runtime split into
-// Compute, MPI_Allreduce, MPI_Wait(all), MPI_Isend and other MPI, one bar
-// per production run, AD0 vs AD3.
-func Fig5MILCBreakdown(p Profile, seed int64) (*BreakdownResult, error) {
-	mp, err := p.thetaPool()
-	if err != nil {
-		return nil, err
-	}
-	samples, err := productionSamples(mp, p, milcApp(), p.NodesMedium,
-		[]routing.Mode{routing.AD0, routing.AD3}, seed)
-	if err != nil {
-		return nil, err
-	}
-	return breakdownFromSamples("MILC", "Fig. 5",
-		[]string{"MPI_Allreduce", "MPI_Waitall", "MPI_Isend"}, samples), nil
-}
-
 // Render prints one stacked bar per run.
 func (r *BreakdownResult) Render() string {
 	var b strings.Builder
@@ -96,8 +79,8 @@ func (r *BreakdownResult) Render() string {
 	sums := map[routing.Mode][]float64{}
 	for _, run := range r.Runs {
 		mpiTotal := run.Other
-		for _, v := range run.Parts {
-			mpiTotal += v
+		for _, c := range r.Dominant {
+			mpiTotal += run.Parts[c]
 		}
 		sums[run.Mode] = append(sums[run.Mode], mpiTotal)
 	}
@@ -113,8 +96,9 @@ func (r *BreakdownResult) Render() string {
 	return b.String()
 }
 
-// Fig5FromSamples derives the Fig. 5 decomposition from existing samples
-// (e.g. Table II's campaign).
+// Fig5FromSamples reproduces the paper's Fig. 5 from production samples
+// (Table II's campaign): MILC runtime split into Compute, MPI_Allreduce,
+// MPI_Wait(all), MPI_Isend and other MPI, one bar per run, AD0 vs AD3.
 func Fig5FromSamples(samples []Sample) *BreakdownResult {
 	return breakdownFromSamples("MILC", "Fig. 5",
 		[]string{"MPI_Allreduce", "MPI_Waitall", "MPI_Isend"}, samples)

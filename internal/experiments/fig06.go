@@ -19,18 +19,8 @@ type tileAggs = map[routing.Mode]map[topology.TileClass]*stats.Agg
 // Every class gets an aggregate (even if empty), mirroring the report's
 // LocalTileRatios keys.
 func foldTileRatios(dst tileAggs, s *Sample) {
-	per := dst[s.Mode]
-	if per == nil {
-		per = map[topology.TileClass]*stats.Agg{}
-		dst[s.Mode] = per
-	}
 	for class := topology.TileClass(0); class < topology.NumTileClasses; class++ {
-		agg := per[class]
-		if agg == nil {
-			agg = stats.NewAgg()
-			per[class] = agg
-		}
-		agg.AddAll(s.Report.LocalTileRatios[class])
+		aggAt(dst, s.Mode, class).AddAll(s.Report.LocalTileRatios[class])
 	}
 }
 
@@ -43,31 +33,6 @@ type Fig6Result struct {
 	// Ratios[mode][class] aggregates the per-tile ratios pooled over all
 	// runs of that mode, in run order.
 	Ratios tileAggs
-}
-
-// Fig6MILCTileRatios runs the MILC production campaign, folding the
-// per-class tile counter ratios out of each AutoPerf report as it
-// completes — the campaign never retains a full report.
-func Fig6MILCTileRatios(p Profile, seed int64) (*Fig6Result, error) {
-	mp, err := p.thetaPool()
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig6Result{App: "MILC", Nodes: p.NodesMedium, Ratios: tileAggs{}}
-	err = productionReduce(mp, p, milcApp(), p.NodesMedium,
-		[]routing.Mode{routing.AD0, routing.AD3}, seed,
-		func(idx int, s *Sample) {
-			foldTileRatios(res.Ratios, s)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// MeanRatio returns the mean ratio for (mode, class).
-func (r *Fig6Result) MeanRatio(mode routing.Mode, class topology.TileClass) float64 {
-	return r.Ratios[mode][class].Mean()
 }
 
 // Render prints the per-class ratio summary in the paper's order.
@@ -89,9 +54,10 @@ func (r *Fig6Result) Render() string {
 	return b.String()
 }
 
-// Fig6FromTable2 derives the Fig. 6 result from a Table 2 campaign's
-// tile aggregates (the campaign folds MILC's ratios as it streams, so
-// the t2 family shares one set of runs without retaining reports).
+// Fig6FromTable2 derives the Fig. 6 result from a Table II campaign's
+// tile aggregates: the campaign folds MILC's ratios out of each AutoPerf
+// report as it streams, so the t2 family shares one set of runs and
+// never retains a full report.
 func Fig6FromTable2(t2 *Table2Result) *Fig6Result {
 	return &Fig6Result{App: "MILC", Nodes: t2.Nodes, Ratios: t2.Tiles}
 }

@@ -29,15 +29,9 @@ func Fig7NormalizedAllApps(t2 *Table2Result) *Fig7Result {
 		if _, ok := pooled[s.App]; !ok {
 			res.Order = append(res.Order, s.App)
 			pooled[s.App] = stats.NewAgg()
-			perMode[s.App] = map[routing.Mode]*stats.Agg{}
 		}
 		pooled[s.App].Add(s.RuntimeSec)
-		agg := perMode[s.App][s.Mode]
-		if agg == nil {
-			agg = stats.NewAgg()
-			perMode[s.App][s.Mode] = agg
-		}
-		agg.Add(s.RuntimeSec)
+		aggAt(perMode, s.App, s.Mode).Add(s.RuntimeSec)
 	}
 	for _, app := range res.Order {
 		mean, std := pooled[app].Mean(), pooled[app].Std()

@@ -46,6 +46,9 @@ func Fig9ControlledAllModes(p Profile, seed int64) (*Fig9Result, error) {
 		Spread: map[routing.Mode]float64{},
 	}
 	modes := []routing.Mode{routing.AD0, routing.AD1, routing.AD2, routing.AD3}
+	for _, mode := range modes {
+		res.Z[mode] = stats.NewAgg()
+	}
 	policies := []placement.Policy{placement.Compact, placement.Dispersed}
 	count := p.EnsembleMedium / 2
 	if count < 1 {
@@ -57,6 +60,9 @@ func Fig9ControlledAllModes(p Profile, seed int64) (*Fig9Result, error) {
 	for _, a := range []apps.App{apps.MILC{}, apps.Nek5000{}, apps.Qbox{}} {
 		a := a
 		perMode := map[routing.Mode]*stats.Agg{}
+		for _, mode := range modes {
+			perMode[mode] = stats.NewAgg()
+		}
 		pool := stats.NewAgg()
 		err := parallel.ReduceContext(context.Background(), mp.workers(), len(modes)*len(policies),
 			func(worker, idx int) (*core.RunResult, error) {
@@ -65,12 +71,7 @@ func Fig9ControlledAllModes(p Profile, seed int64) (*Fig9Result, error) {
 					modes[mi], policy, seed+int64(mi)*101, nil)
 			},
 			func(idx int, run *core.RunResult) {
-				mode := modes[idx/len(policies)]
-				agg := perMode[mode]
-				if agg == nil {
-					agg = stats.NewAgg()
-					perMode[mode] = agg
-				}
+				agg := perMode[modes[idx/len(policies)]]
 				for _, j := range run.Jobs {
 					v := j.Runtime.Seconds()
 					agg.Add(v)
@@ -82,12 +83,6 @@ func Fig9ControlledAllModes(p Profile, seed int64) (*Fig9Result, error) {
 		}
 		mean, std := pool.Mean(), pool.Std()
 		for _, mode := range modes {
-			if perMode[mode] == nil {
-				continue
-			}
-			if res.Z[mode] == nil {
-				res.Z[mode] = stats.NewAgg()
-			}
 			res.Z[mode].Merge(perMode[mode].Normalized(mean, std))
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/placement"
@@ -30,21 +31,6 @@ type Fig11Result struct {
 	Ratios map[routing.Mode]map[string]*stats.Agg
 }
 
-// regimeAgg returns (creating if needed) one regime's aggregate.
-func (r *Fig11Result) regimeAgg(mode routing.Mode, regime string) *stats.Agg {
-	per := r.Ratios[mode]
-	if per == nil {
-		per = map[string]*stats.Agg{}
-		r.Ratios[mode] = per
-	}
-	agg := per[regime]
-	if agg == nil {
-		agg = stats.NewAgg()
-		per[regime] = agg
-	}
-	return agg
-}
-
 // Fig11RegimeComparison runs all three regimes for both modes. Within a
 // mode the production campaign, the isolated runs, and the two controlled
 // ensembles each fan their independent runs across the worker pool; the
@@ -60,9 +46,9 @@ func Fig11RegimeComparison(p Profile, seed int64) (*Fig11Result, error) {
 		mode := mode
 
 		// Production: noisy machine.
-		prodAgg := res.regimeAgg(mode, RegimeProduction)
-		err := productionReduce(mp, p, milcApp(), p.NodesMedium,
-			[]routing.Mode{mode}, seed, func(idx int, s *Sample) {
+		prodAgg := aggAt(res.Ratios, mode, RegimeProduction)
+		err := production(context.Background(), mp, p, apps.MILC{}, p.NodesMedium,
+			[]routing.Mode{mode}, core.DefaultBackground(), seed, func(s *Sample) {
 				prodAgg.AddAll(networkTileRatios(s))
 			})
 		if err != nil {
@@ -70,10 +56,10 @@ func Fig11RegimeComparison(p Profile, seed int64) (*Fig11Result, error) {
 		}
 
 		// Isolated: one job alone.
-		isoAgg := res.regimeAgg(mode, RegimeIsolated)
+		isoAgg := aggAt(res.Ratios, mode, RegimeIsolated)
 		err = parallel.ReduceContext(context.Background(), mp.workers(), p.Runs,
 			func(worker, i int) (Sample, error) {
-				return isolatedSample(mp.machine(worker), p, milcApp(), p.NodesMedium,
+				return isolatedSample(mp.machine(worker), p, apps.MILC{}, p.NodesMedium,
 					mode, placement.Dispersed, seed+int64(i))
 			},
 			func(i int, s Sample) {
@@ -93,11 +79,11 @@ func Fig11RegimeComparison(p Profile, seed int64) (*Fig11Result, error) {
 		}
 		err = parallel.ReduceContext(context.Background(), mp.workers(), len(regimes),
 			func(worker, idx int) (*core.RunResult, error) {
-				return ensembleRun(mp.machine(worker), p, milcApp(), p.EnsembleMedium,
+				return ensembleRun(mp.machine(worker), p, apps.MILC{}, p.EnsembleMedium,
 					p.NodesMedium, mode, regimes[idx].policy, seed+977, nil)
 			},
 			func(idx int, run *core.RunResult) {
-				agg := res.regimeAgg(mode, regimes[idx].regime)
+				agg := aggAt(res.Ratios, mode, regimes[idx].regime)
 				for _, j := range run.Jobs {
 					for _, class := range networkClasses {
 						agg.AddAll(j.Report.LocalTileRatios[class])

@@ -22,14 +22,9 @@ func TestFusedProfileFigures(t *testing.T) {
 	ref.SplitLinks = true
 	fused := testProfile()
 
-	rRef, err := Fig2MILCRuntimePDF(ref, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rFused, err := Fig2MILCRuntimePDF(fused, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t2Ref, t2Fused := milcStudy(t, ref, 3, true), milcStudy(t, fused, 3, true)
+	rRef := Fig2FromSamples(t2Ref.Nodes, t2Ref.Samples)
+	rFused := Fig2FromSamples(t2Fused.Nodes, t2Fused.Samples)
 	for _, app := range []string{"MILC", "MILCREORDER"} {
 		for _, mode := range []routing.Mode{routing.AD0, routing.AD3} {
 			mr := rRef.PerApp[app][mode]
@@ -58,14 +53,8 @@ func TestFusedProfileFigures(t *testing.T) {
 	// for both modes, and the pooled means within the same tolerance
 	// regime (stall accounting is the part of the counter contract the
 	// lazy settle machinery most directly touches).
-	f6Ref, err := Fig6MILCTileRatios(ref, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f6Fused, err := Fig6MILCTileRatios(fused, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f6Ref := Fig6FromTable2(milcStudy(t, ref, 7, false))
+	f6Fused := Fig6FromTable2(milcStudy(t, fused, 7, false))
 	for _, mode := range []routing.Mode{routing.AD0, routing.AD3} {
 		if len(f6Fused.Ratios[mode]) == 0 {
 			t.Fatalf("fused fig6: no ratios for %s", mode)

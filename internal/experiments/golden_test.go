@@ -57,9 +57,5 @@ func TestGoldenTable1(t *testing.T) {
 }
 
 func TestGoldenFig6TileRatios(t *testing.T) {
-	r, err := Fig6MILCTileRatios(goldenProfile(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "fig6", r.Render())
+	checkGolden(t, "fig6", Fig6FromTable2(milcStudy(t, goldenProfile(), 1, false)).Render())
 }

@@ -2,7 +2,8 @@
 // paper's evaluation. Each harness runs the required simulations and
 // returns a result type whose Render method prints the same rows/series
 // the paper reports, so `cmd/reproduce` (and the benchmarks in the repo
-// root) regenerate the full evaluation.
+// root) regenerate the full evaluation. Figs. 2, 5, 6, 7 and 8 derive
+// from the Table II production campaign rather than running their own.
 //
 // Absolute numbers are simulated seconds on a proportionally scaled
 // machine (see topology.ThetaMiniConfig); the quantities compared against
@@ -16,8 +17,9 @@ import (
 	"repro/internal/topology"
 )
 
-// Profile scales an experiment campaign. Quick keeps unit tests fast;
-// Standard is used by cmd/reproduce and the benchmarks.
+// Profile scales an experiment campaign: Quick is cmd/reproduce's
+// default, Standard its larger scale, and Bench the smallest, used by the
+// repo-level benchmarks and the tests.
 type Profile struct {
 	Name string
 
@@ -77,7 +79,7 @@ func (p Profile) workers() int {
 }
 
 // Quick returns the smallest profile that still exhibits every effect;
-// used by unit tests and smoke checks.
+// cmd/reproduce runs it by default.
 func Quick() Profile {
 	return Profile{
 		Name:  "quick",
@@ -108,7 +110,7 @@ func Quick() Profile {
 	}
 }
 
-// Standard returns the profile used by cmd/reproduce and the benchmarks:
+// Standard returns cmd/reproduce's larger profile (-profile standard):
 // enough runs for statistics, still minutes not hours.
 func Standard() Profile {
 	p := Quick()
@@ -148,7 +150,7 @@ func (p Profile) pool(cfg topology.Config) (*machinePool, error) {
 	return mp, nil
 }
 
-// appCfg builds the apps.Config for one app under this profile.
+// iterationsFor returns the app's iteration count under this profile.
 func (p Profile) iterationsFor(app string) int {
 	if n, ok := p.Iterations[app]; ok {
 		return n
@@ -156,6 +158,7 @@ func (p Profile) iterationsFor(app string) int {
 	return 4
 }
 
+// scaleFor returns the app's message-size scale under this profile.
 func (p Profile) scaleFor(app string) float64 {
 	if s, ok := p.Scale[app]; ok {
 		return s

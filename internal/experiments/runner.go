@@ -12,6 +12,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/placement"
 	"repro/internal/routing"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -92,7 +93,7 @@ type Sample struct {
 	// MinPkts / NonMinPkts count the job's own adaptive routing decisions,
 	// and MeanTransitSec is the mean network transit of its packets —
 	// per-run routing diagnostics the simd service aggregates into its
-	// response (zero in harnesses that predate them).
+	// response.
 	MinPkts        uint64
 	NonMinPkts     uint64
 	MeanTransitSec float64
@@ -100,7 +101,6 @@ type Sample struct {
 	// delivered-packet totals (background traffic included). Their ratio
 	// is the events-per-packet figure the simd /metrics page exports —
 	// the deterministic cost proxy the link-fusion work optimizes.
-	// Zero in harnesses that predate them.
 	Events  uint64
 	Packets uint64
 }
@@ -146,61 +146,25 @@ func (p Profile) jobSpec(app apps.App, nodes int, mode routing.Mode,
 	}
 }
 
-// productionSamples runs p.Runs production runs per mode, fanned out over
-// the pool's workers. Run i of every mode shares a seed, so the placement
-// (a fragmented allocation spanning a seed-chosen number of groups) and
-// the background noise are identical across modes — only the instrumented
-// job's routing differs, exactly the paper's production methodology (the
-// rest of the system stays on the default AD0).
+// production is the streaming core of every production campaign: p.Runs
+// runs per mode, fanned out over the pool's workers. Run i of every mode
+// shares a seed, so the placement (a fragmented allocation spanning a
+// seed-chosen number of groups) and the background noise are identical
+// across modes — only the instrumented job's routing differs, exactly
+// the paper's production methodology (the rest of the system stays on
+// the default AD0).
 //
-// Every (run, mode) pair is one independent task on its worker's own
-// Machine; results are merged in (run, mode) order, so the sample slice is
-// identical to what the sequential nested loop produced.
-func productionSamples(mp *machinePool, p Profile, app apps.App, nodes int,
-	modes []routing.Mode, seedBase int64) ([]Sample, error) {
-
-	return productionSamplesCtx(context.Background(), mp, p, app, nodes,
-		modes, core.DefaultBackground(), seedBase)
-}
-
-// productionSamplesCtx is the list-building wrapper over the streaming
-// core: it retains one compact (Report-free) sample per task, in seed
-// order. On error the returned slice holds the successful prefix/suffix
-// samples in order (failed tasks contribute nothing); callers that need
-// all-or-nothing semantics discard it when err != nil.
-func productionSamplesCtx(ctx context.Context, mp *machinePool, p Profile,
+// Each (run, mode) task executes on its worker's own Machine and its
+// full Sample — Report attached, Reduced digest already built — is
+// handed to fold in strict (run, mode) order, exactly the order the
+// sequential nested loop would produce. The Report reference is dropped
+// as soon as fold returns, so with parallel.ReduceContext's bounded
+// reordering window the campaign retains O(workers) Reports at any
+// moment, no matter how many runs it has. fold must not keep s.Report
+// (or s itself) past its return; retain s.Compact() instead.
+func production(ctx context.Context, mp *machinePool, p Profile,
 	app apps.App, nodes int, modes []routing.Mode, bg *core.BackgroundSpec,
-	seedBase int64) ([]Sample, error) {
-
-	out := make([]Sample, 0, p.Runs*len(modes))
-	err := productionReduceCtx(ctx, mp, p, app, nodes, modes, bg, seedBase,
-		func(idx int, s *Sample) {
-			out = append(out, s.Compact())
-		})
-	return out, err
-}
-
-// productionReduce is productionReduceCtx under the default background
-// and context — the entry the figure/table folds use.
-func productionReduce(mp *machinePool, p Profile, app apps.App, nodes int,
-	modes []routing.Mode, seedBase int64, fold func(idx int, s *Sample)) error {
-
-	return productionReduceCtx(context.Background(), mp, p, app, nodes,
-		modes, core.DefaultBackground(), seedBase, fold)
-}
-
-// productionReduceCtx is the streaming core of the production campaign:
-// each (run, mode) task executes on its worker's machine and its full
-// Sample — Report attached, Reduced digest already built — is handed to
-// fold in strict (run, mode) order, exactly the order the sequential
-// nested loop would produce. The Report reference is dropped as soon as
-// fold returns, so with parallel.ReduceContext's bounded reordering
-// window the campaign retains O(workers) Reports at any moment, no
-// matter how many runs it has. fold must not keep s.Report (or s itself)
-// past its return; retain s.Compact() instead.
-func productionReduceCtx(ctx context.Context, mp *machinePool, p Profile,
-	app apps.App, nodes int, modes []routing.Mode, bg *core.BackgroundSpec,
-	seedBase int64, fold func(idx int, s *Sample)) error {
+	seedBase int64, fold func(s *Sample)) error {
 
 	maxGroups := mp.machine(0).Topo.Cfg.Groups
 	return parallel.ReduceContext(ctx, mp.workers(), p.Runs*len(modes),
@@ -233,9 +197,7 @@ func productionReduceCtx(ctx context.Context, mp *machinePool, p Profile,
 				Packets:        res.PacketsDelivered,
 			}, nil
 		},
-		func(idx int, s Sample) {
-			fold(idx, &s)
-		})
+		func(_ int, s Sample) { fold(&s) })
 }
 
 // SamplesOn runs the production-style campaign on caller-owned machines —
@@ -243,23 +205,28 @@ func productionReduceCtx(ctx context.Context, mp *machinePool, p Profile,
 // one configuration; len(machines) sets the fan-out, and each machine is
 // rewound warm across the runs assigned to its slot exactly as the batch
 // pool does, so results are byte-identical to a batch campaign with the
-// same arguments. Samples come back compact: the full per-run
-// autoperf.Report is digested into Sample.Reduced on the worker and
-// dropped, so a long-lived service process retains fixed-size samples.
-// Cancelling ctx stops undispatched runs and returns ctx's error; runs
-// already simulating complete first and their samples are kept.
+// same arguments. Samples come back compact, in seed order: the full
+// per-run autoperf.Report is digested into Sample.Reduced on the worker
+// and dropped, so a long-lived service process retains fixed-size
+// samples. Cancelling ctx stops undispatched runs and returns ctx's
+// error; runs already simulating complete first and their samples are
+// kept (failed tasks contribute nothing, so callers that need
+// all-or-nothing semantics discard the slice when err != nil).
 func (p Profile) SamplesOn(ctx context.Context, machines []*core.Machine,
 	app apps.App, nodes int, modes []routing.Mode, bg *core.BackgroundSpec,
 	seedBase int64) ([]Sample, error) {
 
-	return productionSamplesCtx(ctx, &machinePool{machines: machines}, p,
-		app, nodes, modes, bg, seedBase)
+	out := make([]Sample, 0, p.Runs*len(modes))
+	err := production(ctx, &machinePool{machines: machines}, p, app, nodes,
+		modes, bg, seedBase, func(s *Sample) { out = append(out, s.Compact()) })
+	return out, err
 }
 
 // ProductionEnsemble is the exported entry to one app's production
-// campaign: p.Runs seeded runs per mode, fanned out over p.Workers
-// workers and merged in seed order. It is what the root-level ensemble
-// benchmarks and the determinism regression tests drive.
+// campaign under the default background: p.Runs seeded runs per mode,
+// fanned out over p.Workers workers and merged in seed order. It is what
+// the root-level ensemble benchmarks and the determinism regression
+// tests drive.
 func ProductionEnsemble(p Profile, app apps.App, nodes int,
 	modes []routing.Mode, seedBase int64) ([]Sample, error) {
 
@@ -267,7 +234,8 @@ func ProductionEnsemble(p Profile, app apps.App, nodes int,
 	if err != nil {
 		return nil, err
 	}
-	return productionSamples(mp, p, app, nodes, modes, seedBase)
+	return p.SamplesOn(context.Background(), mp.machines, app, nodes, modes,
+		core.DefaultBackground(), seedBase)
 }
 
 // isolatedSample runs one app alone on an otherwise idle machine.
@@ -302,35 +270,21 @@ func ensembleRun(m *core.Machine, p Profile, app apps.App, count, nodes int,
 	return m.Run(specs, core.RunOpts{Seed: seed, LDMS: ldmsOpts})
 }
 
-// byMode partitions samples by routing mode.
-func byMode(samples []Sample) map[routing.Mode][]Sample {
-	out := make(map[routing.Mode][]Sample)
-	for _, s := range samples {
-		out[s.Mode] = append(out[s.Mode], s)
+// aggAt returns m[k1][k2], creating the inner map and the aggregate on
+// first use: the get-or-create step of every keyed fold.
+func aggAt[K1, K2 comparable](m map[K1]map[K2]*stats.Agg, k1 K1, k2 K2) *stats.Agg {
+	inner := m[k1]
+	if inner == nil {
+		inner = map[K2]*stats.Agg{}
+		m[k1] = inner
 	}
-	return out
-}
-
-// runtimes extracts runtime seconds.
-func runtimes(samples []Sample) []float64 {
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		out[i] = s.RuntimeSec
+	agg := inner[k2]
+	if agg == nil {
+		agg = stats.NewAgg()
+		inner[k2] = agg
 	}
-	return out
+	return agg
 }
-
-// mpiTimes extracts per-rank MPI seconds.
-func mpiTimes(samples []Sample) []float64 {
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		out[i] = s.MPISec()
-	}
-	return out
-}
-
-// milcApp returns the plain MILC proxy.
-func milcApp() apps.App { return apps.MILC{} }
 
 // networkClasses are the three network tile classes (the "40 network
 // tiles" of the paper's Fig. 11).

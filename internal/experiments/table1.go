@@ -32,9 +32,6 @@ type Table1Result struct {
 var p2pCalls = []string{"MPI_Isend", "MPI_Send", "MPI_Sendrecv"}
 var collCalls = []string{"MPI_Allreduce", "MPI_Alltoall", "MPI_Alltoallv", "MPI_Bcast", "MPI_Allgather", "MPI_Reduce"}
 
-// waitLike are excluded from the "top calls" list's byte accounting but
-// included in time ranking, as in AutoPerf's reporting.
-
 // Table1Characterization runs each app isolated at the medium size on the
 // default routing and extracts its communication properties. The six apps
 // are independent single runs, so they fan out one per worker; each row

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/routing"
 	"repro/internal/stats"
 )
@@ -36,21 +38,30 @@ type Table2Result struct {
 // Table2AllApps runs the production campaign for every application at the
 // medium size under AD0 and AD3, folding statistics as the runs stream.
 func Table2AllApps(p Profile, seed int64) (*Table2Result, error) {
+	return p.productionStudy(apps.All(), seed)
+}
+
+// productionStudy runs the medium-size AD0-vs-AD3 production campaign for
+// each app in list, in order, on one warm pool. Every app's runs start
+// from the same seed, so an app's samples do not depend on which other
+// apps the list holds: a study over just MILC reproduces the MILC part of
+// Table II (and with it Figs. 2, 5 and 6) run for run.
+func (p Profile) productionStudy(list []apps.App, seed int64) (*Table2Result, error) {
 	mp, err := p.thetaPool()
 	if err != nil {
 		return nil, err
 	}
 	res := &Table2Result{Nodes: p.NodesMedium, Tiles: tileAggs{}}
 	modes := []routing.Mode{routing.AD0, routing.AD3}
-	for _, a := range apps.All() {
+	for _, a := range list {
 		rt := map[routing.Mode]*stats.Agg{}
 		mpiT := map[routing.Mode]*stats.Agg{}
 		for _, m := range modes {
 			rt[m], mpiT[m] = stats.NewAgg(), stats.NewAgg()
 		}
-		isMILC := a.Name() == milcApp().Name()
-		err := productionReduce(mp, p, a, p.NodesMedium, modes, seed,
-			func(idx int, s *Sample) {
+		isMILC := a.Name() == apps.MILC{}.Name()
+		err := production(context.Background(), mp, p, a, p.NodesMedium, modes,
+			core.DefaultBackground(), seed, func(s *Sample) {
 				res.Samples = append(res.Samples, s.Compact())
 				rt[s.Mode].Add(s.RuntimeSec)
 				mpiT[s.Mode].Add(s.MPISec())
