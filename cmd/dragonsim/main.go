@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	dragonsim [-machine theta-mini|cori-mini|theta|cori] [-app MILC]
+//	dragonsim [-machine theta-mini|cori-mini|theta|cori|test] [-app MILC]
 //	          [-nodes 24] [-mode AD0|AD1|AD2|AD3|MIN|VAL]
 //	          [-placement compact|dispersed] [-groups N]
 //	          [-iters 10] [-scale 0.1] [-noise] [-seed 1]
@@ -33,7 +33,7 @@ import (
 var profiles = profiling.Register(flag.CommandLine)
 
 func main() {
-	machine := flag.String("machine", "theta-mini", "theta-mini, cori-mini, theta, or cori")
+	machine := flag.String("machine", "theta-mini", "machine: "+strings.Join(topology.Names(), ", "))
 	appName := flag.String("app", "MILC", "application: "+strings.Join(apps.Names(), ", "))
 	nodes := flag.Int("nodes", 24, "job size in nodes")
 	modeStr := flag.String("mode", "AD0", "routing mode: AD0..AD3, MIN, VAL")
@@ -50,18 +50,9 @@ func main() {
 	}
 	defer stopProfiles()
 
-	var cfg topology.Config
-	switch *machine {
-	case "theta-mini":
-		cfg = topology.ThetaMiniConfig()
-	case "cori-mini":
-		cfg = topology.CoriMiniConfig()
-	case "theta":
-		cfg = topology.ThetaConfig()
-	case "cori":
-		cfg = topology.CoriConfig()
-	default:
-		fatal(fmt.Errorf("unknown machine %q", *machine))
+	cfg, err := topology.ByName(*machine)
+	if err != nil {
+		fatal(err)
 	}
 	m, err := core.NewMachine(cfg)
 	if err != nil {

@@ -100,12 +100,6 @@ var ExtraSinks = []string{
 	"internal/service.marshalResponse",
 	"internal/service.metrics.render",
 	"internal/service.errorBody",
-	// viz renders into local strings.Builders and returns the text, so
-	// the structural writer-parameter rule never sees it.
-	"internal/viz.Sparkline",
-	"internal/viz.HeatStrip",
-	"internal/viz.GroupHeatmap",
-	"internal/viz.Histogram",
 }
 
 // randConstructors are the math/rand package-level functions that build

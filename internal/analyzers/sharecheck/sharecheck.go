@@ -14,7 +14,7 @@
 //     happen-before the spawn are initialization and stay silent.
 //  2. A *core.Machine must never be captured by a goroutine closure —
 //     neither a `go func` literal nor a worker closure handed to
-//     parallel.Map / MapContext / Reduce / ReduceContext / ForEach.
+//     parallel.ReduceContext.
 //     Worker closures derive their machine from the worker index
 //     (machines[worker], pool.machine(worker)); capturing a machine
 //     value, or indexing a captured machine slice by anything other
@@ -52,11 +52,7 @@ var Analyzer = &analysis.Analyzer{
 // workerFuncs are the parallel-runner entry points whose func-literal
 // arguments execute on worker goroutines.
 var workerFuncs = map[string]bool{
-	"Map":           true,
-	"MapContext":    true,
-	"Reduce":        true,
 	"ReduceContext": true,
-	"ForEach":       true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -3,19 +3,17 @@
 // and name, and treats their func-literal arguments as worker closures.
 package parallel
 
-// Map mirrors the runner's signature: fn runs on worker goroutines.
-func Map(workers, n int, fn func(worker, index int) error) error {
+import "context"
+
+// ReduceContext mirrors the runner's signature: fn runs on worker
+// goroutines, fold folds each result in index order.
+func ReduceContext[T any](ctx context.Context, workers, n int, fn func(worker, index int) (T, error), fold func(index int, v T)) error {
 	for i := 0; i < n; i++ {
-		if err := fn(i%workers, i); err != nil {
+		v, err := fn(i%workers, i)
+		if err != nil {
 			return err
 		}
+		fold(i, v)
 	}
 	return nil
-}
-
-// ForEach mirrors the error-free variant.
-func ForEach(workers, n int, fn func(worker, index int)) {
-	for i := 0; i < n; i++ {
-		fn(i%workers, i)
-	}
 }

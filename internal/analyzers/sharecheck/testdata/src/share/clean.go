@@ -1,6 +1,8 @@
 package share
 
 import (
+	"context"
+
 	"internal/core"
 	"internal/parallel"
 )
@@ -52,10 +54,10 @@ func machineAsArg() {
 // perWorkerMachines is the sanctioned pattern: one machine per worker
 // slot, always indexed by the closure's worker parameter.
 func perWorkerMachines(machines []*core.Machine) error {
-	return parallel.Map(2, 8, func(worker, index int) error {
+	return parallel.ReduceContext(context.Background(), 2, 8, func(worker, index int) (int, error) {
 		machines[worker].Run()
-		return nil
-	})
+		return 0, nil
+	}, func(index, v int) {})
 }
 
 // allowedPostWait writes after the spawn, but the channel receive

@@ -1,6 +1,8 @@
 package share
 
 import (
+	"context"
+
 	"internal/core"
 	"internal/parallel"
 )
@@ -63,17 +65,17 @@ func goMachine() {
 // workerCapturedMachine shares one machine between all workers.
 func workerCapturedMachine(machines []*core.Machine) error {
 	m := machines[0]
-	return parallel.Map(2, 8, func(worker, index int) error {
+	return parallel.ReduceContext(context.Background(), 2, 8, func(worker, index int) (int, error) {
 		m.Run() // want "captured by worker closure"
-		return nil
-	})
+		return 0, nil
+	}, func(index, v int) {})
 }
 
 // workerBadIndex indexes the machine slice by the item index, so two
 // workers handling different items can collide on one machine.
 func workerBadIndex(machines []*core.Machine) error {
-	return parallel.Map(2, 8, func(worker, index int) error {
+	return parallel.ReduceContext(context.Background(), 2, 8, func(worker, index int) (int, error) {
 		machines[index].Run() // want "worker parameter"
-		return nil
-	})
+		return 0, nil
+	}, func(index, v int) {})
 }

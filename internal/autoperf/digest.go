@@ -53,15 +53,6 @@ func (r *Report) Reduce() *Reduced {
 	return d
 }
 
-// MPIFraction mirrors Report.MPIFraction from the digested fields.
-func (d *Reduced) MPIFraction() float64 {
-	total := d.MPITime + d.ComputeTime
-	if total == 0 {
-		return 0
-	}
-	return float64(d.MPITime) / float64(total)
-}
-
 // MemBytes estimates the digest's retained footprint (struct, string,
 // and map contents) for the service's retained-digest-bytes gauge. It is
 // an accounting estimate, not a precise heap measurement.

@@ -20,9 +20,10 @@ func newRNG(seed int64) *rand.Rand {
 // bgCheckPeriod is how often the background controller tops up noise jobs.
 const bgCheckPeriod = 20 * sim.Millisecond
 
-// startBackground launches the noise controller: a proc that keeps the
-// machine's free capacity filled with noise jobs sampled from the
-// workload mix until cancel fires. Completed jobs release their nodes, and
+// startBackground launches the noise controller: a self-rescheduling
+// closure event, re-armed every bgCheckPeriod, that keeps the machine's
+// free capacity filled with noise jobs sampled from the workload mix
+// until cancel fires. Completed jobs release their nodes, and
 // the controller backfills, emulating a production scheduler.
 func startBackground(fab *network.Fabric, alloc *placement.Allocator,
 	spec BackgroundSpec, cancel *sim.Signal, seed int64) {

@@ -59,8 +59,7 @@ type Machine struct {
 // (live procs parked, events queued) also forces a rebuild — Reset's
 // behavioural-identity guarantee only holds from a drained state.
 func (m *Machine) fabric(seed int64) (*sim.Kernel, *network.Fabric) {
-	if m.k != nil && m.warmTopo == m.Topo && m.warmNet == m.Net &&
-		m.warmRoute == m.Route && m.k.LiveProcs() == 0 && m.k.Pending() == 0 {
+	if m.warm() {
 		m.k.Reset()
 		m.fab.Reset(seed)
 		m.warmReuses++
@@ -71,6 +70,15 @@ func (m *Machine) fabric(seed int64) (*sim.Kernel, *network.Fabric) {
 	m.warmTopo, m.warmNet, m.warmRoute = m.Topo, m.Net, m.Route
 	m.coldBuilds++
 	return m.k, m.fab
+}
+
+// warm reports whether the machine holds a kernel/fabric pair that can
+// be rewound in place: one exists, the public configuration is unchanged
+// since it was built, and its last run drained (no live procs, no queued
+// events).
+func (m *Machine) warm() bool {
+	return m.k != nil && m.warmTopo == m.Topo && m.warmNet == m.Net &&
+		m.warmRoute == m.Route && m.k.LiveProcs() == 0 && m.k.Pending() == 0
 }
 
 // ReuseStats reports how many runs rewound the warm kernel/fabric pair
@@ -90,11 +98,9 @@ func (m *Machine) ReuseStats() (warmReuses, coldBuilds uint64) {
 // this purely to move cost off the first request. The construction counts
 // as a cold build in ReuseStats (it is one; it just happens early).
 func (m *Machine) Prewarm() {
-	if m.k != nil && m.warmTopo == m.Topo && m.warmNet == m.Net &&
-		m.warmRoute == m.Route && m.k.LiveProcs() == 0 && m.k.Pending() == 0 {
-		return // already warm; nothing to build, nothing to count
+	if !m.warm() {
+		m.fabric(0)
 	}
-	m.fabric(0)
 }
 
 // Reset discards the machine's warm kernel/fabric pair, forcing the next

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -64,40 +65,46 @@ func ensembleCounterStudy(p Profile, a apps.App, figure string, count, nodes int
 	}
 	modes := []routing.Mode{routing.AD0, routing.AD3}
 	// The two modes' ensembles are independent whole-machine runs; fan
-	// them out and aggregate in mode order.
-	runs, err := parallel.Map(mp.workers(), len(modes),
-		func(worker, idx int) (*core.RunResult, error) {
-			return ensembleRun(mp.machine(worker), p, a, count, nodes,
-				modes[idx], placement.Dispersed, seed,
+	// them out, summarize each run on its worker, and store the summaries
+	// in mode order.
+	err = parallel.ReduceContext(context.Background(), mp.workers(), len(modes),
+		func(worker, idx int) (EnsembleCounters, error) {
+			m := mp.machine(worker)
+			run, err := ensembleRun(m, p, a, count, nodes, modes[idx], placement.Dispersed, seed,
 				&ldms.Options{Period: p.LDMSPeriod, RecordRouterRatios: true})
-		})
+			if err != nil {
+				return EnsembleCounters{}, err
+			}
+			return ensembleCounters(m.Topo, modes[idx], run), nil
+		},
+		func(idx int, ec EnsembleCounters) { res.PerMode[modes[idx]] = ec })
 	if err != nil {
 		return nil, err
 	}
-	for idx, mode := range modes {
-		run := runs[idx]
-		m := mp.machine(0)
-		mean := 0.0
-		for _, j := range run.Jobs {
-			mean += j.Runtime.Seconds()
-		}
-		mean /= float64(len(run.Jobs))
-		ec := EnsembleCounters{Mode: mode, MeanRuntime: mean, Totals: run.Global}
-		// Peak rank-3 per-tile stalls (hot-spot localization).
-		c := run.GlobalCounters
-		for r := range c.Stalls {
-			for t := range c.Stalls[r] {
-				if m.Topo.TileClassOf(t) == topology.TileRank3 && c.Stalls[r][t] > ec.PeakRank3Stalls {
-					ec.PeakRank3Stalls = c.Stalls[r][t]
-				}
+	return res, nil
+}
+
+// ensembleCounters summarizes one ensemble run's global counters.
+func ensembleCounters(topo *topology.Topology, mode routing.Mode, run *core.RunResult) EnsembleCounters {
+	mean := 0.0
+	for _, j := range run.Jobs {
+		mean += j.Runtime.Seconds()
+	}
+	mean /= float64(len(run.Jobs))
+	ec := EnsembleCounters{Mode: mode, MeanRuntime: mean, Totals: run.Global}
+	// Peak rank-3 per-tile stalls (hot-spot localization).
+	c := run.GlobalCounters
+	for r := range c.Stalls {
+		for t := range c.Stalls[r] {
+			if topo.TileClassOf(t) == topology.TileRank3 && c.Stalls[r][t] > ec.PeakRank3Stalls {
+				ec.PeakRank3Stalls = c.Stalls[r][t]
 			}
 		}
-		ratios := c.RouterRatios(nil)
-		ps := stats.Percentiles(ratios, []float64{50, 95})
-		ec.RouterRatioP50, ec.RouterRatioP95 = ps[0], ps[1]
-		res.PerMode[mode] = ec
 	}
-	return res, nil
+	ratios := c.RouterRatios(nil)
+	ps := stats.Percentiles(ratios, []float64{50, 95})
+	ec.RouterRatioP50, ec.RouterRatioP95 = ps[0], ps[1]
+	return ec
 }
 
 // Render prints the per-class counters for both modes side by side.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -47,48 +48,42 @@ func Fig13DefaultSwitch(p Profile, seed int64) (*Fig13Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig13Result{}
-	eras := []struct {
-		mode routing.Mode
-		dst  *CampaignWindowStats
-	}{
-		{routing.AD0, &res.Before},
-		{routing.AD3, &res.After},
-	}
-	err = parallel.ForEach(mp.workers(), len(eras), func(worker, idx int) error {
-		era := eras[idx]
-		bg := core.DefaultBackground()
-		bg.Env = mpi.UniformEnv(era.mode)
-		camp, err := mp.machine(worker).RunCampaign(p.CampaignWindow, *bg, ldms.Options{
-			Period:             p.LDMSPeriod,
-			RecordRouterRatios: true,
-			RecordNICLatency:   true,
-			Stream:             true,
-		}, seed)
-		if err != nil {
-			return err
-		}
-		st := CampaignWindowStats{Mode: era.mode, Totals: camp.Global}
-		for _, s := range camp.LDMS.Samples() {
-			var flits uint64
-			var stalls float64
-			for _, class := range networkClasses {
-				flits += s.Totals.Flits[class]
-				stalls += s.Totals.Stalls[class]
+	modes := []routing.Mode{routing.AD0, routing.AD3}
+	var eras [2]CampaignWindowStats
+	err = parallel.ReduceContext(context.Background(), mp.workers(), len(modes),
+		func(worker, idx int) (CampaignWindowStats, error) {
+			bg := core.DefaultBackground()
+			bg.Env = mpi.UniformEnv(modes[idx])
+			camp, err := mp.machine(worker).RunCampaign(p.CampaignWindow, *bg, ldms.Options{
+				Period:             p.LDMSPeriod,
+				RecordRouterRatios: true,
+				RecordNICLatency:   true,
+				Stream:             true,
+			}, seed)
+			if err != nil {
+				return CampaignWindowStats{}, err
 			}
-			st.WindowFlits = append(st.WindowFlits, float64(flits))
-			st.WindowStalls = append(st.WindowStalls, stalls)
-		}
-		st.Windows = len(st.WindowFlits)
-		st.RouterRatios = camp.LDMS.RouterRatioAgg()
-		st.NICLatencies = camp.LDMS.NICLatencyAgg()
-		*era.dst = st
-		return nil
-	})
+			st := CampaignWindowStats{Mode: modes[idx], Totals: camp.Global}
+			for _, s := range camp.LDMS.Samples() {
+				var flits uint64
+				var stalls float64
+				for _, class := range networkClasses {
+					flits += s.Totals.Flits[class]
+					stalls += s.Totals.Stalls[class]
+				}
+				st.WindowFlits = append(st.WindowFlits, float64(flits))
+				st.WindowStalls = append(st.WindowStalls, stalls)
+			}
+			st.Windows = len(st.WindowFlits)
+			st.RouterRatios = camp.LDMS.RouterRatioAgg()
+			st.NICLatencies = camp.LDMS.NICLatencyAgg()
+			return st, nil
+		},
+		func(idx int, st CampaignWindowStats) { eras[idx] = st })
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &Fig13Result{Before: eras[0], After: eras[1]}, nil
 }
 
 // NetworkRatio returns an era's overall network-tile stalls-to-flits.

@@ -25,141 +25,41 @@ func Workers(j int) int {
 	return j
 }
 
-// Map runs fn(worker, index) for every index in [0, n) using at most
-// `workers` concurrent goroutines and returns the results ordered by
-// index. `worker` identifies which pool slot (0..workers-1) is executing
-// the call — use it to select per-worker state such as a Machine, so
-// concurrent tasks never share one. fn must depend only on its arguments
-// (plus per-worker state) for the sequential/parallel equivalence to
-// hold.
+// ReduceContext runs fn(worker, index) for every index in [0, n) using at
+// most `workers` concurrent goroutines and folds each successful result —
+// in strictly increasing index order — into caller state via fold, then
+// drops it. `worker` identifies which pool slot (0..workers-1) is
+// executing the call — use it to select per-worker state such as a
+// Machine, so concurrent tasks never share one. fn must depend only on
+// its arguments (plus per-worker state) for the sequential/parallel
+// equivalence to hold; a caller that needs every result keeps it from
+// fold, indexed by index.
 //
-// All n tasks are attempted even if some fail; the error of the lowest
-// failing index is returned, matching what a sequential loop would have
-// reported first. On error the returned slice is still the full n-length
-// result set — every index that succeeded holds its computed value, and
-// failed indices hold T's zero value. Callers that paid for n expensive
-// tasks can salvage the survivors (ensemble sweeps drop the failed seeds
-// rather than rerun the campaign); callers that need all-or-nothing
-// semantics simply discard the slice when err != nil. With workers <= 1
-// the tasks run inline on the calling goroutine in index order, with the
-// same contract.
-//
-// Worker goroutines are labeled with pprof tag worker=<slot>, so CPU
-// profiles taken during a parallel map attribute samples per pool slot.
-func Map[T any](workers, n int, fn func(worker, index int) (T, error)) ([]T, error) {
-	return MapContext(context.Background(), workers, n, fn)
-}
-
-// MapContext is Map with cooperative cancellation. A discrete-event run
-// cannot be preempted mid-flight, so cancellation is between tasks: once
-// ctx is done, no new task starts — every index not yet claimed fails
-// immediately with ctx's error — while tasks already executing run to
-// completion and keep their results. The partial-results contract is
-// otherwise identical to Map's: the returned slice always has length n,
-// successful indices hold their computed values, failed or skipped
-// indices hold T's zero value, and the error of the lowest failing index
-// is returned. Callers that need to know whether a timeout (rather than
-// a task failure) cut the map short check errors.Is(err, ctx.Err()).
-func MapContext[T any](ctx context.Context, workers, n int, fn func(worker, index int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	if n == 0 {
-		return out, nil
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				continue
-			}
-			out[i] = runTask(fn, 0, i, errs)
-		}
-		return out, firstError(errs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			pprof.Do(context.Background(),
-				pprof.Labels("worker", strconv.Itoa(worker)),
-				func(context.Context) {
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= n {
-							return
-						}
-						// After cancellation, keep claiming indices so
-						// every skipped task records the cancellation
-						// error (the salvage contract requires all n
-						// indices accounted for).
-						if err := ctx.Err(); err != nil {
-							errs[i] = err
-							continue
-						}
-						// Distinct goroutines write disjoint indices, so
-						// the result and error slices need no locking.
-						out[i] = runTask(fn, worker, i, errs)
-					}
-				})
-		}(w)
-	}
-	wg.Wait()
-	return out, firstError(errs)
-}
-
-// runTask executes one task, recording its error and mapping a failed
-// task's value to T's zero value so callers never consume the partial
-// value of a failed computation.
-func runTask[T any](fn func(worker, index int) (T, error), worker, i int, errs []error) T {
-	v, err := fn(worker, i)
-	if err != nil {
-		errs[i] = err
-		var zero T
-		return zero
-	}
-	return v
-}
-
-// firstError returns the error at the lowest index, or nil.
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Reduce is ReduceContext with a background context.
-func Reduce[T any](workers, n int, fn func(worker, index int) (T, error), fold func(index int, v T)) error {
-	return ReduceContext(context.Background(), workers, n, fn, fold)
-}
-
-// ReduceContext runs fn(worker, index) for every index in [0, n) like
-// MapContext, but instead of materializing an n-length result slice it
-// folds each successful result — in strictly increasing index order —
-// into caller state via fold, then drops it. This is the streaming
-// complement to MapContext: retained memory is O(workers), not O(n). A
-// worker that completes index i parks its result until every lower index
-// has been folded or recorded as failed, and a bounded reordering window
-// keeps the parking lot small: no task runs more than `workers` indices
-// ahead of the fold frontier (a worker that pulls too far ahead blocks
-// until the frontier catches up), so at most `workers` results exist
-// outside the fold at any moment.
+// Retained memory is O(workers), not O(n). A worker that completes index
+// i parks its result until every lower index has been folded or recorded
+// as failed, and a bounded reordering window keeps the parking lot small:
+// no task runs more than `workers` indices ahead of the fold frontier (a
+// worker that pulls too far ahead blocks until the frontier catches up),
+// so at most `workers` results exist outside the fold at any moment.
 //
 // fold is called under an internal lock — never concurrently with itself
 // — on whichever worker goroutine deposits the result that unblocks the
-// index order; it must not call back into the reducer. The error
-// contract matches MapContext: all n indices are attempted (after
-// cancellation the unclaimed remainder fail with ctx's error), fold is
-// skipped for failed indices, and the error of the lowest failing index
-// is returned. With workers <= 1 the tasks run and fold inline on the
-// calling goroutine in index order.
+// index order; it must not call back into the reducer.
+//
+// All n indices are attempted even if some fail, fold is skipped for
+// failed indices, and the error of the lowest failing index is returned,
+// matching what a sequential loop would have reported first. Cancellation
+// is between tasks, since a discrete-event run cannot be preempted
+// mid-flight: once ctx is done no new task starts — every index not yet
+// claimed fails immediately with ctx's error — while tasks already
+// executing run to completion and are folded. Callers that need to know
+// whether a timeout (rather than a task failure) cut the run short check
+// errors.Is(err, ctx.Err()). With workers <= 1 the tasks run and fold
+// inline on the calling goroutine in index order, with the same contract.
+//
+// Worker goroutines are labeled with pprof tag worker=<slot>, so CPU
+// profiles taken during a parallel reduction attribute samples per pool
+// slot.
 func ReduceContext[T any](ctx context.Context, workers, n int, fn func(worker, index int) (T, error), fold func(index int, v T)) error {
 	if n == 0 {
 		return nil
@@ -268,10 +168,12 @@ func ReduceContext[T any](ctx context.Context, workers, n int, fn func(worker, i
 	return firstError(errs)
 }
 
-// ForEach is Map for tasks with no result value.
-func ForEach(workers, n int, fn func(worker, index int) error) error {
-	_, err := Map(workers, n, func(worker, index int) (struct{}, error) {
-		return struct{}{}, fn(worker, index)
-	})
-	return err
+// firstError returns the error at the lowest index, or nil.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -9,10 +9,17 @@ import (
 	"time"
 )
 
+// The TestMap* tests pin the per-task half of ReduceContext's contract —
+// which tasks run, on which worker slot, in what result order, and which
+// error comes back; the TestReduce* tests pin the fold half.
+
 func TestMapOrdersResultsByIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16, 100} {
-		got, err := Map(workers, 50, func(worker, index int) (int, error) {
+		var got []int
+		err := ReduceContext(context.Background(), workers, 50, func(worker, index int) (int, error) {
 			return index * index, nil
+		}, func(index int, v int) {
+			got = append(got, v)
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -30,8 +37,11 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 
 func TestMapParallelMatchesSequential(t *testing.T) {
 	run := func(workers int) []string {
-		out, err := Map(workers, 37, func(worker, index int) (string, error) {
+		var out []string
+		err := ReduceContext(context.Background(), workers, 37, func(worker, index int) (string, error) {
 			return fmt.Sprintf("task-%03d", index), nil
+		}, func(index int, v string) {
+			out = append(out, v)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -39,6 +49,9 @@ func TestMapParallelMatchesSequential(t *testing.T) {
 		return out
 	}
 	seq, par := run(1), run(8)
+	if len(seq) != len(par) {
+		t.Fatalf("sequential folded %d, parallel %d", len(seq), len(par))
+	}
 	for i := range seq {
 		if seq[i] != par[i] {
 			t.Fatalf("index %d: sequential %q != parallel %q", i, seq[i], par[i])
@@ -49,7 +62,7 @@ func TestMapParallelMatchesSequential(t *testing.T) {
 func TestMapReturnsLowestIndexError(t *testing.T) {
 	errLow, errHigh := errors.New("low"), errors.New("high")
 	for _, workers := range []int{1, 8} {
-		_, err := Map(workers, 20, func(worker, index int) (int, error) {
+		err := ReduceContext(context.Background(), workers, 20, func(worker, index int) (int, error) {
 			switch index {
 			case 3:
 				return 0, errLow
@@ -57,7 +70,7 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 				return 0, errHigh
 			}
 			return index, nil
-		})
+		}, func(int, int) {})
 		if !errors.Is(err, errLow) {
 			t.Fatalf("workers=%d: err=%v, want %v", workers, err, errLow)
 		}
@@ -65,20 +78,22 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 }
 
 // TestMapReturnsPartialResultsOnError pins the salvage contract: when
-// some tasks fail, the returned slice still carries every successful
-// index's value (failed indices hold the zero value), alongside the
-// lowest-index error. All n tasks must have been attempted, on both the
-// inline and the pooled path.
+// some tasks fail, every successful index is still folded with its value
+// and no failed index is, alongside the lowest-index error. All n tasks
+// must have been attempted, on both the inline and the pooled path.
 func TestMapReturnsPartialResultsOnError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 8} {
 		var attempted atomic.Int64
-		out, err := Map(workers, 20, func(worker, index int) (int, error) {
+		folded := map[int]int{}
+		err := ReduceContext(context.Background(), workers, 20, func(worker, index int) (int, error) {
 			attempted.Add(1)
 			if index%5 == 2 { // fails 2, 7, 12, 17
 				return -1, boom
 			}
 			return index * 10, nil
+		}, func(index int, v int) {
+			folded[index] = v
 		})
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err=%v, want %v", workers, err, boom)
@@ -86,16 +101,16 @@ func TestMapReturnsPartialResultsOnError(t *testing.T) {
 		if got := attempted.Load(); got != 20 {
 			t.Fatalf("workers=%d: attempted %d tasks, want all 20", workers, got)
 		}
-		if len(out) != 20 {
-			t.Fatalf("workers=%d: len(out)=%d, want 20 despite error", workers, len(out))
-		}
-		for i, v := range out {
-			want := i * 10
+		for i := 0; i < 20; i++ {
+			v, ok := folded[i]
 			if i%5 == 2 {
-				want = 0 // failed index: zero value, not fn's return
+				if ok {
+					t.Fatalf("workers=%d: failed index %d folded", workers, i)
+				}
+				continue
 			}
-			if v != want {
-				t.Fatalf("workers=%d: out[%d]=%d, want %d", workers, i, v, want)
+			if !ok || v != i*10 {
+				t.Fatalf("workers=%d: folded[%d]=%d (folded %v), want %d", workers, i, v, ok, i*10)
 			}
 		}
 	}
@@ -104,13 +119,14 @@ func TestMapReturnsPartialResultsOnError(t *testing.T) {
 func TestMapWorkerIndexStaysInPool(t *testing.T) {
 	const workers = 4
 	var used [workers]atomic.Int64
-	_, err := Map(workers, 200, func(worker, index int) (int, error) {
+	err := ReduceContext(context.Background(), workers, 200, func(worker, index int) (int, error) {
 		if worker < 0 || worker >= workers {
 			t.Errorf("worker %d out of range", worker)
+			return 0, nil
 		}
 		used[worker].Add(1)
 		return 0, nil
-	})
+	}, func(int, int) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,101 +140,75 @@ func TestMapWorkerIndexStaysInPool(t *testing.T) {
 }
 
 func TestMapZeroTasks(t *testing.T) {
-	got, err := Map(8, 0, func(worker, index int) (int, error) {
-		t.Error("fn called with no tasks")
-		return 0, nil
-	})
-	if err != nil || len(got) != 0 {
-		t.Fatalf("got %v, %v", got, err)
-	}
-}
-
-func TestForEach(t *testing.T) {
-	var count atomic.Int64
-	if err := ForEach(4, 25, func(worker, index int) error {
-		count.Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count.Load() != 25 {
-		t.Fatalf("count = %d", count.Load())
-	}
-	boom := errors.New("boom")
-	if err := ForEach(4, 5, func(worker, index int) error {
-		if index == 2 {
-			return boom
+	for _, workers := range []int{1, 8} {
+		err := ReduceContext(context.Background(), workers, 0, func(worker, index int) (int, error) {
+			t.Error("fn called with no tasks")
+			return 0, nil
+		}, func(int, int) {
+			t.Error("fold called with no tasks")
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return nil
-	}); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
 	}
 }
 
 // TestMapContextAlreadyCancelled pins the caller-cancels contract at its
-// boundary: with a context that is done before the map starts, no task
-// runs at all, yet the returned slice still has length n with every index
-// holding the zero value and the context's error reported.
+// boundary: with a context that is done before the reduction starts, no
+// task runs and nothing is folded, yet the context's error is reported.
 func TestMapContextAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 8} {
-		out, err := MapContext(ctx, workers, 10, func(worker, index int) (int, error) {
+		err := ReduceContext(ctx, workers, 10, func(worker, index int) (int, error) {
 			t.Errorf("workers=%d: task %d ran after cancellation", workers, index)
 			return -1, nil
+		}, func(index int, v int) {
+			t.Errorf("workers=%d: index %d folded after cancellation", workers, index)
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err=%v, want context.Canceled", workers, err)
-		}
-		if len(out) != 10 {
-			t.Fatalf("workers=%d: len(out)=%d, want 10", workers, len(out))
-		}
-		for i, v := range out {
-			if v != 0 {
-				t.Fatalf("workers=%d: out[%d]=%d, want zero value", workers, i, v)
-			}
 		}
 	}
 }
 
 // TestMapContextCancelMidMapSequential cancels from inside a task on the
-// inline path: tasks before the cancellation point keep their results,
-// tasks after it are skipped with the context's error, and the lowest
-// failing index's error (the cancellation) is what Map returns.
+// inline path: tasks up to the cancellation point are folded, tasks after
+// it are skipped with the context's error, and the lowest failing index's
+// error (the cancellation) is what ReduceContext returns.
 func TestMapContextCancelMidMapSequential(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	out, err := MapContext(ctx, 1, 10, func(worker, index int) (int, error) {
+	var folded []int
+	err := ReduceContext(ctx, 1, 10, func(worker, index int) (int, error) {
 		if index == 3 {
 			cancel()
 		}
 		return index * 10, nil
+	}, func(index int, v int) {
+		if v != index*10 {
+			t.Errorf("fold(%d) got %d, want %d", index, v, index*10)
+		}
+		folded = append(folded, index)
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want context.Canceled", err)
 	}
-	for i := 0; i <= 3; i++ {
-		if out[i] != i*10 {
-			t.Fatalf("out[%d]=%d, want %d (completed before cancel)", i, out[i], i*10)
-		}
-	}
-	for i := 4; i < 10; i++ {
-		if out[i] != 0 {
-			t.Fatalf("out[%d]=%d, want zero value (skipped)", i, out[i])
-		}
+	if fmt.Sprint(folded) != "[0 1 2 3]" {
+		t.Fatalf("folded %v, want [0 1 2 3] (completed before cancel; the rest skipped)", folded)
 	}
 }
 
 // TestMapContextCancelMidMapParallel is the pooled-path version: park one
 // task per worker on a gate, cancel, then release the gate. The parked
-// tasks must run to completion and keep their results (a DES run cannot
-// be preempted), while every unclaimed index fails with the context's
-// error and the zero value.
+// tasks must run to completion and be folded (a DES run cannot be
+// preempted), while every unclaimed index fails with the context's error
+// and is never folded.
 func TestMapContextCancelMidMapParallel(t *testing.T) {
 	const workers, n = 4, 20
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, workers)
 	release := make(chan struct{})
-	// MapContext is synchronous, so the coordinator runs alongside it:
+	// ReduceContext is synchronous, so the coordinator runs alongside it:
 	// once every worker has claimed its first task, cancel, then let the
 	// parked tasks finish.
 	go func() {
@@ -228,33 +218,25 @@ func TestMapContextCancelMidMapParallel(t *testing.T) {
 		cancel()
 		close(release)
 	}()
-	out, err := MapContext(ctx, workers, n, func(worker, index int) (int, error) {
+	var folded []int
+	err := ReduceContext(ctx, workers, n, func(worker, index int) (int, error) {
 		started <- struct{}{}
 		<-release
 		return index + 100, nil
+	}, func(index int, v int) {
+		if v != index+100 {
+			t.Errorf("fold(%d) got %d, want %d", index, v, index+100)
+		}
+		folded = append(folded, index)
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want context.Canceled", err)
 	}
-	if len(out) != n {
-		t.Fatalf("len(out)=%d, want %d", len(out), n)
-	}
 	// The first `workers` indices were claimed before cancellation (the
 	// atomic counter hands out 0..workers-1 first) and must have
-	// completed; everything after was skipped with the zero value.
-	completed := 0
-	for i, v := range out {
-		switch v {
-		case i + 100:
-			completed++
-		case 0:
-			// skipped by cancellation
-		default:
-			t.Fatalf("out[%d]=%d, want %d or zero", i, v, i+100)
-		}
-	}
-	if completed != workers {
-		t.Fatalf("completed tasks = %d, want exactly %d (one in flight per worker)", completed, workers)
+	// completed; everything after was skipped.
+	if fmt.Sprint(folded) != "[0 1 2 3]" {
+		t.Fatalf("folded %v, want exactly [0 1 2 3] (one in flight per worker)", folded)
 	}
 }
 
@@ -270,7 +252,7 @@ func TestWorkers(t *testing.T) {
 func TestReduceFoldsInIndexOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
 		var got []int
-		err := Reduce(workers, 50, func(worker, index int) (int, error) {
+		err := ReduceContext(context.Background(), workers, 50, func(worker, index int) (int, error) {
 			return index * 3, nil
 		}, func(index int, v int) {
 			if v != index*3 {
@@ -298,7 +280,7 @@ func TestReduceBoundedPending(t *testing.T) {
 	// and assert the high-water mark.
 	const workers, n = 4, 200
 	var live, peak atomic.Int64
-	err := Reduce(workers, n, func(worker, index int) (int, error) {
+	err := ReduceContext(context.Background(), workers, n, func(worker, index int) (int, error) {
 		if index == 0 {
 			// An adversarially slow first task: without the reordering
 			// window the other workers would park O(n) results behind it.
@@ -327,7 +309,7 @@ func TestReduceSkipsFailedAndReportsLowest(t *testing.T) {
 	boom7, boom31 := errors.New("boom7"), errors.New("boom31")
 	for _, workers := range []int{1, 8} {
 		var folded []int
-		err := Reduce(workers, 40, func(worker, index int) (int, error) {
+		err := ReduceContext(context.Background(), workers, 40, func(worker, index int) (int, error) {
 			switch index {
 			case 7:
 				return 0, boom7
@@ -377,7 +359,7 @@ func TestReduceContextCancellation(t *testing.T) {
 }
 
 func TestReduceZeroTasks(t *testing.T) {
-	err := Reduce(8, 0, func(worker, index int) (int, error) {
+	err := ReduceContext(context.Background(), 8, 0, func(worker, index int) (int, error) {
 		t.Fatal("task ran for n=0")
 		return 0, nil
 	}, func(index int, v int) {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"repro/internal/topology"
 )
 
 // FuzzRequestDecode throws arbitrary bytes at the request parser. The
@@ -73,7 +75,7 @@ func FuzzRequestDecode(f *testing.F) {
 		if q.Tenant == "" || len(q.Tenant) > 64 || !utf8.ValidString(q.Tenant) {
 			t.Fatalf("accepted bad tenant %q from %q", q.Tenant, data)
 		}
-		if _, ok := topologies[q.Topology]; !ok {
+		if _, err := topology.ByName(q.Topology); err != nil {
 			t.Fatalf("accepted unknown topology %q from %q", q.Topology, data)
 		}
 		// The canonical key must be stable: decoding the same bytes twice

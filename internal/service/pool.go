@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/topology"
 )
 
 // MachinePool keeps warm core.Machines keyed by topology configuration.
@@ -202,16 +203,16 @@ func (p *MachinePool) Reset() {
 }
 
 // buildMachine constructs a fresh machine for a pool key (a validated
-// topology name — DecodeRequest only admits names in the topologies
-// table).
+// topology name — DecodeRequest only admits names topology.ByName
+// knows).
 //
 //simlint:cold pool-miss construction path; fabric build dominates any formatting
 func buildMachine(key string) (*core.Machine, error) {
-	cfgFn, ok := topologies[key]
-	if !ok {
+	cfg, err := topology.ByName(key)
+	if err != nil {
 		return nil, errUnknownPoolKey(key)
 	}
-	return core.NewMachine(cfgFn())
+	return core.NewMachine(cfg)
 }
 
 // Cold panic/error helpers, outlined so the annotated hot paths stay

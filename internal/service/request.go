@@ -20,7 +20,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/apps"
@@ -98,27 +97,6 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-// topologies maps request topology names to configurations. The map is
-// never ranged over — lookup only — so iteration order cannot leak into
-// responses.
-var topologies = map[string]func() topology.Config{
-	"theta-mini": topology.ThetaMiniConfig,
-	"cori-mini":  topology.CoriMiniConfig,
-	"theta":      topology.ThetaConfig,
-	"cori":       topology.CoriConfig,
-	"test":       func() topology.Config { return topology.TestConfig(4) },
-}
-
-// TopologyNames lists the accepted topology names, sorted.
-func TopologyNames() []string {
-	out := make([]string, 0, len(topologies))
-	for name := range topologies {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Query is a validated, normalized request: defaults applied, names
 // resolved, bounds checked. Everything that influences simulation output
 // is in here; Tenant rides along for admission only.
@@ -189,12 +167,10 @@ func (req Request) normalize(lim Limits) (Query, error) {
 	if name == "" {
 		name = "theta-mini"
 	}
-	cfgFn, ok := topologies[name]
-	if !ok {
-		return Query{}, fmt.Errorf("unknown topology %q (one of %s)",
-			name, strings.Join(TopologyNames(), ", "))
+	cfg, err := topology.ByName(name)
+	if err != nil {
+		return Query{}, err
 	}
-	cfg := cfgFn()
 	q.Topology = name
 
 	app, err := apps.ByName(req.App)

@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/topology"
 )
 
 // Config assembles one Server. The zero value of any field means its
@@ -103,9 +103,8 @@ func (s *Server) PoolStats() PoolStats { return s.pool.Stats() }
 // boot time (simd -prewarm), before the listener accepts traffic.
 func (s *Server) Prewarm(names []string) error {
 	for _, name := range names {
-		if _, ok := topologies[name]; !ok {
-			return fmt.Errorf("prewarm: unknown topology %q (one of %s)",
-				name, strings.Join(TopologyNames(), ", "))
+		if _, err := topology.ByName(name); err != nil {
+			return fmt.Errorf("prewarm: %w", err)
 		}
 		if err := s.pool.Prewarm(name, s.cfg.Workers); err != nil {
 			return fmt.Errorf("prewarm %s: %w", name, err)

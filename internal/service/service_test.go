@@ -214,7 +214,7 @@ func TestRequestValidationStatusCodes(t *testing.T) {
 }
 
 // TestQueryTimeoutReturns504 pins the request-timeout path: a timeout
-// that has already expired lets no run dispatch (parallel.MapContext's
+// that has already expired lets no run dispatch (parallel.ReduceContext's
 // caller-cancels contract), and the client sees a 504, not a hang or a
 // partial response presented as complete.
 func TestQueryTimeoutReturns504(t *testing.T) {

@@ -8,6 +8,7 @@ package topology
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -188,4 +189,37 @@ func TestConfig(groups int) Config {
 	c.GlobalLinksPerPair = 4
 	c.ActiveNodes = c.Capacity()
 	return c
+}
+
+// machines names the configurations a command line or a request can ask
+// for, sorted by name.
+var machines = []struct {
+	name string
+	cfg  func() Config
+}{
+	{"cori", CoriConfig},
+	{"cori-mini", CoriMiniConfig},
+	{"test", func() Config { return TestConfig(4) }},
+	{"theta", ThetaConfig},
+	{"theta-mini", ThetaMiniConfig},
+}
+
+// Names lists the machine names ByName accepts, sorted.
+func Names() []string {
+	out := make([]string, len(machines))
+	for i, m := range machines {
+		out[i] = m.name
+	}
+	return out
+}
+
+// ByName returns the named machine's configuration. The error for an
+// unknown name lists the valid ones.
+func ByName(name string) (Config, error) {
+	for _, m := range machines {
+		if m.name == name {
+			return m.cfg(), nil
+		}
+	}
+	return Config{}, fmt.Errorf("unknown topology %q (one of %s)", name, strings.Join(Names(), ", "))
 }

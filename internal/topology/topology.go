@@ -104,10 +104,9 @@ type Topology struct {
 	procTileBase   int // first processor tile index
 
 	// adjacency
-	r1    [][]LinkID // [router][peerSlot] -> link (self slot = -1)
-	r2    [][]LinkID // [router][peerChassisIdx*Rank2LinksPerPair+k]
-	r3    [][]LinkID // [srcGroup*Groups+dstGroup] -> rank-3 links
-	r3Out [][]LinkID // [router] -> outgoing rank-3 links
+	r1 [][]LinkID // [router][peerSlot] -> link (self slot = -1)
+	r2 [][]LinkID // [router][peerChassisIdx*Rank2LinksPerPair+k]
+	r3 [][]LinkID // [srcGroup*Groups+dstGroup] -> rank-3 links
 }
 
 // Build constructs the dragonfly described by cfg.
@@ -143,7 +142,6 @@ func Build(cfg Config) (*Topology, error) {
 
 	t.r1 = make([][]LinkID, nr)
 	t.r2 = make([][]LinkID, nr)
-	t.r3Out = make([][]LinkID, nr)
 	for r := range t.r1 {
 		t.r1[r] = make([]LinkID, cfg.SlotsPerChassis)
 		for i := range t.r1[r] {
@@ -230,8 +228,6 @@ func Build(cfg Config) (*Topology, error) {
 				ba := addLink(rb, ra, Rank3, tb, cfg.Rank3Bandwidth, cfg.Rank3Latency)
 				t.r3[a*cfg.Groups+b] = append(t.r3[a*cfg.Groups+b], ab)
 				t.r3[b*cfg.Groups+a] = append(t.r3[b*cfg.Groups+a], ba)
-				t.r3Out[ra] = append(t.r3Out[ra], ab)
-				t.r3Out[rb] = append(t.r3Out[rb], ba)
 			}
 		}
 	}
@@ -338,9 +334,6 @@ func (t *Topology) GlobalLinks(a, b GroupID) []LinkID {
 	}
 	return t.r3[int(a)*t.Cfg.Groups+int(b)]
 }
-
-// R3LinksOf returns the outgoing rank-3 links of one router.
-func (t *Topology) R3LinksOf(r RouterID) []LinkID { return t.r3Out[r] }
 
 // Link returns the link record for id.
 func (t *Topology) Link(id LinkID) *Link { return &t.Links[id] }

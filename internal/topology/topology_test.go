@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -50,6 +52,34 @@ func TestProductionConfigs(t *testing.T) {
 	}
 	if cori.GlobalLinksPerPair >= theta.GlobalLinksPerPair {
 		t.Error("cori should have fewer global links per pair than theta (reduced bisection)")
+	}
+}
+
+// TestByName pins the machine-name table: names come back sorted, each
+// resolves to a valid configuration, and an unknown name's error lists
+// every valid one.
+func TestByName(t *testing.T) {
+	names := Names()
+	if !sort.StringsAreSorted(names) {
+		t.Errorf("Names() = %v, not sorted", names)
+	}
+	for _, name := range names {
+		cfg, err := ByName(name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	_, err := ByName("summit")
+	if err == nil {
+		t.Fatal("ByName accepted an unknown name")
+	}
+	for _, name := range names {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-name error %q does not list %q", err, name)
+		}
 	}
 }
 
