@@ -42,24 +42,14 @@ func TestWorkerFuncsDrift(t *testing.T) {
 	}
 }
 
-// takesWorkerFunc reports whether one of fn's parameters is a function
-// whose first two parameters are ints — the (worker, index) shape of a
-// worker closure.
+// takesWorkerFunc reports whether one of fn's parameters has the
+// (worker, index) shape of a worker closure.
 func takesWorkerFunc(fn *types.Func) bool {
 	params := fn.Type().(*types.Signature).Params()
 	for i := 0; i < params.Len(); i++ {
-		sig, ok := params.At(i).Type().Underlying().(*types.Signature)
-		if !ok || sig.Params().Len() < 2 {
-			continue
-		}
-		if isInt(sig.Params().At(0).Type()) && isInt(sig.Params().At(1).Type()) {
+		if isWorkerFunc(params.At(i).Type()) {
 			return true
 		}
 	}
 	return false
-}
-
-func isInt(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Int
 }

@@ -13,13 +13,14 @@
 //     post-spawn writes race with the goroutine's reads. Writes that
 //     happen-before the spawn are initialization and stay silent.
 //  2. A *core.Machine must never be captured by a goroutine closure —
-//     neither a `go func` literal nor a worker closure handed to
+//     neither a `go func` literal nor any closure handed to
 //     parallel.ReduceContext.
 //     Worker closures derive their machine from the worker index
 //     (machines[worker], pool.machine(worker)); capturing a machine
 //     value, or indexing a captured machine slice by anything other
 //     than the closure's worker parameter, shares one machine between
-//     workers.
+//     workers. A fold closure runs on whichever worker unblocks it and
+//     has no worker parameter, so any machine it reaches is shared.
 //  3. No package-level variable may hold a *core.Machine (directly or
 //     inside a struct/slice/map/array/pointer): a global machine is
 //     reachable from every goroutine at once.
@@ -107,9 +108,12 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				checkMachineCapture(pass, lit, captured, nil, "goroutine closure")
 			}
 		case *ast.CallExpr:
-			if lit, worker := workerClosure(pass, x); lit != nil {
-				captured := capturedVars(pass, lit)
-				checkMachineCapture(pass, lit, captured, worker, "worker closure")
+			for _, rc := range runnerClosures(pass, x) {
+				what := "worker closure"
+				if rc.worker == nil {
+					what = "fold closure"
+				}
+				checkMachineCapture(pass, rc.lit, capturedVars(pass, rc.lit), rc.worker, what)
 			}
 		}
 		return true
@@ -205,34 +209,64 @@ func checkPostSpawnWrites(pass *analysis.Pass, fd *ast.FuncDecl, spawn *ast.GoSt
 	})
 }
 
-// workerClosure recognizes a func literal passed to one of the
-// parallel-runner entry points, returning the literal and its worker
-// parameter object (the first parameter, by the runner's contract).
-func workerClosure(pass *analysis.Pass, call *ast.CallExpr) (*ast.FuncLit, types.Object) {
+// runnerClosure is a func literal passed to a parallel-runner entry
+// point, with its worker parameter object, or nil when the runner passes
+// it none.
+type runnerClosure struct {
+	lit    *ast.FuncLit
+	worker types.Object
+}
+
+// runnerClosures returns every func literal passed to one of the
+// parallel-runner entry points: all of them run on worker goroutines. A
+// literal in a parameter of the runner's func(worker, index int) shape
+// gets its first parameter as worker; any other (ReduceContext's fold,
+// which runs on whichever worker unblocks it) gets none. The shape is
+// read from the runner's declared signature, so a fold over int results
+// is not mistaken for a worker closure.
+func runnerClosures(pass *analysis.Pass, call *ast.CallExpr) []runnerClosure {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || !workerFuncs[fn.Name()] {
-		return nil, nil
+		return nil
 	}
 	path := fn.Pkg().Path()
 	if path != "internal/parallel" && !strings.HasSuffix(path, "/internal/parallel") {
-		return nil, nil
+		return nil
 	}
-	for _, arg := range call.Args {
+	params := fn.Origin().Type().(*types.Signature).Params()
+	var out []runnerClosure
+	for i, arg := range call.Args {
 		lit, ok := ast.Unparen(arg).(*ast.FuncLit)
 		if !ok {
 			continue
 		}
-		var worker types.Object
-		if params := lit.Type.Params; params != nil && len(params.List) > 0 && len(params.List[0].Names) > 0 {
-			worker = pass.TypesInfo.Defs[params.List[0].Names[0]]
+		rc := runnerClosure{lit: lit}
+		if i < params.Len() && isWorkerFunc(params.At(i).Type()) &&
+			len(lit.Type.Params.List) > 0 && len(lit.Type.Params.List[0].Names) > 0 {
+			rc.worker = pass.TypesInfo.Defs[lit.Type.Params.List[0].Names[0]]
 		}
-		return lit, worker
+		out = append(out, rc)
 	}
-	return nil, nil
+	return out
+}
+
+// isWorkerFunc reports whether t is a function whose first two
+// parameters are ints: the (worker, index) shape of a worker closure.
+func isWorkerFunc(t types.Type) bool {
+	sig, ok := t.Underlying().(*types.Signature)
+	if !ok || sig.Params().Len() < 2 {
+		return false
+	}
+	return isInt(sig.Params().At(0).Type()) && isInt(sig.Params().At(1).Type())
+}
+
+func isInt(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Int
 }
 
 // checkMachineCapture enforces rule 2 on one closure: no captured

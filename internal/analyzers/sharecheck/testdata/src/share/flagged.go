@@ -79,3 +79,18 @@ func workerBadIndex(machines []*core.Machine) error {
 		return 0, nil
 	}, func(index, v int) {})
 }
+
+// foldTouchesMachines reaches machines from the fold, which runs on
+// whichever worker deposits the result that unblocks it: it has no
+// worker slot of its own, so neither a captured machine nor any index
+// into the machine slice is safe there.
+func foldTouchesMachines(machines []*core.Machine) error {
+	m := machines[0]
+	return parallel.ReduceContext(context.Background(), 2, 8, func(worker, index int) (int, error) {
+		machines[worker].Run()
+		return 0, nil
+	}, func(index, v int) {
+		m.Run()               // want "captured by fold closure"
+		machines[index].Run() // want "worker parameter"
+	})
+}

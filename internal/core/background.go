@@ -20,11 +20,11 @@ func newRNG(seed int64) *rand.Rand {
 // bgCheckPeriod is how often the background controller tops up noise jobs.
 const bgCheckPeriod = 20 * sim.Millisecond
 
-// startBackground launches the noise controller: a self-rescheduling
-// closure event, re-armed every bgCheckPeriod, that keeps the machine's
-// free capacity filled with noise jobs sampled from the workload mix
-// until cancel fires. Completed jobs release their nodes, and
-// the controller backfills, emulating a production scheduler.
+// startBackground launches the noise controller: a proc that wakes every
+// bgCheckPeriod and keeps the machine's free capacity filled with noise
+// jobs sampled from the workload mix until cancel fires. Completed jobs
+// release their nodes, and the controller backfills, emulating a
+// production scheduler.
 func startBackground(fab *network.Fabric, alloc *placement.Allocator,
 	spec BackgroundSpec, cancel *sim.Signal, seed int64) {
 
@@ -51,44 +51,41 @@ func startBackground(fab *network.Fabric, alloc *placement.Allocator,
 	maxFree := int(float64(capacity) * (1 - spec.TargetUtilization))
 	jobSeq := int64(0)
 
-	var topUp func()
-	topUp = func() {
-		if cancel.Fired() {
-			return
+	k.Spawn(func(p *sim.Proc) {
+		for !cancel.Fired() {
+			for alloc.FreeNodes() > maxFree {
+				nodes, dur := spec.Mix.SampleJob(rng)
+				if free := alloc.FreeNodes(); nodes > free {
+					nodes = free
+				}
+				if nodes < 2 {
+					break
+				}
+				policy := placement.Dispersed
+				if rng.Intn(10) < 3 {
+					policy = placement.Compact
+				}
+				alloced, err := alloc.Alloc(nodes, policy, rng)
+				if err != nil {
+					break
+				}
+				class := workload.SampleTraffic(spec.Classes, rng)
+				jobSeq++
+				noise := apps.Noise{
+					Pattern:  class.Pattern,
+					MsgBytes: class.MsgBytes,
+					Gap:      class.Gap,
+					Duration: dur,
+					Cancel:   cancel,
+				}
+				w := mpi.NewWorld(fab, alloced, spec.Env)
+				w.Run(noise.Main(apps.Config{Iterations: 1, Scale: 1, Seed: seed + jobSeq}))
+				// Release nodes when the job drains.
+				releaseOnDone(k, w, alloc, alloced)
+			}
+			p.Sleep(bgCheckPeriod)
 		}
-		for alloc.FreeNodes() > maxFree {
-			nodes, dur := spec.Mix.SampleJob(rng)
-			if free := alloc.FreeNodes(); nodes > free {
-				nodes = free
-			}
-			if nodes < 2 {
-				break
-			}
-			policy := placement.Dispersed
-			if rng.Intn(10) < 3 {
-				policy = placement.Compact
-			}
-			alloced, err := alloc.Alloc(nodes, policy, rng)
-			if err != nil {
-				break
-			}
-			class := workload.SampleTraffic(spec.Classes, rng)
-			jobSeq++
-			noise := apps.Noise{
-				Pattern:  class.Pattern,
-				MsgBytes: class.MsgBytes,
-				Gap:      class.Gap,
-				Duration: dur,
-				Cancel:   cancel,
-			}
-			w := mpi.NewWorld(fab, alloced, spec.Env)
-			w.Run(noise.Main(apps.Config{Iterations: 1, Scale: 1, Seed: seed + jobSeq}))
-			// Release nodes when the job drains.
-			releaseOnDone(k, w, alloc, alloced)
-		}
-		k.After(bgCheckPeriod, topUp)
-	}
-	k.At(k.Now(), topUp)
+	})
 }
 
 // releaseOnDone frees a background job's nodes once its world completes.

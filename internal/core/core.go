@@ -278,7 +278,7 @@ func (m *Machine) Run(specs []JobSpec, opts RunOpts) (*RunResult, error) {
 	}
 
 	// Start the instrumented jobs after warmup.
-	k.At(opts.Warmup, func() {
+	k.SpawnAt(opts.Warmup, func(*sim.Proc) {
 		for _, j := range jobs {
 			j := j
 			j.coll = autoperf.Attach(fab, j.nodes)
@@ -381,7 +381,7 @@ func (m *Machine) RunCampaign(duration sim.Time, bg BackgroundSpec, ldmsOpts ldm
 	daemon := ldms.Start(fab, ldmsOpts)
 	cancel := sim.NewSignal()
 	startBackground(fab, alloc, bg, cancel, seed)
-	k.At(duration, func() {
+	k.SpawnAt(duration, func(*sim.Proc) {
 		cancel.Fire(k)
 		daemon.Stop()
 	})

@@ -39,9 +39,9 @@ type Options struct {
 	Stream bool
 }
 
-// Daemon periodically samples a fabric's counters. Start schedules the
-// first tick; Stop prevents further ticks (one already-scheduled tick may
-// still fire and is recorded normally).
+// Daemon periodically samples a fabric's counters. Start spawns the
+// sampler proc, which ticks once per period; Stop prevents further ticks
+// (the proc finds it set when it next wakes, and returns).
 type Daemon struct {
 	fab     *network.Fabric
 	opts    Options
@@ -68,18 +68,14 @@ func Start(fab *network.Fabric, opts Options) *Daemon {
 	if opts.RecordNICLatency {
 		d.nicAgg = stats.NewAgg()
 	}
-	d.arm()
-	return d
-}
-
-func (d *Daemon) arm() {
-	d.fab.Kernel().After(d.opts.Period, func() {
-		if d.stopped {
-			return
+	k := fab.Kernel()
+	k.SpawnAt(k.Now()+opts.Period, func(p *sim.Proc) {
+		for !d.stopped {
+			d.tick()
+			p.Sleep(opts.Period)
 		}
-		d.tick()
-		d.arm()
 	})
+	return d
 }
 
 // tick records one window.

@@ -22,24 +22,24 @@ func testFabric(t *testing.T) (*network.Fabric, *sim.Kernel) {
 // drip injects a message every interval until stop, keeping traffic
 // flowing across sampling windows.
 func drip(fab *network.Fabric, k *sim.Kernel, interval, stop sim.Time) {
-	var tick func()
-	n := topology.NodeID(0)
-	tick = func() {
-		if k.Now() >= stop {
-			return
+	k.SpawnAt(0, func(p *sim.Proc) {
+		for n := topology.NodeID(0); p.Now() < stop; n = (n + 1) % 8 {
+			fab.Send(n, 20, 64*1024, routing.AD0)
+			p.Sleep(interval)
 		}
-		fab.Send(n, 20, 64*1024, routing.AD0)
-		n = (n + 1) % 8
-		k.After(interval, tick)
-	}
-	k.At(0, tick)
+	})
+}
+
+// stopAt stops d at virtual time t.
+func stopAt(k *sim.Kernel, d *Daemon, t sim.Time) {
+	k.SpawnAt(t, func(*sim.Proc) { d.Stop() })
 }
 
 func TestDaemonSamples(t *testing.T) {
 	fab, k := testFabric(t)
 	d := Start(fab, Options{Period: sim.Millisecond, RecordRouterRatios: true, RecordNICLatency: true})
 	drip(fab, k, 100*sim.Microsecond, 5*sim.Millisecond)
-	k.At(6*sim.Millisecond, func() { d.Stop() })
+	stopAt(k, d, 6*sim.Millisecond)
 	k.Run()
 	samples := d.Samples()
 	if len(samples) < 5 {
@@ -70,7 +70,7 @@ func TestDaemonSamples(t *testing.T) {
 func TestDaemonStopHaltsSampling(t *testing.T) {
 	fab, k := testFabric(t)
 	d := Start(fab, Options{Period: sim.Millisecond})
-	k.At(2500*sim.Microsecond, func() { d.Stop() })
+	stopAt(k, d, 2500*sim.Microsecond)
 	// Without Stop the daemon would keep the kernel alive forever; Run
 	// returning at all proves the chain stops.
 	end := k.Run()
@@ -89,7 +89,7 @@ func TestDeltaWindows(t *testing.T) {
 	fab, k := testFabric(t)
 	d := Start(fab, Options{Period: sim.Millisecond})
 	drip(fab, k, 200*sim.Microsecond, 4*sim.Millisecond)
-	k.At(8*sim.Millisecond, func() { d.Stop() })
+	stopAt(k, d, 8*sim.Millisecond)
 	k.Run()
 	total := d.TotalsOverall()
 	global := fab.Counters().Aggregate(nil)

@@ -235,6 +235,9 @@ type Fabric struct {
 	loads    []linkLoad
 	hid      sim.HandlerID //simlint:resetsafe handler registration survives kernel Reset by design
 	counters *Counters
+	// localHead..localTail is the FIFO of same-node messages awaiting
+	// their evLocal delivery, linked through Message.localNext.
+	localHead, localTail *Message
 
 	numVC int //simlint:resetsafe immutable config
 	pool  packetPool
@@ -371,6 +374,10 @@ const (
 	// when queued backlog or blocked upstreams need the completion at
 	// freeAt rather than at the fused hop-done.
 	evSettle
+	// evLocal: the oldest pending same-node message (Fabric.localHead)
+	// is delivered. Every one waits the same LocalLatency and ties fire in
+	// scheduling order, so these events fire in the FIFO's order.
+	evLocal
 )
 
 // HandleEvent implements sim.Handler: the fabric's allocation-free event
@@ -397,7 +404,26 @@ func (f *Fabric) HandleEvent(kind uint8, a, b int64) {
 		s.settleEvt = false
 		f.settle(s)
 		f.tryStart(s)
+	case evLocal:
+		m := f.localHead
+		f.localHead, m.localNext = m.localNext, nil
+		if f.localHead == nil {
+			f.localTail = nil
+		}
+		f.complete(m)
 	}
+}
+
+// complete records m's delivery at the current time and fires its Done
+// signal.
+//
+//simlint:hotpath
+func (f *Fabric) complete(m *Message) {
+	m.DeliveredAt = f.k.Now()
+	if m.OnDelivered != nil {
+		m.OnDelivered(m)
+	}
+	m.Done.Fire(f.k)
 }
 
 // Kernel returns the fabric's simulation kernel.
@@ -532,13 +558,13 @@ func (f *Fabric) Send(src, dst topology.NodeID, bytes int, mode routing.Mode) *M
 	m := &Message{Src: src, Dst: dst, Bytes: bytes, Mode: mode, Done: sim.NewSignal()}
 	if src == dst {
 		m.remaining = 0
-		f.k.After(f.params.LocalLatency, func() {
-			m.DeliveredAt = f.k.Now()
-			if m.OnDelivered != nil {
-				m.OnDelivered(m)
-			}
-			m.Done.Fire(f.k)
-		})
+		if f.localTail == nil {
+			f.localHead = m
+		} else {
+			f.localTail.localNext = m
+		}
+		f.localTail = m
+		f.k.AfterEvent(f.params.LocalLatency, f.hid, evLocal, 0, 0)
 		return m
 	}
 	nPackets := (bytes + f.params.PacketBytes - 1) / f.params.PacketBytes
@@ -974,11 +1000,7 @@ func (f *Fabric) deliver(p *Packet) {
 	if m != nil {
 		m.remaining--
 		if m.remaining == 0 {
-			m.DeliveredAt = f.k.Now()
-			if m.OnDelivered != nil {
-				m.OnDelivered(m)
-			}
-			m.Done.Fire(f.k)
+			f.complete(m)
 		}
 	}
 	// Generate the tracked response for a sampled subset of requests,

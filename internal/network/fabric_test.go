@@ -50,6 +50,54 @@ func TestSameNodeLoopback(t *testing.T) {
 	}
 }
 
+// TestLoopbackOrdering pins the same-node delivery FIFO: sends issued at
+// one instant and at staggered, overlapping instants each deliver exactly
+// LocalLatency after issue, in issue order, and fire Done. OnDelivered is
+// attached after Send returns, as MPI matching does.
+func TestLoopbackOrdering(t *testing.T) {
+	f := testFabric(t, 3, 1)
+	k := f.Kernel()
+	lat := f.Params().LocalLatency
+	var issued []sim.Time
+	var msgs []*Message
+	var order []int
+	send := func(now sim.Time, node topology.NodeID) {
+		i := len(msgs)
+		m := f.Send(node, node, 64, routing.AD0)
+		m.OnDelivered = func(*Message) { order = append(order, i) }
+		issued, msgs = append(issued, now), append(msgs, m)
+	}
+	k.Spawn(func(p *sim.Proc) {
+		// Gaps below lat overlap batches in the FIFO; the last gap
+		// exceeds it, so the FIFO drains and refills.
+		for _, gap := range []sim.Time{0, lat / 3, lat / 2, 2 * lat} {
+			p.Sleep(gap)
+			for n := topology.NodeID(0); n < 3; n++ {
+				send(p.Now(), n)
+			}
+			f.Send(0, 10, 4096, routing.AD0) // network traffic in between
+		}
+	})
+	k.Run()
+	if len(order) != len(msgs) {
+		t.Fatalf("%d of %d loopback messages delivered", len(order), len(msgs))
+	}
+	for i, m := range msgs {
+		if order[i] != i {
+			t.Fatalf("delivery order %v, want issue order", order)
+		}
+		if !m.Done.Fired() {
+			t.Fatalf("message %d: Done never fired", i)
+		}
+		if want := issued[i] + lat; m.DeliveredAt != want {
+			t.Fatalf("message %d issued at %v delivered at %v, want %v", i, issued[i], m.DeliveredAt, want)
+		}
+	}
+	if f.localHead != nil || f.localTail != nil {
+		t.Fatal("loopback FIFO not empty after drain")
+	}
+}
+
 func TestFragmentation(t *testing.T) {
 	f := testFabric(t, 3, 2)
 	bytes := 3*f.Params().PacketBytes + 100

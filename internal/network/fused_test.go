@@ -73,7 +73,7 @@ func driveTrafficStaggered(f *Fabric, rng *rand.Rand, msgs int) (msgList []*Mess
 		mode := routing.Mode(rng.Intn(4))
 		totalBytes += bytes
 		i := i
-		f.Kernel().At(sim.Time(1+i*641), func() {
+		f.Kernel().SpawnAt(sim.Time(1+i*641), func(*sim.Proc) {
 			msgList[i] = f.Send(src, dst, bytes, mode)
 		})
 	}

@@ -77,9 +77,10 @@ type Message struct {
 	// deliveries without needing a live proc.
 	OnDelivered func(*Message)
 
-	remaining int // undelivered packets
-	minimal   int // packets that took a minimal route
-	nonMin    int // packets that took a non-minimal route
+	remaining int      // undelivered packets
+	minimal   int      // packets that took a minimal route
+	nonMin    int      // packets that took a non-minimal route
+	localNext *Message // successor in the fabric's same-node FIFO
 
 	// TransitSum accumulates per-packet network transit (routing
 	// decision to delivery) across the message's packets.

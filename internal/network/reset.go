@@ -66,6 +66,7 @@ func (f *Fabric) Reset(seed int64) {
 	clear(f.loads)
 	f.counters.Reset()
 	f.pool.reset()
+	f.localHead, f.localTail = nil, nil
 	// Reseeding the existing source restarts the identical stream a fresh
 	// rand.New(rand.NewSource(seed)) would produce, without the two
 	// allocations.

@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // countingHandler is a minimal typed-event consumer that optionally
-// reschedules itself, driving a steady event stream with no closures.
+// reschedules itself 1ns on, driving a steady event stream.
 type countingHandler struct {
 	k     *Kernel
 	id    HandlerID
@@ -48,16 +48,16 @@ func TestTypedEventDispatchAllocFree(t *testing.T) {
 	}
 }
 
-// TestTypedEventOrdering checks that typed and closure events interleave
-// in strict (time, scheduling sequence) order regardless of which API
-// queued them.
+// TestTypedEventOrdering checks that model events and proc spawns
+// interleave in strict (time, scheduling sequence) order regardless of
+// which handler they dispatch to.
 func TestTypedEventOrdering(t *testing.T) {
 	k := NewKernel()
 	var order []int
 	rec := k.RegisterHandler(&recordingHandler{order: &order})
-	k.At(5, func() { order = append(order, 1) })
+	at(k, 5, func() { order = append(order, 1) })
 	k.AtEvent(5, rec, 0, 2, 0)
-	k.At(5, func() { order = append(order, 3) })
+	at(k, 5, func() { order = append(order, 3) })
 	k.AtEvent(3, rec, 0, 0, 0)
 	k.Run()
 	want := []int{0, 1, 2, 3}
@@ -79,11 +79,10 @@ func (h *recordingHandler) HandleEvent(kind uint8, a, b int64) {
 
 // TestSignalFireAllocFree pins Signal.Fire at zero allocations per fire
 // in steady state. Fire runs on the fabric's packet-delivery hot path
-// (every completed message fires its Done signal), and before proc
-// resume closures were hoisted to spawn time it allocated one closure
-// per waiter per fire — an interprocedural leak no per-function check
-// could see (simlint's hotpath analyzer caught it through its callee
-// summaries). Signals are
+// (every completed message fires its Done signal), and it once allocated
+// one closure per waiter per fire — an interprocedural leak no
+// per-function check could see (simlint's hotpath analyzer caught it
+// through its callee summaries). Signals are
 // one-shot, so the test prepares one signal with parked waiters per
 // AllocsPerRun round rather than reusing one.
 func TestSignalFireAllocFree(t *testing.T) {
@@ -112,5 +111,28 @@ func TestSignalFireAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Signal.Fire allocated %.2f times per fire with %d waiters, want 0",
 			allocs, waiters)
+	}
+}
+
+// TestSleepAllocFree pins a warm Sleep/resume cycle at zero allocations:
+// the resume is a typed event naming the proc's id, and the handoff is two
+// channel transfers on channels made at spawn.
+func TestSleepAllocFree(t *testing.T) {
+	k := NewKernel()
+	stop := false
+	k.Spawn(func(p *Proc) {
+		for !stop {
+			p.Sleep(Nanosecond)
+		}
+	})
+	k.RunUntil(100 * Nanosecond) // grow the heap and band to working size
+	const cycles = 64
+	allocs := testing.AllocsPerRun(50, func() {
+		k.RunUntil(k.Now() + cycles*Nanosecond)
+	})
+	stop = true
+	k.Run()
+	if allocs != 0 {
+		t.Fatalf("%d Sleep/resume cycles allocated %.2f times, want 0", cycles, allocs)
 	}
 }

@@ -12,24 +12,23 @@ import "testing"
 func TestBandFIFOOrderAmongEqualTimestamps(t *testing.T) {
 	k := NewKernel()
 	var order []int
-	at := func(tm Time, id int) {
-		k.At(tm, func() { order = append(order, id) })
-	}
+	rec := k.RegisterHandler(&recordingHandler{order: &order})
+	record := func(tm Time, id int) { k.AtEvent(tm, rec, 0, int64(id), 0) }
 
 	// Three events pre-queued at t=10 (heap, seqs 1..3). The first one
 	// schedules two zero-delay events (band) plus a future event; the
 	// second schedules one more zero-delay event after those.
-	k.At(10, func() {
+	at(k, 10, func() {
 		order = append(order, 1)
-		at(10, 4) // band
-		at(12, 7) // heap, future
-		at(10, 5) // band
+		record(10, 4) // band
+		record(12, 7) // heap, future
+		record(10, 5) // band
 	})
-	k.At(10, func() {
+	at(k, 10, func() {
 		order = append(order, 2)
-		at(10, 6) // band, after 4 and 5
+		record(10, 6) // band, after 4 and 5
 	})
-	at(10, 3)
+	record(10, 3)
 	k.Run()
 
 	// Reference (t, seq) order: heap entries 1,2,3 first (scheduled before
@@ -49,22 +48,28 @@ func TestBandFIFOOrderAmongEqualTimestamps(t *testing.T) {
 	}
 }
 
-// TestBandTypedAndClosureInterleave checks the band preserves order across
-// the two scheduling APIs: typed events and closures scheduled at the
-// current time run in scheduling order, exactly as zero-delay heap events
-// did before the band existed.
-func TestBandTypedAndClosureInterleave(t *testing.T) {
+// TestBandModelAndProcInterleave checks the band preserves order across
+// handlers: a model's typed events and the kernel's own proc resumes
+// scheduled at the current time run in scheduling order, exactly as
+// zero-delay heap events did before the band existed.
+func TestBandModelAndProcInterleave(t *testing.T) {
 	k := NewKernel()
 	var order []int
 	rec := k.RegisterHandler(&recordingHandler{order: &order})
-	k.At(5, func() {
+	at(k, 5, func() {
 		order = append(order, 0)
-		k.AfterEvent(0, rec, 0, 1, 0)                   // band, typed
-		k.After(0, func() { order = append(order, 2) }) // band, closure
-		k.AtEvent(5, rec, 0, 3, 0)                      // band, typed
+		k.AfterEvent(0, rec, 0, 1, 0)                 // band, model
+		at(k, 5, func() { order = append(order, 2) }) // band, proc spawn
+		k.AtEvent(5, rec, 0, 3, 0)                    // band, model
+	})
+	k.Spawn(func(p *Proc) {
+		p.Sleep(5)
+		order = append(order, 4) // heap: woke before the band above
+		p.Yield()                // band, proc resume
+		order = append(order, 5)
 	})
 	k.Run()
-	want := []int{0, 1, 2, 3}
+	want := []int{0, 4, 1, 2, 3, 5}
 	for i := range want {
 		if i >= len(order) || order[i] != want[i] {
 			t.Fatalf("execution order %v, want %v", order, want)
@@ -78,14 +83,11 @@ func TestBandTypedAndClosureInterleave(t *testing.T) {
 func TestBandDeepNesting(t *testing.T) {
 	k := NewKernel()
 	n := 0
-	var chain func()
-	chain = func() {
-		n++
-		if n < 1000 {
-			k.After(0, chain)
+	k.SpawnAt(7, func(p *Proc) {
+		for n++; n < 1000; n++ {
+			p.Yield()
 		}
-	}
-	k.At(7, chain)
+	})
 	k.Run()
 	if n != 1000 {
 		t.Fatalf("chain ran %d times, want 1000", n)
@@ -125,7 +127,7 @@ func TestTailCallOrdering(t *testing.T) {
 	h := &tailHandler{k: k, order: &order}
 	h.id = k.RegisterHandler(h)
 
-	k.At(10, func() {
+	at(k, 10, func() {
 		// Nothing else is queued at t=10, so the continuation slot is
 		// exactly where a zero-delay event would land: both succeed.
 		order = append(order, 1)
@@ -136,7 +138,7 @@ func TestTailCallOrdering(t *testing.T) {
 			t.Error("second tail call refused")
 		}
 	})
-	k.At(20, func() {
+	at(k, 20, func() {
 		// Another event is queued at t=20 (the one below), so a tail call
 		// here would run before it despite having a larger virtual seq.
 		order = append(order, 4)
@@ -144,7 +146,7 @@ func TestTailCallOrdering(t *testing.T) {
 			t.Error("tail call accepted with an event pending at now")
 		}
 	})
-	k.At(20, func() { order = append(order, 5) })
+	at(k, 20, func() { order = append(order, 5) })
 	k.Run()
 
 	want := []int{1, 2, 3, 4, 5}
@@ -204,9 +206,9 @@ func TestTailCallRefusedOutsideEvent(t *testing.T) {
 func TestKernelReset(t *testing.T) {
 	run := func(k *Kernel, rec HandlerID, order *[]int) (Time, KernelStats) {
 		*order = (*order)[:0]
-		k.At(10, func() {
+		at(k, 10, func() {
 			*order = append(*order, 1)
-			k.After(0, func() { *order = append(*order, 2) })
+			at(k, 10, func() { *order = append(*order, 2) })
 		})
 		k.AtEvent(20, rec, 0, 3, 0)
 		end := k.Run()
@@ -223,8 +225,8 @@ func TestKernelReset(t *testing.T) {
 	warmRec := warm.RegisterHandler(&recordingHandler{order: &warmOrder})
 	// Dirty the kernel: run a different workload, leave an event queued,
 	// then reset.
-	warm.At(999, func() {})
-	warm.At(1, func() { warm.After(0, func() {}) })
+	warm.AtEvent(999, warmRec, 0, 0, 0)
+	warm.SpawnAt(1, func(p *Proc) { p.Yield() })
 	warm.RunUntil(5)
 	warm.Reset()
 	if warm.Now() != 0 || warm.Pending() != 0 {
@@ -260,28 +262,28 @@ func TestResetLiveProcsPanics(t *testing.T) {
 	k.Reset()
 }
 
-// TestMixedEventsReusedSlotsOrder checks closure and typed events at one
-// timestamp fire in (t, seq) order when the closures sit in recycled
-// slots. Slots are handed out LIFO from the free list, so the later
-// closures here occupy lower slots than the earlier ones: order must come
-// from the sequence number alone, through the heap and the band alike.
-func TestMixedEventsReusedSlotsOrder(t *testing.T) {
+// TestMixedEventsReusedProcIDsOrder checks proc resumes and model events
+// at one timestamp fire in (t, seq) order when the procs hold recycled
+// ids. Ids are reissued LIFO from the free list, so the later procs here
+// hold lower ids than the earlier ones: order must come from the sequence
+// number alone, through the heap and the band alike.
+func TestMixedEventsReusedProcIDsOrder(t *testing.T) {
 	k := NewKernel()
 	var order []int
 	rec := k.RegisterHandler(&recordingHandler{order: &order})
 	for i := 0; i < 4; i++ {
-		k.At(Time(1+i), func() {})
+		k.SpawnAt(Time(1+i), func(*Proc) {})
 	}
-	k.Run() // four slots now vacant, reissued highest first
-	k.At(10, func() {
+	k.Run() // four ids now free, reissued highest first
+	at(k, 10, func() {
 		order = append(order, 1)
-		k.After(0, func() { order = append(order, 5) }) // band, closure
-		k.AfterEvent(0, rec, 0, 6, 0)                   // band, typed
+		at(k, 10, func() { order = append(order, 5) }) // band, proc
+		k.AfterEvent(0, rec, 0, 6, 0)                  // band, model
 	})
 	k.AtEvent(10, rec, 0, 2, 0)
-	k.At(10, func() { order = append(order, 3) })
+	at(k, 10, func() { order = append(order, 3) })
 	k.AtEvent(10, rec, 0, 4, 0)
-	k.At(12, func() { order = append(order, 7) })
+	at(k, 12, func() { order = append(order, 7) })
 	k.Run()
 	want := []int{1, 2, 3, 4, 5, 6, 7}
 	if len(order) != len(want) {
@@ -291,5 +293,8 @@ func TestMixedEventsReusedSlotsOrder(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("execution order %v, want %v", order, want)
 		}
+	}
+	if len(k.procs) != 4 {
+		t.Fatalf("proc table has %d entries, want the 4 recycled ids", len(k.procs))
 	}
 }

@@ -2,65 +2,47 @@ package sim
 
 import "testing"
 
-// BenchmarkEventThroughput measures raw kernel event dispatch: the floor
-// cost of everything built on the simulator.
-func BenchmarkEventThroughput(b *testing.B) {
-	k := NewKernel()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			k.After(Nanosecond, tick)
-		}
-	}
-	b.ResetTimer()
-	k.At(0, tick)
-	k.Run()
-}
-
 // BenchmarkHeapChurn measures scheduling with a deep pending queue, the
 // regime of a busy fabric.
 func BenchmarkHeapChurn(b *testing.B) {
 	k := NewKernel()
-	// Pre-fill with far-future events to keep the heap deep.
+	h := &benchHandler{k: k, n: b.N, spread: 7}
+	h.id = k.RegisterHandler(h)
+	// Pre-fill with events past the chain's last one (each step is at
+	// most 7ns) to keep the heap deep.
+	far := Time(8*b.N) * Nanosecond
 	for i := 0; i < 4096; i++ {
-		k.At(Time(1_000_000+i)*Nanosecond, func() {})
-	}
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			k.After(Time(n%7+1)*Nanosecond, tick)
-		}
+		k.AtEvent(far+Time(i), h.id, 0, 0, 0)
 	}
 	b.ResetTimer()
-	k.At(0, tick)
-	k.RunUntil(999_999 * Nanosecond)
+	k.AtEvent(0, h.id, 0, 0, 0)
+	k.RunUntil(far - 1)
 }
 
-// benchHandler self-reschedules through the typed-event fast path until
-// it has fired n times.
+// benchHandler self-reschedules through the typed-event path until it
+// has fired n times, each successor 1..spread ns on (1ns when spread is 0).
 type benchHandler struct {
-	k  *Kernel
-	id HandlerID
-	i  int
-	n  int
+	k      *Kernel
+	id     HandlerID
+	i      int
+	n      int
+	spread int
 }
 
 func (h *benchHandler) HandleEvent(kind uint8, a, b int64) {
 	h.i++
 	if h.i < h.n {
-		h.k.AfterEvent(Nanosecond, h.id, kind, a, b)
+		d := Nanosecond
+		if h.spread > 0 {
+			d = Time(h.i%h.spread+1) * Nanosecond
+		}
+		h.k.AfterEvent(d, h.id, kind, a, b)
 	}
 }
 
-// BenchmarkTypedEventThroughput measures the typed-event dispatch path
-// (AfterEvent + HandleEvent): same event stream as
-// BenchmarkEventThroughput but with scalar payloads instead of closures,
-// so the difference between the two is the closure-boxing cost the fabric
-// no longer pays. Run with -benchmem: this path must report 0 allocs/op.
+// BenchmarkTypedEventThroughput measures raw kernel event dispatch
+// (AfterEvent + HandleEvent): the floor cost of everything built on the
+// simulator. Run with -benchmem: this path must report 0 allocs/op.
 func BenchmarkTypedEventThroughput(b *testing.B) {
 	k := NewKernel()
 	h := &benchHandler{k: k, n: b.N}

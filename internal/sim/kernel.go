@@ -4,13 +4,12 @@ import (
 	"fmt"
 )
 
-// Handler receives typed events scheduled with AtEvent/AfterEvent. It is
-// the allocation-free alternative to closure callbacks: the scheduler
-// stores a registered handler's index plus a small scalar payload inline
-// in the event, so hot model code (the network fabric) schedules without
-// touching the heap. kind discriminates event types within one handler; a
-// and b carry whatever the handler needs to find its state again (indexes
-// into model-owned arenas, typically).
+// Handler receives typed events scheduled with AtEvent/AfterEvent. The
+// scheduler stores a registered handler's index plus a small scalar
+// payload inline in the event, so model code schedules without touching
+// the heap. kind discriminates event types within one handler; a and b
+// carry whatever the handler needs to find its state again (indexes into
+// model-owned arenas, typically).
 type Handler interface {
 	HandleEvent(kind uint8, a, b int64)
 }
@@ -20,33 +19,31 @@ type Handler interface {
 // struct stays small and pointer-free.
 type HandlerID int32
 
-// Event payload packing. Every heap event carries one uint64 payload and
-// no pointer, so the event struct is 24 bytes: the heap's sift swaps, the
-// hottest loop in the simulator, move it with plain word copies, and the
-// garbage collector never scans the queue. A typed event packs (kind,
-// handler, a, b); a closure event names a slot of the kernel's closure
-// table through the reserved handler id closureHandler. The packing caps a
-// kernel at 255 registered handlers, 256 kinds per handler, and typed
-// payload scalars in [0, 2^24); AtEvent and RegisterHandler panic past any
-// of these limits (they are far above what any realistic fabric needs — a
-// and b index servers and live packets).
+// procHandler is the kernel's own handler id: NewKernel registers the
+// kernel first, and its events resume the proc whose id is in a.
+const procHandler HandlerID = 0
+
+// Event payload packing. Every event is typed and carries one uint64
+// payload and no pointer, so the heap event is 24 bytes: the heap's sift
+// swaps, the hottest loop in the simulator, move it with plain word
+// copies, and the garbage collector never scans the queue. The payload
+// packs (kind, handler, a, b), which caps a kernel at 256 handlers (the
+// kernel's own included), 256 kinds per handler, and payload scalars in
+// [0, 2^24); AtEvent and RegisterHandler panic past any of these limits
+// (they are far above what any realistic fabric needs — a and b index
+// servers, live packets and live procs).
 const (
 	payloadBits = 24
 	maxPayload  = 1<<payloadBits - 1
-	// closureHandler, the largest id the 8 handler bits hold, is reserved
-	// for closure events: their payload is closureHandler<<48 | slot, with
-	// the func in Kernel.closures[slot]. RegisterHandler never issues it.
-	closureHandler = 0xff
-	closureSlot    = 1<<48 - 1 // payload bits holding a closure slot
+	maxHandlers = 1 << 8
 )
 
-// event is one scheduled callback, identified by its packed payload (see
-// above). Keep this struct at 24 bytes and free of pointers — every
-// push/pop sift swap copies it.
+// event is one scheduled typed event. Keep this struct at 24 bytes and
+// free of pointers — every push/pop sift swap copies it.
 type event struct {
 	t   Time
 	seq uint64 // tie-breaker: FIFO among equal timestamps
-	pay uint64 // kind<<56 | handler<<48 | a<<24 | b, or closureHandler<<48 | slot
+	pay uint64 // kind<<56 | handler<<48 | a<<24 | b
 }
 
 // less orders events by (t, seq): deterministic FIFO among equal times.
@@ -113,29 +110,22 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// bandEntry is one event in the same-timestamp band: a callback known to
-// fire at the current virtual time, so it carries neither a timestamp nor
-// a sequence number (FIFO position in the band IS its sequence order).
-type bandEntry struct {
-	fn  func()
-	pay uint64
-}
-
-// band is the same-timestamp insertion band: a FIFO ring of events
-// scheduled for the CURRENT virtual time. Scheduling at t == now is the
-// hot degenerate case of a DES heap — zero-delay wakes, signal fires, and
-// proc handoffs all land there, and pushing them through the 4-ary heap
-// costs a full sift up and a full sift down each even though their
-// ordering is forced (they always run after everything already queued at
-// now, in scheduling order). The band makes them two pointer moves
-// instead. The drain rule in step preserves exact (t, seq) order: heap
-// events at the current time were all scheduled before now advanced — so
-// with strictly smaller sequence numbers than any band entry — and run
-// first; band entries then run in append order. The band fully drains
-// before virtual time advances, so the backing array is reused forever
-// after warmup.
+// band is the same-timestamp insertion band: a FIFO ring of the payloads
+// of events scheduled for the CURRENT virtual time. An entry carries
+// neither a timestamp nor a sequence number: its FIFO position IS its
+// sequence order. Scheduling at t == now is the hot degenerate case of a
+// DES heap — zero-delay wakes, signal fires, and proc handoffs all land
+// there, and pushing them through the 4-ary heap costs a full sift up and
+// a full sift down each even though their ordering is forced (they
+// always run after everything already queued at now, in scheduling
+// order). The band makes them two pointer moves instead. The drain rule
+// in step preserves exact (t, seq) order: heap events at the current time
+// were all scheduled before now advanced — so with strictly smaller
+// sequence numbers than any band entry — and run first; band entries then
+// run in append order. The band fully drains before virtual time
+// advances, so the backing array is reused forever after warmup.
 type band struct {
-	buf  []bandEntry
+	buf  []uint64
 	head int
 }
 
@@ -143,12 +133,11 @@ func (b *band) empty() bool { return b.head == len(b.buf) }
 func (b *band) len() int    { return len(b.buf) - b.head }
 
 //simlint:hotpath
-func (b *band) push(e bandEntry) { b.buf = append(b.buf, e) }
+func (b *band) push(pay uint64) { b.buf = append(b.buf, pay) }
 
 //simlint:hotpath
-func (b *band) take() bandEntry {
+func (b *band) take() uint64 {
 	e := b.buf[b.head]
-	b.buf[b.head] = bandEntry{} // release the closure for GC
 	b.head++
 	if b.head == len(b.buf) {
 		b.buf = b.buf[:0]
@@ -158,9 +147,6 @@ func (b *band) take() bandEntry {
 }
 
 func (b *band) reset() {
-	for i := range b.buf {
-		b.buf[i] = bandEntry{}
-	}
 	b.buf = b.buf[:0]
 	b.head = 0
 }
@@ -185,17 +171,17 @@ type Kernel struct {
 	band    band       // events at t == now, FIFO (see band)
 	tail    []tailCall // deferred continuations of the current event
 	inEvent bool       // an event handler is currently executing
-	// handlers is the typed-event dispatch table, by HandlerID.
+	// handlers is the typed-event dispatch table, by HandlerID; the
+	// kernel itself is entry procHandler.
 	handlers []Handler //simlint:resetsafe registrations survive Reset by contract: warm fabrics keep their HandlerID
-	// closures holds the funcs of closure events queued in the heap, by
-	// slot; freeSlots lists the vacant ones. A slot is vacated as its
-	// event fires, so the table stays at the peak number of closures
-	// pending at once.
-	closures  []func()
-	freeSlots []int32
+	// procs holds the live procs by id, the payload of their resume
+	// events; freeProcs lists the ids of finished ones, which the next
+	// spawns reuse, so the table stays at the peak number of procs live
+	// at once.
+	procs     []*Proc
+	freeProcs []int32
 	stopped   bool
 	parked    chan struct{} //simlint:resetsafe channel identity; parked procs forbid Reset anyway (panic guard)
-	nProcs    int           //simlint:resetsafe live procs; Reset panics unless zero, so zero is preserved
 	// tieArmed is true when the clock's current reading was set by a heap
 	// event (as opposed to an idle RunUntil advance or a fresh kernel),
 	// so a further heap event at the same reading is a genuine
@@ -230,7 +216,9 @@ type KernelStats struct {
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{parked: make(chan struct{})}
+	k := &Kernel{parked: make(chan struct{})}
+	k.RegisterHandler(k) // procHandler
+	return k
 }
 
 // Now returns the current virtual time.
@@ -257,70 +245,23 @@ func panicPayload(a, b int64) {
 	panic(fmt.Sprintf("sim: typed-event payload (%d, %d) outside [0, 2^%d)", a, b, payloadBits))
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// that is always a model bug, and silently reordering would break
-// determinism guarantees.
-func (k *Kernel) At(t Time, fn func()) {
-	if t < k.now {
-		k.panicPast(t)
-	}
-	if t == k.now {
-		k.band.push(bandEntry{fn: fn})
-		return
-	}
-	k.seq++
-	k.events.push(event{t: t, seq: k.seq, pay: k.stashClosure(fn)})
-}
-
-// stashClosure parks fn in a vacant closure slot and returns the event
-// payload naming it.
-func (k *Kernel) stashClosure(fn func()) uint64 {
-	if n := len(k.freeSlots); n > 0 {
-		slot := k.freeSlots[n-1]
-		k.freeSlots = k.freeSlots[:n-1]
-		k.closures[slot] = fn
-		return closureHandler<<48 | uint64(slot)
-	}
-	k.closures = append(k.closures, fn)
-	return closureHandler<<48 | uint64(len(k.closures)-1)
-}
-
-// takeClosure returns the func of a closure event's payload and vacates
-// its slot, or nil for a typed event.
-//
-//simlint:hotpath
-func (k *Kernel) takeClosure(pay uint64) func() {
-	if pay>>48 != closureHandler {
-		return nil
-	}
-	slot := pay & closureSlot
-	fn := k.closures[slot]
-	k.closures[slot] = nil
-	k.freeSlots = append(k.freeSlots, int32(slot))
-	return fn
-}
-
-// After schedules fn to run d after the current time.
-func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
-
 // RegisterHandler adds h to the kernel's typed-event dispatch table and
 // returns its id. Models register once at construction and schedule with
 // the id; registration itself may allocate (table growth) but scheduling
 // never does.
 func (k *Kernel) RegisterHandler(h Handler) HandlerID {
-	if len(k.handlers) >= closureHandler {
+	if len(k.handlers) >= maxHandlers {
 		panic("sim: too many registered handlers")
 	}
 	k.handlers = append(k.handlers, h)
 	return HandlerID(len(k.handlers) - 1)
 }
 
-// AtEvent schedules a typed event at absolute time t. It is the
-// allocation-free fast path: the handler id and scalar payload are stored
-// inline in the event queue, so (unlike At, whose closures escape) nothing
-// is heap-allocated in steady state. Ordering is identical to At: events
-// fire in (time, scheduling sequence) order regardless of which API queued
-// them.
+// AtEvent schedules a typed event at absolute time t. The handler id and
+// scalar payload are stored inline in the event queue, so nothing is
+// heap-allocated in steady state. Events fire in (time, scheduling
+// sequence) order. Scheduling in the past panics: that is always a model
+// bug, and silently reordering would break determinism guarantees.
 //
 //simlint:hotpath
 func (k *Kernel) AtEvent(t Time, h HandlerID, kind uint8, a, b int64) {
@@ -332,7 +273,7 @@ func (k *Kernel) AtEvent(t Time, h HandlerID, kind uint8, a, b int64) {
 	}
 	pay := uint64(kind)<<56 | uint64(h)<<48 | uint64(a)<<payloadBits | uint64(b)
 	if t == k.now {
-		k.band.push(bandEntry{pay: pay})
+		k.band.push(pay)
 		return
 	}
 	k.seq++
@@ -370,19 +311,15 @@ func (k *Kernel) AfterEvent(d Time, h HandlerID, kind uint8, a, b int64) {
 // Stop makes Run return after the current event completes.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// exec runs one event callback, then drains any tail calls it (or its
-// continuations) registered.
+// exec dispatches one event to its handler, then drains any tail calls it
+// (or its continuations) registered.
 //
 //simlint:hotpath
-func (k *Kernel) exec(fn func(), pay uint64) {
+func (k *Kernel) exec(pay uint64) {
 	k.stats.EventsExecuted++
 	k.inEvent = true
-	if fn != nil {
-		fn()
-	} else {
-		k.handlers[pay>>48&0xff].HandleEvent(uint8(pay>>56),
-			int64(pay>>payloadBits&maxPayload), int64(pay&maxPayload))
-	}
+	k.handlers[pay>>48&0xff].HandleEvent(uint8(pay>>56),
+		int64(pay>>payloadBits&maxPayload), int64(pay&maxPayload))
 	// Tail calls run back-to-back with the event that registered them;
 	// appends during the loop (a continuation registering its own tail
 	// call) extend it in order.
@@ -411,13 +348,11 @@ func (k *Kernel) step() bool {
 		if k.tieArmed {
 			k.stats.TimestampTies++
 		}
-		e := k.events.pop()
-		k.exec(k.takeClosure(e.pay), e.pay)
+		k.exec(k.events.pop().pay)
 		return true
 	}
 	if !k.band.empty() {
-		e := k.band.take()
-		k.exec(e.fn, e.pay)
+		k.exec(k.band.take())
 		return true
 	}
 	if len(k.events) == 0 {
@@ -426,7 +361,7 @@ func (k *Kernel) step() bool {
 	e := k.events.pop()
 	k.now = e.t
 	k.tieArmed = true
-	k.exec(k.takeClosure(e.pay), e.pay)
+	k.exec(e.pay)
 	return true
 }
 
@@ -460,7 +395,7 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 // LiveProcs returns the number of spawned procs that have not finished.
 // A fully drained kernel with live procs means model code is parked on a
 // signal that never fired; such a kernel cannot be safely Reset.
-func (k *Kernel) LiveProcs() int { return k.nProcs }
+func (k *Kernel) LiveProcs() int { return len(k.procs) - len(k.freeProcs) }
 
 // Reset rewinds the kernel to time zero with an empty queue and zeroed
 // stats, retaining registered handlers and all queue capacity. It is the
@@ -469,13 +404,12 @@ func (k *Kernel) LiveProcs() int { return k.nProcs }
 // stay valid. Reset panics if live procs remain — their goroutines are
 // parked inside model code and would corrupt a new run.
 func (k *Kernel) Reset() {
-	if k.nProcs != 0 {
-		panic(fmt.Sprintf("sim: Reset with %d live procs", k.nProcs))
+	if n := k.LiveProcs(); n != 0 {
+		panic(fmt.Sprintf("sim: Reset with %d live procs", n))
 	}
 	k.events = k.events[:0]
-	clear(k.closures) // release the dropped events' closures for GC
-	k.closures = k.closures[:0]
-	k.freeSlots = k.freeSlots[:0]
+	k.procs = k.procs[:0] // every entry is nil: no proc is live
+	k.freeProcs = k.freeProcs[:0]
 	k.band.reset()
 	k.tail = k.tail[:0]
 	k.inEvent = false

@@ -36,13 +36,20 @@ func TestSecondsRoundTrip(t *testing.T) {
 	}
 }
 
+// at runs fn as the body of a proc spawned at t: one event, scheduled at
+// the caller's point in the (t, seq) order, running in event context.
+func at(k *Kernel, t Time, fn func()) {
+	k.SpawnAt(t, func(*Proc) { fn() })
+}
+
 func TestEventOrdering(t *testing.T) {
 	k := NewKernel()
 	var order []int
-	k.At(10*Nanosecond, func() { order = append(order, 2) })
-	k.At(5*Nanosecond, func() { order = append(order, 1) })
-	k.At(10*Nanosecond, func() { order = append(order, 3) }) // same time: FIFO
-	k.At(20*Nanosecond, func() { order = append(order, 4) })
+	rec := k.RegisterHandler(&recordingHandler{order: &order})
+	k.AtEvent(10*Nanosecond, rec, 0, 2, 0)
+	k.AtEvent(5*Nanosecond, rec, 0, 1, 0)
+	k.AtEvent(10*Nanosecond, rec, 0, 3, 0) // same time: FIFO
+	k.AtEvent(20*Nanosecond, rec, 0, 4, 0)
 	end := k.Run()
 	if end != 20*Nanosecond {
 		t.Fatalf("end time = %v, want 20ns", end)
@@ -57,25 +64,31 @@ func TestEventOrdering(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	k := NewKernel()
-	k.At(10*Nanosecond, func() {
+	h := &countingHandler{k: k}
+	h.id = k.RegisterHandler(h)
+	at(k, 10*Nanosecond, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		k.At(5*Nanosecond, func() {})
+		k.AtEvent(5*Nanosecond, h.id, 0, 0, 0)
 	})
 	k.Run()
+	if h.n != 0 {
+		t.Fatalf("past event fired %d times", h.n)
+	}
 }
 
 func TestRunUntil(t *testing.T) {
 	k := NewKernel()
-	fired := 0
-	k.At(10*Nanosecond, func() { fired++ })
-	k.At(30*Nanosecond, func() { fired++ })
+	h := &countingHandler{k: k}
+	h.id = k.RegisterHandler(h)
+	k.AtEvent(10*Nanosecond, h.id, 0, 0, 0)
+	k.AtEvent(30*Nanosecond, h.id, 0, 0, 0)
 	k.RunUntil(20 * Nanosecond)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
+	if h.n != 1 {
+		t.Fatalf("fired = %d, want 1", h.n)
 	}
 	if k.Now() != 20*Nanosecond {
 		t.Fatalf("now = %v, want 20ns (idle advance)", k.Now())
@@ -84,16 +97,16 @@ func TestRunUntil(t *testing.T) {
 		t.Fatalf("pending = %d, want 1", k.Pending())
 	}
 	k.Run()
-	if fired != 2 || k.Now() != 30*Nanosecond {
-		t.Fatalf("after Run: fired=%d now=%v", fired, k.Now())
+	if h.n != 2 || k.Now() != 30*Nanosecond {
+		t.Fatalf("after Run: fired=%d now=%v", h.n, k.Now())
 	}
 }
 
 func TestStop(t *testing.T) {
 	k := NewKernel()
 	n := 0
-	k.At(1*Nanosecond, func() { n++; k.Stop() })
-	k.At(2*Nanosecond, func() { n++ })
+	at(k, 1*Nanosecond, func() { n++; k.Stop() })
+	at(k, 2*Nanosecond, func() { n++ })
 	k.Run()
 	if n != 1 {
 		t.Fatalf("n = %d, want 1 (Stop should halt)", n)
@@ -102,18 +115,12 @@ func TestStop(t *testing.T) {
 
 func TestNestedScheduling(t *testing.T) {
 	k := NewKernel()
-	depth := 0
-	var recurse func()
-	recurse = func() {
-		depth++
-		if depth < 100 {
-			k.After(1*Nanosecond, recurse)
-		}
-	}
-	k.At(0, recurse)
+	h := &countingHandler{k: k, chain: 100} // each event schedules the next 1ns on
+	h.id = k.RegisterHandler(h)
+	k.AtEvent(0, h.id, 0, 0, 0)
 	k.Run()
-	if depth != 100 {
-		t.Fatalf("depth = %d, want 100", depth)
+	if h.n != 100 {
+		t.Fatalf("depth = %d, want 100", h.n)
 	}
 	if k.Now() != 99*Nanosecond {
 		t.Fatalf("now = %v, want 99ns", k.Now())
@@ -176,9 +183,9 @@ func TestWaitAll(t *testing.T) {
 		p.WaitAll(a, b, c)
 		done = p.Now()
 	})
-	k.At(1*Nanosecond, func() { b.Fire(k) })
-	k.At(2*Nanosecond, func() { a.Fire(k) })
-	k.At(7*Nanosecond, func() { c.Fire(k) })
+	at(k, 1*Nanosecond, func() { b.Fire(k) })
+	at(k, 2*Nanosecond, func() { a.Fire(k) })
+	at(k, 7*Nanosecond, func() { c.Fire(k) })
 	k.Run()
 	if done != 7*Nanosecond {
 		t.Fatalf("WaitAll completed at %v, want 7ns", done)
@@ -231,7 +238,7 @@ func TestProcChain(t *testing.T) {
 			sigs[i+1].Fire(k)
 		})
 	}
-	k.At(0, func() { sigs[0].Fire(k) })
+	at(k, 0, func() { sigs[0].Fire(k) })
 	k.Run()
 	if hops != n {
 		t.Fatalf("hops = %d, want %d", hops, n)
@@ -247,7 +254,9 @@ func TestProcChain(t *testing.T) {
 func TestKernelStats(t *testing.T) {
 	k := NewKernel()
 	k.Spawn(func(p *Proc) { p.Sleep(1 * Nanosecond) })
-	k.At(0, func() {})
+	h := &countingHandler{k: k}
+	h.id = k.RegisterHandler(h)
+	k.AtEvent(0, h.id, 0, 0, 0)
 	k.Run()
 	st := k.Stats()
 	if st.ProcsSpawned != 1 {
@@ -267,12 +276,14 @@ func TestKernelStats(t *testing.T) {
 // clock advances do not.
 func TestTimestampTies(t *testing.T) {
 	k := NewKernel()
-	k.At(5*Nanosecond, func() {
-		k.At(k.Now(), func() {}) // zero-delay continuation: band, not a tie
+	h := &countingHandler{k: k}
+	h.id = k.RegisterHandler(h)
+	at(k, 5*Nanosecond, func() {
+		k.AtEvent(k.Now(), h.id, 0, 0, 0) // zero-delay continuation: band, not a tie
 	})
-	k.At(5*Nanosecond, func() {}) // second heap event at 5ns: one tie
-	k.At(5*Nanosecond, func() {}) // third: another
-	k.At(7*Nanosecond, func() {}) // fresh time: not a tie
+	k.AtEvent(5*Nanosecond, h.id, 0, 0, 0) // second heap event at 5ns: one tie
+	k.AtEvent(5*Nanosecond, h.id, 0, 0, 0) // third: another
+	k.AtEvent(7*Nanosecond, h.id, 0, 0, 0) // fresh time: not a tie
 	k.Run()
 	if got := k.Stats().TimestampTies; got != 2 {
 		t.Fatalf("TimestampTies = %d, want 2", got)
@@ -282,7 +293,7 @@ func TestTimestampTies(t *testing.T) {
 	// the new reading; later events must not count against it.
 	k.Reset()
 	k.RunUntil(100 * Nanosecond)
-	k.At(150*Nanosecond, func() {})
+	k.AtEvent(150*Nanosecond, h.id, 0, 0, 0)
 	k.Run()
 	if got := k.Stats().TimestampTies; got != 0 {
 		t.Fatalf("TimestampTies after idle advance = %d, want 0", got)
@@ -333,7 +344,7 @@ func TestProcOrderingProperty(t *testing.T) {
 
 // TestEventLayout pins the heap event at 24 bytes with no pointer field:
 // sift swaps move it with plain word copies and the collector never scans
-// the queue. Closures live in the kernel's slot table instead.
+// the queue.
 func TestEventLayout(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 24 {
 		t.Errorf("event is %d bytes, want 24", got)
@@ -348,80 +359,50 @@ func TestEventLayout(t *testing.T) {
 	}
 }
 
-// TestClosureSlotsRecycled checks a closure's table slot is vacated when
-// its event fires and reissued to the next closure, so the table stays at
-// the peak number of closures pending at once however many fire.
-func TestClosureSlotsRecycled(t *testing.T) {
+// TestProcTableRecycled checks a finished proc's id is reissued to the
+// next spawn, so the proc table stays at the peak number of procs live at
+// once however many run, and Reset empties it.
+func TestProcTableRecycled(t *testing.T) {
 	k := NewKernel()
-	const depth, fires = 8, 10000
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n <= fires-depth {
-			k.After(Time(1+n%3), tick)
-		}
-	}
-	for i := 0; i < depth; i++ {
-		k.At(Time(1+i), tick)
+	const peak = 3
+	for i := 0; i < peak; i++ {
+		k.Spawn(func(p *Proc) { p.Sleep(Nanosecond) })
 	}
 	k.Run()
-	if n != fires {
-		t.Fatalf("fired %d closures, want %d", n, fires)
+	for i := 0; i < 100; i++ {
+		k.Spawn(func(p *Proc) { p.Sleep(Nanosecond) })
+		k.Run()
 	}
-	if len(k.closures) > depth {
-		t.Fatalf("closure table grew to %d slots for %d pending at once", len(k.closures), depth)
+	if len(k.procs) != peak {
+		t.Fatalf("proc table grew to %d entries for %d live at once", len(k.procs), peak)
 	}
-	if len(k.freeSlots) != len(k.closures) {
-		t.Fatalf("drained kernel has %d of %d slots vacant", len(k.freeSlots), len(k.closures))
+	if k.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs = %d after drain, want 0", k.LiveProcs())
 	}
-	for i, fn := range k.closures {
-		if fn != nil {
-			t.Fatalf("vacant slot %d still holds its closure", i)
+	for id, p := range k.procs {
+		if p != nil {
+			t.Fatalf("finished proc still held at id %d", id)
 		}
 	}
-}
-
-// TestResetDropsClosures checks Reset releases every queued closure and
-// the slot table, and the kernel then runs as a fresh one.
-func TestResetDropsClosures(t *testing.T) {
-	k := NewKernel()
-	ran := 0
-	for i := 0; i < 5; i++ {
-		k.At(Time(10+i), func() { ran++ })
-	}
-	k.RunUntil(11) // two fired, three still queued
 	k.Reset()
-	if len(k.closures) != 0 || len(k.freeSlots) != 0 {
-		t.Fatalf("after Reset: %d closure slots, %d vacant; want 0/0", len(k.closures), len(k.freeSlots))
-	}
-	if full := k.closures[:cap(k.closures)]; len(full) > 0 {
-		for i, fn := range full {
-			if fn != nil {
-				t.Fatalf("Reset kept the closure in slot %d alive", i)
-			}
-		}
-	}
-	k.At(3, func() { ran += 100 })
-	k.Run()
-	if ran != 102 {
-		t.Fatalf("ran = %d, want 102 (two before Reset, none of the dropped, one after)", ran)
+	if len(k.procs) != 0 || len(k.freeProcs) != 0 {
+		t.Fatalf("after Reset: %d proc entries, %d free ids; want 0/0", len(k.procs), len(k.freeProcs))
 	}
 }
 
-// TestRegisterHandlerReservedID checks registration stops short of the
-// handler id reserved for closure events.
+// TestRegisterHandlerReservedID checks the kernel holds handler id 0 for
+// its own proc resumes and registration stops at the 8-bit id limit.
 func TestRegisterHandlerReservedID(t *testing.T) {
 	k := NewKernel()
 	h := &recordingHandler{order: new([]int)}
-	for i := 0; i < closureHandler; i++ {
+	for i := 1; i < maxHandlers; i++ {
 		if id := k.RegisterHandler(h); id != HandlerID(i) {
 			t.Fatalf("registration %d got id %d", i, id)
 		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("RegisterHandler issued the reserved closure id")
+			t.Fatal("RegisterHandler issued an id past the payload's 8 bits")
 		}
 	}()
 	k.RegisterHandler(h)

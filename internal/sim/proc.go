@@ -5,16 +5,16 @@ package sim
 // executing at any instant. Procs give model code (MPI ranks, traffic
 // generators) a natural blocking style — Sleep, Wait — on top of the
 // event queue, with fully deterministic scheduling.
+//
+// Everything that hands control to a proc — SpawnAt, Sleep, Signal.Fire —
+// schedules one typed event for the kernel's own handler with the proc's
+// id as payload, so waking a proc never allocates: Signal.Fire sits on
+// the fabric's packet-delivery hot path.
 type Proc struct {
 	k      *Kernel
 	resume chan struct{}
-	// resumeFn is the one closure that hands control to this proc,
-	// allocated once at spawn. Everything that schedules a resume —
-	// SpawnAt, Sleep, Signal.Fire — reuses it, so waking a proc never
-	// allocates: Signal.Fire sits on the fabric's packet-delivery hot
-	// path, where a per-waiter closure would be a heap hit per message.
-	resumeFn func()
-	done     bool
+	id     int32 // index in Kernel.procs while live
+	done   bool
 }
 
 // Kernel returns the kernel this proc runs on.
@@ -36,25 +36,36 @@ func (k *Kernel) Spawn(fn func(p *Proc)) *Proc {
 // SpawnAt starts fn as a new proc at absolute virtual time t.
 func (k *Kernel) SpawnAt(t Time, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, resume: make(chan struct{})}
-	p.resumeFn = func() { k.switchTo(p) }
-	k.nProcs++
+	if n := len(k.freeProcs); n > 0 {
+		p.id = k.freeProcs[n-1]
+		k.freeProcs = k.freeProcs[:n-1]
+		k.procs[p.id] = p
+	} else {
+		p.id = int32(len(k.procs))
+		k.procs = append(k.procs, p)
+	}
 	k.stats.ProcsSpawned++
 	//simlint:allow detrand coroutine handoff: exactly one of (kernel, proc) runs at a time, order fixed by the event queue
 	go func() {
 		<-p.resume // wait for the kernel to hand us control the first time
 		fn(p)
 		p.done = true
-		k.nProcs--
+		// Each Sleep and each Fire schedules exactly one resume, so none
+		// is pending now and the id is free for the next spawn.
+		k.procs[p.id] = nil
+		k.freeProcs = append(k.freeProcs, p.id)
 		k.parked <- struct{}{} // final handback; never resumed again
 	}()
-	k.At(t, p.resumeFn)
+	k.AtEvent(t, procHandler, 0, int64(p.id), 0)
 	return p
 }
 
-// switchTo transfers control from the kernel to p and blocks until p parks
-// (or finishes). Must only be called from kernel context (inside an event).
-func (k *Kernel) switchTo(p *Proc) {
+// HandleEvent implements Handler for the kernel's own events: each one
+// resumes the proc whose id is a, transferring control from the kernel and
+// blocking until the proc parks (or finishes).
+func (k *Kernel) HandleEvent(_ uint8, a, _ int64) {
 	k.stats.ProcSwitches++
+	p := k.procs[a]
 	p.resume <- struct{}{}
 	<-k.parked
 }
@@ -73,7 +84,7 @@ func (p *Proc) Sleep(d Time) {
 		// queue so same-time events scheduled earlier run first.
 		d = 0
 	}
-	p.k.After(d, p.resumeFn)
+	p.k.AfterEvent(d, procHandler, 0, int64(p.id), 0)
 	p.park()
 }
 
@@ -113,8 +124,8 @@ func (s *Signal) Fired() bool { return s.fired }
 
 // Fire marks the signal fired and schedules every waiter to resume at the
 // current virtual time. Firing an already-fired signal is a no-op. Fire is
-// allocation-free: each waiter is scheduled via its spawn-time resumeFn,
-// so firing from the packet-delivery hot path never touches the heap.
+// allocation-free: each waiter's resume is a typed event naming its proc
+// id, so firing from the packet-delivery hot path never touches the heap.
 //
 //simlint:hotpath
 func (s *Signal) Fire(k *Kernel) {
@@ -123,7 +134,7 @@ func (s *Signal) Fire(k *Kernel) {
 	}
 	s.fired = true
 	for _, w := range s.waiters {
-		k.At(k.now, w.resumeFn)
+		k.AtEvent(k.now, procHandler, 0, int64(w.id), 0)
 	}
 	s.waiters = nil
 }
