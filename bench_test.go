@@ -341,15 +341,6 @@ func BenchmarkAblationEstimateQuality(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationProgressiveAD1(b *testing.B) {
-	p := ablationProfile()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationProgressiveAD1(p, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAblationBaselines(b *testing.B) {
 	p := ablationProfile()
 	for i := 0; i < b.N; i++ {

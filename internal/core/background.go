@@ -22,9 +22,9 @@ const bgCheckPeriod = 20 * sim.Millisecond
 
 // startBackground launches the noise controller: a proc that wakes every
 // bgCheckPeriod and keeps the machine's free capacity filled with noise
-// jobs sampled from the workload mix until cancel fires. Completed jobs
-// release their nodes, and the controller backfills, emulating a
-// production scheduler.
+// jobs sampled from Theta's job mix (workload.ThetaMix) until cancel
+// fires. Completed jobs release their nodes, and the controller
+// backfills, emulating a production scheduler.
 func startBackground(fab *network.Fabric, alloc *placement.Allocator,
 	spec BackgroundSpec, cancel *sim.Signal, seed int64) {
 
@@ -33,9 +33,6 @@ func startBackground(fab *network.Fabric, alloc *placement.Allocator,
 	}
 	if spec.TargetUtilization > 1 {
 		spec.TargetUtilization = 1
-	}
-	if len(spec.Mix.Buckets) == 0 {
-		spec.Mix = workload.ThetaMix()
 	}
 	if spec.Classes == nil {
 		spec.Classes = workload.DefaultTrafficClasses()
@@ -50,11 +47,12 @@ func startBackground(fab *network.Fabric, alloc *placement.Allocator,
 	capacity := alloc.FreeNodes()
 	maxFree := int(float64(capacity) * (1 - spec.TargetUtilization))
 	jobSeq := int64(0)
+	mix := workload.ThetaMix()
 
 	k.Spawn(func(p *sim.Proc) {
 		for !cancel.Fired() {
 			for alloc.FreeNodes() > maxFree {
-				nodes, dur := spec.Mix.SampleJob(rng)
+				nodes, dur := mix.SampleJob(rng)
 				if free := alloc.FreeNodes(); nodes > free {
 					nodes = free
 				}

@@ -153,9 +153,6 @@ type BackgroundSpec struct {
 	// TargetUtilization is the fraction of the machine's remaining
 	// nodes kept busy with noise jobs.
 	TargetUtilization float64
-	// Mix drives background job sizes and durations; zero value means
-	// workload.ThetaMix.
-	Mix workload.Mix
 	// Classes drives background traffic intensity; nil means
 	// workload.DefaultTrafficClasses.
 	Classes []workload.TrafficClass
@@ -170,7 +167,6 @@ type BackgroundSpec struct {
 func DefaultBackground() *BackgroundSpec {
 	return &BackgroundSpec{
 		TargetUtilization: 0.75,
-		Mix:               workload.ThetaMix(),
 		Classes:           workload.DefaultTrafficClasses(),
 		Env:               mpi.DefaultEnv(),
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/network"
 	"repro/internal/parallel"
 	"repro/internal/placement"
 	"repro/internal/routing"
@@ -122,7 +123,7 @@ func AblationBufferDepth(p Profile, mode routing.Mode, seed int64) (*AblationRes
 		}
 		mp.apply(func(m *core.Machine) { m.Net.BufferFlits = flits })
 		pt, err := ablationRun(mp, p, mode,
-			fmt.Sprintf("%dKB", flits*mp.machine(0).Net.FlitBytes/1024), seed)
+			fmt.Sprintf("%dKB", flits*network.FlitBytes/1024), seed)
 		if err != nil {
 			return nil, err
 		}
@@ -157,30 +158,6 @@ func AblationEstimateQuality(p Profile, mode routing.Mode, seed int64) (*Ablatio
 			m.Net.LoadJitter = c.jitter
 		})
 		pt, err := ablationRun(mp, p, mode, c.label, seed)
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, pt)
-	}
-	return res, nil
-}
-
-// AblationProgressiveAD1 compares injection-time AD1 (fixed shift 1)
-// against the patented per-hop "increasingly minimal" re-evaluation.
-func AblationProgressiveAD1(p Profile, seed int64) (*AblationResult, error) {
-	res := &AblationResult{Axis: "AD1 progressive bias", App: "MILC", Mode: routing.AD1}
-	for _, progressive := range []bool{false, true} {
-		progressive := progressive
-		mp, err := p.thetaPool()
-		if err != nil {
-			return nil, err
-		}
-		mp.apply(func(m *core.Machine) { m.Route.Progressive = progressive })
-		label := "fixed-shift"
-		if progressive {
-			label = "progressive"
-		}
-		pt, err := ablationRun(mp, p, routing.AD1, label, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -322,28 +322,39 @@ func TestAblations(t *testing.T) {
 	p := testProfile()
 	p.Runs = 1 // smoke scale
 
-	if r, err := AblationCandidates(p, routing.AD0, 20); err != nil || len(r.Points) != 3 {
-		t.Fatalf("candidates: %v %v", r, err)
+	sweeps := []struct {
+		name   string
+		run    func() (*AblationResult, error)
+		points int
+	}{
+		{"candidates", func() (*AblationResult, error) { return AblationCandidates(p, routing.AD0, 20) }, 3},
+		{"buffers", func() (*AblationResult, error) { return AblationBufferDepth(p, routing.AD0, 21) }, 3},
+		{"estimates", func() (*AblationResult, error) { return AblationEstimateQuality(p, routing.AD0, 22) }, 3},
+		{"baselines", func() (*AblationResult, error) { return AblationBaselines(p, 24) }, 6},
 	}
-	if r, err := AblationBufferDepth(p, routing.AD0, 21); err != nil || len(r.Points) != 3 {
-		t.Fatalf("buffers: %v %v", r, err)
-	}
-	if r, err := AblationEstimateQuality(p, routing.AD0, 22); err != nil || len(r.Points) != 3 {
-		t.Fatalf("estimates: %v %v", r, err)
-	}
-	if r, err := AblationProgressiveAD1(p, 23); err != nil || len(r.Points) != 2 {
-		t.Fatalf("ad1: %v %v", r, err)
-	}
-	r, err := AblationBaselines(p, 24)
-	if err != nil || len(r.Points) != 6 {
-		t.Fatalf("baselines: %v %v", r, err)
-	}
-	for _, pt := range r.Points {
-		if pt.MeanRuntime <= 0 {
-			t.Fatalf("point %s has no runtime", pt.Label)
+	for _, sw := range sweeps {
+		r, err := sw.run()
+		if err != nil || len(r.Points) != sw.points {
+			t.Fatalf("%s: %v %v", sw.name, r, err)
 		}
-	}
-	if !strings.Contains(r.Render(), "VAL") {
-		t.Error("render incomplete")
+		// A sweep whose settings change nothing measures nothing: no two
+		// points may be equal once their labels are cleared.
+		for i, a := range r.Points {
+			for _, b := range r.Points[:i] {
+				la, lb := a.Label, b.Label
+				a.Label, b.Label = "", ""
+				if a == b {
+					t.Errorf("%s: points %s and %s are identical: %+v", sw.name, lb, la, a)
+				}
+			}
+		}
+		for _, pt := range r.Points {
+			if pt.MeanRuntime <= 0 {
+				t.Fatalf("%s: point %s has no runtime", sw.name, pt.Label)
+			}
+		}
+		if sw.name == "baselines" && !strings.Contains(r.Render(), "VAL") {
+			t.Error("render incomplete")
+		}
 	}
 }

@@ -87,8 +87,9 @@ type Sample struct {
 	// still populate it.
 	Report *autoperf.Report
 	// Reduced is the fixed-size digest built on the worker right after
-	// the run completes; it survives compaction and is what long-lived
-	// consumers (figures, tables, the simd service) read.
+	// the run completes; every Sample carries one. It survives compaction
+	// and is what long-lived consumers (figures, tables, the simd
+	// service) read.
 	Reduced *autoperf.Reduced
 	// MinPkts / NonMinPkts count the job's own adaptive routing decisions,
 	// and MeanTransitSec is the mean network transit of its packets —
@@ -107,16 +108,10 @@ type Sample struct {
 
 // MPISec returns the per-rank average MPI time in seconds.
 func (s Sample) MPISec() float64 {
-	if s.Reduced != nil {
-		if s.Reduced.Ranks == 0 {
-			return 0
-		}
-		return s.Reduced.MPITime.Seconds() / float64(s.Reduced.Ranks)
-	}
-	if s.Report == nil || s.Report.Ranks == 0 {
+	if s.Reduced.Ranks == 0 {
 		return 0
 	}
-	return s.Report.Profile.MPITime().Seconds() / float64(s.Report.Ranks)
+	return s.Reduced.MPITime.Seconds() / float64(s.Reduced.Ranks)
 }
 
 // Compact returns the sample with its full Report dropped; the Reduced

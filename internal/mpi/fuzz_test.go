@@ -12,9 +12,9 @@ import (
 // FuzzAlltoallv drives Alltoallv with randomized count matrices and checks
 // byte/packet conservation end to end: every packet injected into the
 // fabric is delivered, nothing stays buffered, all ranks complete, and
-// each rank's profiled Alltoallv byte count equals its row sum. Responses
-// are disabled (ResponseEvery huge) so sent==delivered is exact. The
-// f.Add corpus doubles as a regression suite under plain `go test`.
+// each rank's profiled Alltoallv byte count equals its row sum. Every
+// data packet sends one response back, so delivered == 2×sent exactly.
+// The f.Add corpus doubles as a regression suite under plain `go test`.
 func FuzzAlltoallv(f *testing.F) {
 	f.Add(uint8(2), int64(1), []byte{0})
 	f.Add(uint8(4), int64(7), []byte{1, 0, 255, 16, 3, 200})
@@ -29,9 +29,7 @@ func FuzzAlltoallv(f *testing.F) {
 			t.Fatal(err)
 		}
 		k := sim.NewKernel()
-		params := network.DefaultParams()
-		params.ResponseEvery = 1 << 30 // no response packets: sent == delivered
-		fab := network.New(k, topo, params, routing.DefaultConfig(), seed)
+		fab := network.New(k, topo, network.DefaultParams(), routing.DefaultConfig(), seed)
 
 		nodes := make([]topology.NodeID, n)
 		for i := range nodes {
@@ -71,7 +69,7 @@ func FuzzAlltoallv(f *testing.F) {
 				if d == r {
 					continue
 				}
-				nPkts := (counts[r][d] + params.PacketBytes - 1) / params.PacketBytes
+				nPkts := (counts[r][d] + network.PacketBytes - 1) / network.PacketBytes
 				if nPkts < 1 {
 					nPkts = 1 // zero-byte exchanges still send one packet
 				}
@@ -81,8 +79,9 @@ func FuzzAlltoallv(f *testing.F) {
 		if fab.PacketsSent != want {
 			t.Fatalf("packets sent %d, count matrix implies %d", fab.PacketsSent, want)
 		}
-		if fab.PacketsDelivered != fab.PacketsSent {
-			t.Fatalf("sent %d packets but delivered %d", fab.PacketsSent, fab.PacketsDelivered)
+		if fab.PacketsDelivered != 2*fab.PacketsSent {
+			t.Fatalf("sent %d packets but delivered %d, want data + one response each",
+				fab.PacketsSent, fab.PacketsDelivered)
 		}
 		if q := fab.QueuedFlits(); q != 0 {
 			t.Fatalf("%d flits still queued after drain", q)

@@ -22,7 +22,7 @@ func warmFabric(tb testing.TB, f *Fabric, msgs int) {
 		for src == dst {
 			dst = topology.NodeID(rng.Intn(topo.NumNodes()))
 		}
-		f.Send(src, dst, 1+rng.Intn(4*f.Params().PacketBytes), routing.Mode(i%4))
+		f.Send(src, dst, 1+rng.Intn(4*PacketBytes), routing.Mode(i%4))
 	}
 	f.Kernel().Run()
 }
@@ -72,7 +72,7 @@ func TestPacketHopAllocFree(t *testing.T) {
 			for src == dst {
 				dst = topology.NodeID(rng.Intn(n))
 			}
-			f.injectRaw(src, dst, f.Params().PacketBytes)
+			f.injectRaw(src, dst, PacketBytes)
 		}
 		f.Kernel().Run()
 	})
@@ -107,7 +107,7 @@ func TestPacketHopAllocFreeFused(t *testing.T) {
 			for src == dst {
 				dst = topology.NodeID(rng.Intn(n))
 			}
-			f.injectRaw(src, dst, f.Params().PacketBytes)
+			f.injectRaw(src, dst, PacketBytes)
 		}
 		f.Kernel().Run()
 	})

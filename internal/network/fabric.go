@@ -10,27 +10,30 @@ import (
 	"repro/internal/topology"
 )
 
-// Params tunes the packet-level fabric model.
-type Params struct {
+// The fabric's fixed packet format. Every run uses these values, so they
+// are constants rather than Params.
+const (
 	// PacketBytes is the fragmentation unit (MTU). Messages are split
 	// into packets of at most this size, each routed independently.
-	PacketBytes int
+	PacketBytes = 4096
 	// FlitBytes converts bytes to flits for the tile counters.
-	FlitBytes int
+	FlitBytes = 16
+	// responseBytes is the size of the response (ack) packet that every
+	// delivered data packet sends back to its source, as on Aries.
+	responseBytes = 64
+	// localLatency is the delivery latency for same-node messages,
+	// which bypass the network.
+	localLatency = 600 * sim.Nanosecond
+)
+
+// Params tunes the packet-level fabric model. Each field is varied by an
+// ablation, a calibration sweep or a reference-model test; DefaultParams
+// holds the values every reproduction run uses.
+type Params struct {
 	// BufferFlits is the per-virtual-channel input buffer capacity of
 	// every link and of the NIC ejection queue. Small buffers mean
 	// backpressure forms quickly.
 	BufferFlits int
-	// ResponseBytes is the size of the response (ack) packet generated
-	// for tracked request packets.
-	ResponseBytes int
-	// ResponseEvery generates a response for 1 in N data packets
-	// (1 = every packet, as on real Aries; larger values reduce
-	// simulation cost for bulk experiments).
-	ResponseEvery int
-	// LocalLatency is the delivery latency for same-node messages,
-	// which bypass the network.
-	LocalLatency sim.Time
 	// LoadStaleness is how out-of-date the congestion estimates feeding
 	// the adaptive routing are. Aries estimates port load from credit
 	// round-trips, so the router acts on a picture that lags reality by
@@ -84,12 +87,7 @@ type Params struct {
 // DefaultParams returns the parameters used across the reproduction.
 func DefaultParams() Params {
 	return Params{
-		PacketBytes:   4096,
-		FlitBytes:     16,
-		BufferFlits:   768, // 3 packets per VC at the default MTU
-		ResponseBytes: 64,
-		ResponseEvery: 1,
-		LocalLatency:  600 * sim.Nanosecond,
+		BufferFlits:   768, // 3 packets per VC at the MTU
 		LoadStaleness: 3 * sim.Microsecond,
 		LoadJitter:    0.75,
 		HopContention: 1.0,
@@ -247,12 +245,6 @@ type Fabric struct {
 	PacketsDelivered uint64
 	MinimalTaken     uint64
 	NonMinimalTaken  uint64
-	// dataDelivered counts delivered data (non-response) packets; it is
-	// the response-sampling clock, deliberately excluding responses so
-	// ResponseEvery=N samples exactly 1 in N data packets (gating on
-	// PacketsDelivered would let delivered responses advance the clock
-	// and skew the sampling rate).
-	dataDelivered uint64
 
 	// Network transit time (injection-head to delivery, excluding the
 	// injection queue wait) split by route class, data packets only.
@@ -265,9 +257,6 @@ type Fabric struct {
 // New builds a fabric over topo on kernel k. seed drives the adaptive
 // routing's candidate sampling.
 func New(k *sim.Kernel, topo *topology.Topology, params Params, engineCfg routing.Config, seed int64) *Fabric {
-	if params.PacketBytes <= 0 {
-		params = DefaultParams()
-	}
 	f := &Fabric{
 		k:      k,
 		topo:   topo,
@@ -289,12 +278,12 @@ func New(k *sim.Kernel, topo *topology.Topology, params Params, engineCfg routin
 		*s = server{
 			fab: f, link: l, kind: kindLink,
 			bw: l.Bandwidth, lat: l.Latency,
-			flitTime: sim.Time(float64(params.FlitBytes) / l.Bandwidth * 1e12),
+			flitTime: sim.Time(float64(FlitBytes) / l.Bandwidth * 1e12),
 			capFlits: params.BufferFlits,
 		}
 	}
-	injFlit := sim.Time(float64(params.FlitBytes) / topo.Cfg.InjectionBandwidth * 1e12)
-	ejFlit := sim.Time(float64(params.FlitBytes) / topo.Cfg.EjectBW() * 1e12)
+	injFlit := sim.Time(float64(FlitBytes) / topo.Cfg.InjectionBandwidth * 1e12)
+	ejFlit := sim.Time(float64(FlitBytes) / topo.Cfg.EjectBW() * 1e12)
 	f.inject = make([]*server, slots)
 	f.eject = make([]*server, slots)
 	for n := 0; n < slots; n++ {
@@ -375,7 +364,7 @@ const (
 	// freeAt rather than at the fused hop-done.
 	evSettle
 	// evLocal: the oldest pending same-node message (Fabric.localHead)
-	// is delivered. Every one waits the same LocalLatency and ties fire in
+	// is delivered. Every one waits the same localLatency and ties fire in
 	// scheduling order, so these events fire in the FIFO's order.
 	evLocal
 )
@@ -441,9 +430,6 @@ func (f *Fabric) Counters() *Counters {
 	return f.counters
 }
 
-// Params returns the fabric parameters.
-func (f *Fabric) Params() Params { return f.params }
-
 // LoadUnitBytes is the granularity of the load estimate exposed to the
 // adaptive routing (a credit-sized unit, not a whole packet): with 256B
 // units, typical congested queues measure in the tens, so the Aries AD2
@@ -470,13 +456,13 @@ func (f *Fabric) Load(id topology.LinkID) int {
 		f.settle(&f.servers[id])
 	}
 	if f.params.LoadStaleness <= 0 {
-		return f.jitter(f.servers[id].occTotal * f.params.FlitBytes / LoadUnitBytes)
+		return f.jitter(f.servers[id].occTotal * FlitBytes / LoadUnitBytes)
 	}
 	if dt := now - ld.sampleAt; dt >= f.params.LoadStaleness {
 		s := &f.servers[id]
 		s.syncOcc(now)
 		meanFlits := (s.occInt - ld.intMark) / float64(dt)
-		ld.sample = int(meanFlits) * f.params.FlitBytes / LoadUnitBytes
+		ld.sample = int(meanFlits) * FlitBytes / LoadUnitBytes
 		ld.intMark = s.occInt
 		ld.sampleAt = now
 	}
@@ -543,7 +529,7 @@ func (f *Fabric) jitter(load int) int {
 
 // flitsOf returns the flit count of a payload.
 func (f *Fabric) flitsOf(bytes int) int {
-	n := (bytes + f.params.FlitBytes - 1) / f.params.FlitBytes
+	n := (bytes + FlitBytes - 1) / FlitBytes
 	if n < 1 {
 		n = 1
 	}
@@ -564,10 +550,10 @@ func (f *Fabric) Send(src, dst topology.NodeID, bytes int, mode routing.Mode) *M
 			f.localTail.localNext = m
 		}
 		f.localTail = m
-		f.k.AfterEvent(f.params.LocalLatency, f.hid, evLocal, 0, 0)
+		f.k.AfterEvent(localLatency, f.hid, evLocal, 0, 0)
 		return m
 	}
-	nPackets := (bytes + f.params.PacketBytes - 1) / f.params.PacketBytes
+	nPackets := (bytes + PacketBytes - 1) / PacketBytes
 	if nPackets < 1 {
 		nPackets = 1
 	}
@@ -575,7 +561,7 @@ func (f *Fabric) Send(src, dst topology.NodeID, bytes int, mode routing.Mode) *M
 	rem := bytes
 	inj := f.inject[src]
 	for i := 0; i < nPackets; i++ {
-		sz := f.params.PacketBytes
+		sz := PacketBytes
 		if sz > rem {
 			sz = rem
 		}
@@ -1003,30 +989,20 @@ func (f *Fabric) deliver(p *Packet) {
 			f.complete(m)
 		}
 	}
-	// Generate the tracked response for a sampled subset of requests,
-	// clocked on data packets only so the sampling rate holds at exactly
-	// 1 in ResponseEvery.
-	every := f.params.ResponseEvery
-	if every < 1 {
-		every = 1
-	}
-	f.dataDelivered++
-	sample := f.dataDelivered%uint64(every) == 0
+	// Every data packet sends its tracked response back to the source.
 	reqSrc, reqDst, reqSent := p.src, p.dst, p.sendTime
 	f.releasePacket(p)
-	if sample {
-		mode := routing.AD0
-		if m != nil {
-			mode = m.Mode
-		}
-		rsp := f.allocPacket()
-		rsp.src, rsp.dst = reqDst, reqSrc
-		rsp.bytes, rsp.flits = f.params.ResponseBytes, f.flitsOf(f.params.ResponseBytes)
-		rsp.response, rsp.rspMode = true, mode
-		rsp.sendTime = reqSent // pair latency spans request + response
-		inj := f.inject[reqDst]
-		inj.bumpOcc(0, rsp.flits, f.k.Now())
-		f.pushPacket(inj, 0, rsp)
-		f.tryStart(inj)
+	mode := routing.AD0
+	if m != nil {
+		mode = m.Mode
 	}
+	rsp := f.allocPacket()
+	rsp.src, rsp.dst = reqDst, reqSrc
+	rsp.bytes, rsp.flits = responseBytes, f.flitsOf(responseBytes)
+	rsp.response, rsp.rspMode = true, mode
+	rsp.sendTime = reqSent // pair latency spans request + response
+	inj := f.inject[reqDst]
+	inj.bumpOcc(0, rsp.flits, f.k.Now())
+	f.pushPacket(inj, 0, rsp)
+	f.tryStart(inj)
 }

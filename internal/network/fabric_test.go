@@ -45,19 +45,19 @@ func TestSameNodeLoopback(t *testing.T) {
 	if f.PacketsSent != 0 {
 		t.Fatalf("loopback injected %d packets into the network", f.PacketsSent)
 	}
-	if m.DeliveredAt != f.Params().LocalLatency {
-		t.Fatalf("loopback latency = %v, want %v", m.DeliveredAt, f.Params().LocalLatency)
+	if m.DeliveredAt != localLatency {
+		t.Fatalf("loopback latency = %v, want %v", m.DeliveredAt, localLatency)
 	}
 }
 
 // TestLoopbackOrdering pins the same-node delivery FIFO: sends issued at
 // one instant and at staggered, overlapping instants each deliver exactly
-// LocalLatency after issue, in issue order, and fire Done. OnDelivered is
+// localLatency after issue, in issue order, and fire Done. OnDelivered is
 // attached after Send returns, as MPI matching does.
 func TestLoopbackOrdering(t *testing.T) {
 	f := testFabric(t, 3, 1)
 	k := f.Kernel()
-	lat := f.Params().LocalLatency
+	lat := localLatency
 	var issued []sim.Time
 	var msgs []*Message
 	var order []int
@@ -100,7 +100,7 @@ func TestLoopbackOrdering(t *testing.T) {
 
 func TestFragmentation(t *testing.T) {
 	f := testFabric(t, 3, 2)
-	bytes := 3*f.Params().PacketBytes + 100
+	bytes := 3*PacketBytes + 100
 	m := f.Send(0, 8, bytes, routing.AD3)
 	f.Kernel().Run()
 	if !m.Done.Fired() {
@@ -148,7 +148,6 @@ func TestFlitConservation(t *testing.T) {
 	// Flits counted at injection proc tiles must equal flits of all data
 	// packets; every network tile traversal adds the same flit count.
 	f := testFabric(t, 3, 5)
-	f.params.ResponseEvery = 1 << 30 // suppress responses for exact accounting
 	const nMsgs = 20
 	rng := rand.New(rand.NewSource(99))
 	wantFlits := uint64(0)
@@ -158,12 +157,12 @@ func TestFlitConservation(t *testing.T) {
 		for src == dst {
 			dst = topology.NodeID(rng.Intn(f.Topology().NumNodes()))
 		}
-		bytes := 1 + rng.Intn(3*f.Params().PacketBytes)
+		bytes := 1 + rng.Intn(3*PacketBytes)
 		f.Send(src, dst, bytes, routing.AD0)
-		nPkts := (bytes + f.Params().PacketBytes - 1) / f.Params().PacketBytes
+		nPkts := (bytes + PacketBytes - 1) / PacketBytes
 		rem := bytes
 		for p := 0; p < nPkts; p++ {
-			sz := f.Params().PacketBytes
+			sz := PacketBytes
 			if sz > rem {
 				sz = rem
 			}

@@ -69,7 +69,7 @@ func driveTrafficStaggered(f *Fabric, rng *rand.Rand, msgs int) (msgList []*Mess
 		for src == dst {
 			dst = topology.NodeID(rng.Intn(n))
 		}
-		bytes := 1 + rng.Intn(3*f.Params().PacketBytes)
+		bytes := 1 + rng.Intn(3*PacketBytes)
 		mode := routing.Mode(rng.Intn(4))
 		totalBytes += bytes
 		i := i

@@ -19,7 +19,7 @@ func driveTraffic(f *Fabric, rng *rand.Rand, msgs int) (msgList []*Message, tota
 		for src == dst {
 			dst = topology.NodeID(rng.Intn(n))
 		}
-		bytes := 1 + rng.Intn(3*f.Params().PacketBytes)
+		bytes := 1 + rng.Intn(3*PacketBytes)
 		m := f.Send(src, dst, bytes, routing.Mode(rng.Intn(4)))
 		msgList = append(msgList, m)
 		totalBytes += bytes
@@ -177,43 +177,6 @@ func TestUnmatchedReleasePanics(t *testing.T) {
 		}
 	}()
 	s.bumpOcc(3, -1, 0)
-}
-
-// TestResponseSamplingCountsDataOnly pins the response-sampling clock to
-// data packets: with ResponseEvery=N, exactly floor(data/N) responses are
-// generated no matter how many responses are themselves delivered. (Gating
-// on PacketsDelivered — which responses advance — undersamples: every
-// delivered response pushes the next sample one packet further out.)
-func TestResponseSamplingCountsDataOnly(t *testing.T) {
-	for _, every := range []int{1, 2, 3} {
-		f := testFabric(t, 3, 7)
-		f.params.ResponseEvery = every
-		rng := rand.New(rand.NewSource(11))
-		const msgs = 40
-		var dataPkts uint64
-		n := f.Topology().NumNodes()
-		for i := 0; i < msgs; i++ {
-			src := topology.NodeID(rng.Intn(n))
-			dst := topology.NodeID(rng.Intn(n))
-			for src == dst {
-				dst = topology.NodeID(rng.Intn(n))
-			}
-			// Single-packet messages so the data-packet count is exact.
-			f.Send(src, dst, f.Params().PacketBytes, routing.AD0)
-			dataPkts++
-		}
-		f.Kernel().Run()
-
-		var orbTotal uint64
-		for _, c := range f.counters.ORBCount {
-			orbTotal += c
-		}
-		want := dataPkts / uint64(every)
-		if orbTotal != want {
-			t.Fatalf("ResponseEvery=%d: %d ORB samples for %d data packets, want %d",
-				every, orbTotal, dataPkts, want)
-		}
-	}
 }
 
 // checkPoolInvariants verifies the arena/free-list structure after a fully

@@ -36,10 +36,6 @@ type Config struct {
 	// NonMinimalCandidates is how many Valiant paths (intermediate group
 	// or intra-group intermediate router choices) are scored.
 	NonMinimalCandidates int
-	// Progressive enables per-hop bias growth for AD1 (the patented
-	// "increasingly minimal bias"): each hop already taken adds one to
-	// the effective shift. When false AD1 uses a fixed shift of 1.
-	Progressive bool
 }
 
 // DefaultConfig matches the values used throughout the reproduction.
@@ -327,8 +323,10 @@ func (e *Engine) bestNonMinimal(rng *rand.Rand, src, dst topology.RouterID) []to
 	return best
 }
 
-// route makes one adaptive routing decision. The returned slice aliases
-// engine scratch: valid until the next routing call, never to be retained.
+// route makes one adaptive routing decision for a packet that has already
+// taken hopsTaken hops; every mode goes through the one bias rule,
+// Mode.PrefersMinimal. The returned slice aliases engine scratch: valid
+// until the next routing call, never to be retained.
 // The sequence of RNG draws this function makes (candidate sampling and
 // every LoadEstimator query, in order) is a frozen interface: golden
 // artifacts depend on it byte-for-byte, so restructuring must not add,
@@ -351,19 +349,7 @@ func (e *Engine) route(mode Mode, rng *rand.Rand, src, dst topology.RouterID, ho
 		return nonMin, true
 	}
 	minLoad, nonMinLoad := e.pathLoad(min), e.pathLoad(nonMin)
-	if e.cfg.Progressive && mode == AD1 {
-		// Increasingly minimal: every hop already taken deepens the
-		// shift, so late detours become progressively unattractive.
-		shift := uint(1 + hopsTaken)
-		if shift > 4 {
-			shift = 4
-		}
-		if minLoad <= nonMinLoad<<shift {
-			return min, false
-		}
-		return nonMin, true
-	}
-	if mode.PrefersMinimal(minLoad, nonMinLoad) {
+	if mode.PrefersMinimal(minLoad, nonMinLoad, hopsTaken) {
 		return min, false
 	}
 	return nonMin, true
@@ -373,8 +359,8 @@ func (e *Engine) route(mode Mode, rng *rand.Rand, src, dst topology.RouterID, ho
 // dst under the given mode, appending the winning path to dst0 (typically
 // an empty slice over a packet's inline MaxPathLinks array) and reporting whether it is
 // non-minimal. This is the allocation-free entry the fabric uses: losing
-// candidates live and die in engine scratch. hopsTaken is nonzero only for
-// progressive re-evaluation (AD1).
+// candidates live and die in engine scratch. hopsTaken is the number of
+// hops the packet has already taken; only AD1's bias reads it.
 //
 //simlint:hotpath
 func (e *Engine) RouteInto(dst0 []topology.LinkID, mode Mode, rng *rand.Rand, src, dst topology.RouterID, hopsTaken int) ([]topology.LinkID, bool) {

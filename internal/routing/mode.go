@@ -21,9 +21,9 @@ const (
 	AD0 Mode = iota
 	// AD1 is "increasingly minimal bias": the minimal preference grows as
 	// a packet takes more hops. It is the Cray MPI default for
-	// MPI_Alltoall[v]. At injection we model it with shift=1 (between AD0
-	// and AD3); with progressive re-evaluation enabled the bias grows
-	// per hop as on real hardware.
+	// MPI_Alltoall[v]. Its shift is 1 plus the hops already taken,
+	// capped at 4; the fabric routes once, at injection, so there it is
+	// shift 1 (between AD0 and AD3).
 	AD1
 	// AD2 is weak minimal bias: add 4, no shift.
 	AD2
@@ -59,17 +59,19 @@ func (m Mode) String() string {
 }
 
 // Bias returns the (shift, add) parameters applied to the non-minimal load
-// before comparison: a minimal path is chosen iff
+// before comparison, for a packet that has already taken hopsTaken hops:
+// a minimal path is chosen iff
 //
 //	minLoad <= (nonMinLoad << shift) + add
 //
-// so larger shift/add push the choice toward minimal routes.
-func (m Mode) Bias() (shift, add uint) {
+// so larger shift/add push the choice toward minimal routes. Only AD1
+// depends on hopsTaken: its shift is min(1+hopsTaken, maxAD1Shift).
+func (m Mode) Bias(hopsTaken int) (shift, add uint) {
 	switch m {
 	case AD0:
 		return 0, 0
 	case AD1:
-		return 1, 0
+		return uint(min(1+hopsTaken, maxAD1Shift)), 0
 	case AD2:
 		return 0, 4
 	case AD3:
@@ -78,10 +80,14 @@ func (m Mode) Bias() (shift, add uint) {
 	return 0, 0
 }
 
+// maxAD1Shift caps AD1's per-hop bias growth.
+const maxAD1Shift = 4
+
 // PrefersMinimal applies the Aries bias rule: true means take the minimal
-// path given the two load estimates (in flits).
-func (m Mode) PrefersMinimal(minLoad, nonMinLoad int) bool {
-	shift, add := m.Bias()
+// path given the two load estimates (in flits) for a packet that has
+// already taken hopsTaken hops.
+func (m Mode) PrefersMinimal(minLoad, nonMinLoad, hopsTaken int) bool {
+	shift, add := m.Bias(hopsTaken)
 	return minLoad <= nonMinLoad<<shift+int(add)
 }
 

@@ -37,34 +37,38 @@ func TestParseMode(t *testing.T) {
 func TestBiasValues(t *testing.T) {
 	cases := []struct {
 		m          Mode
+		hops       int
 		shift, add uint
 	}{
-		{AD0, 0, 0}, {AD1, 1, 0}, {AD2, 0, 4}, {AD3, 2, 0},
+		{AD0, 0, 0, 0}, {AD1, 0, 1, 0}, {AD2, 0, 0, 4}, {AD3, 0, 2, 0},
+		// Only AD1 grows with hops taken, up to a shift of 4.
+		{AD0, 5, 0, 0}, {AD1, 1, 2, 0}, {AD1, 3, 4, 0}, {AD1, 9, 4, 0},
+		{AD2, 5, 0, 4}, {AD3, 5, 2, 0},
 	}
 	for _, c := range cases {
-		s, a := c.m.Bias()
+		s, a := c.m.Bias(c.hops)
 		if s != c.shift || a != c.add {
-			t.Errorf("%v.Bias() = (%d,%d), want (%d,%d)", c.m, s, a, c.shift, c.add)
+			t.Errorf("%v.Bias(%d) = (%d,%d), want (%d,%d)", c.m, c.hops, s, a, c.shift, c.add)
 		}
 	}
 }
 
 func TestPrefersMinimalRule(t *testing.T) {
 	// AD0: equal comparison.
-	if !AD0.PrefersMinimal(5, 5) || AD0.PrefersMinimal(6, 5) {
+	if !AD0.PrefersMinimal(5, 5, 0) || AD0.PrefersMinimal(6, 5, 0) {
 		t.Error("AD0 rule broken")
 	}
 	// AD3: minimal load must exceed 4x non-minimal before going non-minimal
 	// (the paper's statement verbatim).
-	if !AD3.PrefersMinimal(20, 5) || AD3.PrefersMinimal(21, 5) {
+	if !AD3.PrefersMinimal(20, 5, 0) || AD3.PrefersMinimal(21, 5, 0) {
 		t.Error("AD3 4x rule broken")
 	}
 	// AD2: +4 additive bias.
-	if !AD2.PrefersMinimal(9, 5) || AD2.PrefersMinimal(10, 5) {
+	if !AD2.PrefersMinimal(9, 5, 0) || AD2.PrefersMinimal(10, 5, 0) {
 		t.Error("AD2 +4 rule broken")
 	}
 	// AD1 at injection: 2x rule.
-	if !AD1.PrefersMinimal(10, 5) || AD1.PrefersMinimal(11, 5) {
+	if !AD1.PrefersMinimal(10, 5, 0) || AD1.PrefersMinimal(11, 5, 0) {
 		t.Error("AD1 2x rule broken")
 	}
 }
@@ -78,13 +82,13 @@ func TestBiasMonotonicityProperty(t *testing.T) {
 		m, n := int(minLoad), int(nonMinLoad)
 		// AD3 (4x) is at least as minimal-preferring as AD1 (2x), which is
 		// at least as minimal-preferring as AD0 (1x).
-		if AD0.PrefersMinimal(m, n) && !AD1.PrefersMinimal(m, n) {
+		if AD0.PrefersMinimal(m, n, 0) && !AD1.PrefersMinimal(m, n, 0) {
 			return false
 		}
-		if AD1.PrefersMinimal(m, n) && !AD3.PrefersMinimal(m, n) {
+		if AD1.PrefersMinimal(m, n, 0) && !AD3.PrefersMinimal(m, n, 0) {
 			return false
 		}
-		if AD0.PrefersMinimal(m, n) && !AD2.PrefersMinimal(m, n) {
+		if AD0.PrefersMinimal(m, n, 0) && !AD2.PrefersMinimal(m, n, 0) {
 			return false
 		}
 		return true
@@ -367,16 +371,14 @@ func TestRoutePropertyValidBounded(t *testing.T) {
 	}
 }
 
-func TestProgressiveAD1(t *testing.T) {
+func TestAD1BiasGrowsWithHops(t *testing.T) {
 	topo, err := topology.Build(topology.TestConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	est := loadedEstimator{}
 	src, dst := loadMinimalFirstHops(t, topo, est, 30)
-	cfg := DefaultConfig()
-	cfg.Progressive = true
-	e := NewEngine(topo, est, cfg)
+	e := NewEngine(topo, est, DefaultConfig())
 	rng := rand.New(rand.NewSource(17))
 	// With many hops already taken the effective bias is strong: expect
 	// fewer detours than at injection.
@@ -391,7 +393,7 @@ func TestProgressiveAD1(t *testing.T) {
 	}
 	early, late := detours(0), detours(4)
 	if late > early {
-		t.Errorf("progressive AD1: detours grew with hops (%d -> %d)", early, late)
+		t.Errorf("AD1: detours grew with hops (%d -> %d)", early, late)
 	}
 }
 

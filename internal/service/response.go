@@ -117,11 +117,9 @@ func buildResponse(q Query, samples []experiments.Sample) *Response {
 			}
 			mpiFracs.Add(frac)
 			transits.Add(s.MeanTransitSec)
-			if s.Reduced != nil {
-				for _, class := range networkTileClasses {
-					flits += s.Reduced.LocalTiles.Flits[class]
-					stalls += s.Reduced.LocalTiles.Stalls[class]
-				}
+			for _, class := range networkTileClasses {
+				flits += s.Reduced.LocalTiles.Flits[class]
+				stalls += s.Reduced.LocalTiles.Stalls[class]
 			}
 			minPkts += s.MinPkts
 			nonMinPkts += s.NonMinPkts

@@ -212,17 +212,14 @@ func (s *Server) execute(q Query) (int, []byte) {
 	s.metrics.recordExecution(time.Since(start).Seconds())
 
 	warmAfter, coldAfter := reuseTotals(machines)
-	var events, packets, reduced, digestBytes uint64
+	var events, packets, digestBytes uint64
 	for _, smp := range samples {
 		events += smp.Events
 		packets += smp.Packets
-		if smp.Reduced != nil {
-			reduced++
-			digestBytes += uint64(smp.Reduced.MemBytes())
-		}
+		digestBytes += uint64(smp.Reduced.MemBytes())
 	}
 	s.metrics.recordSim(events, packets, warmAfter-warmBefore, coldAfter-coldBefore)
-	s.metrics.recordReduced(reduced, digestBytes)
+	s.metrics.recordReduced(uint64(len(samples)), digestBytes)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			return http.StatusGatewayTimeout,

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -388,6 +389,33 @@ func TestProcTableRecycled(t *testing.T) {
 	if len(k.procs) != 0 || len(k.freeProcs) != 0 {
 		t.Fatalf("after Reset: %d proc entries, %d free ids; want 0/0", len(k.procs), len(k.freeProcs))
 	}
+}
+
+// TestSpawnAtPastLeavesNoProc checks a SpawnAt into the past panics
+// before it takes a proc id or starts a goroutine, so the kernel can
+// still be Reset and nothing is left parked.
+func TestSpawnAtPastLeavesNoProc(t *testing.T) {
+	k := NewKernel()
+	h := &countingHandler{k: k}
+	h.id = k.RegisterHandler(h)
+	k.AtEvent(10*Nanosecond, h.id, 0, 0, 0)
+	k.Run()
+	goroutines := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SpawnAt into the past did not panic")
+			}
+		}()
+		k.SpawnAt(5*Nanosecond, func(p *Proc) { t.Error("past proc ran") })
+	}()
+	if n := k.LiveProcs(); n != 0 {
+		t.Fatalf("LiveProcs = %d after a rejected SpawnAt, want 0", n)
+	}
+	if n := runtime.NumGoroutine(); n != goroutines {
+		t.Fatalf("goroutines %d -> %d across a rejected SpawnAt", goroutines, n)
+	}
+	k.Reset()
 }
 
 // TestRegisterHandlerReservedID checks the kernel holds handler id 0 for

@@ -36,12 +36,20 @@ func (k *Kernel) Spawn(fn func(p *Proc)) *Proc {
 // SpawnAt starts fn as a new proc at absolute virtual time t.
 func (k *Kernel) SpawnAt(t Time, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, resume: make(chan struct{})}
-	if n := len(k.freeProcs); n > 0 {
+	n := len(k.freeProcs)
+	if n > 0 {
 		p.id = k.freeProcs[n-1]
+	} else {
+		p.id = int32(len(k.procs))
+	}
+	// Schedule the first resume before the id is taken or the goroutine
+	// started: AtEvent panics on a t in the past, and then no part of the
+	// proc exists, so the kernel stays resettable.
+	k.AtEvent(t, procHandler, 0, int64(p.id), 0)
+	if n > 0 {
 		k.freeProcs = k.freeProcs[:n-1]
 		k.procs[p.id] = p
 	} else {
-		p.id = int32(len(k.procs))
 		k.procs = append(k.procs, p)
 	}
 	k.stats.ProcsSpawned++
@@ -56,7 +64,6 @@ func (k *Kernel) SpawnAt(t Time, fn func(p *Proc)) *Proc {
 		k.freeProcs = append(k.freeProcs, p.id)
 		k.parked <- struct{}{} // final handback; never resumed again
 	}()
-	k.AtEvent(t, procHandler, 0, int64(p.id), 0)
 	return p
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# lint.sh — the exact static checks CI's lint job runs, for local use.
+# lint.sh — the repo's static checks. CI's lint job runs this script, so
+# a local run is exactly the CI gate.
 #
-# Five gates, same flags as .github/workflows/ci.yml:
+# Five gates:
 #   1. gofmt -l   — no unformatted files (the simlint directive comments
 #                   are gofmt-stable; drift here usually means a hand
 #                   edit skipped gofmt)
