@@ -7,7 +7,6 @@ package autoperf
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/mpi"
@@ -67,26 +66,9 @@ func (c *Collector) Finish(app string, w *mpi.World) *Report {
 		LocalTileRatios: make(map[topology.TileClass][]float64),
 	}
 	for class := topology.TileClass(0); class < topology.NumTileClasses; class++ {
-		r.LocalTileRatios[class] = localTileRatios(delta, c.routers, class)
+		r.LocalTileRatios[class] = delta.TileRatios(c.routers, class)
 	}
 	return r
-}
-
-// localTileRatios computes per-tile stalls-to-flits over a router subset.
-func localTileRatios(c *network.Counters, routers []topology.RouterID, class topology.TileClass) []float64 {
-	topo := c.Topo()
-	var out []float64
-	for _, r := range routers {
-		for t := 0; t < topo.TilesPerRouter(); t++ {
-			if topo.TileClassOf(t) != class {
-				continue
-			}
-			if f := c.Flits[r][t]; f > 0 {
-				out = append(out, c.Stalls[r][t]/float64(f))
-			}
-		}
-	}
-	return out
 }
 
 // MPIFraction returns the share of total runtime spent in MPI, summed over
@@ -104,14 +86,7 @@ func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "AutoPerf report: %s ranks=%d runtime=%v mpi=%.0f%%\n",
 		r.App, r.Ranks, r.Runtime, 100*r.MPIFraction())
-	names := make([]string, 0, len(r.Profile.ByCall))
-	for name := range r.Profile.ByCall {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		return r.Profile.ByCall[names[i]].Time > r.Profile.ByCall[names[j]].Time
-	})
-	for _, name := range names {
+	for _, name := range r.Profile.TopCalls(0) {
 		s := r.Profile.ByCall[name]
 		fmt.Fprintf(&b, "  %-16s calls=%-8d avgBytes=%-10.0f time=%v\n",
 			name, s.Calls, s.AvgBytes(), s.Time)

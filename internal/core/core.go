@@ -181,14 +181,11 @@ type RunOpts struct {
 	// Warmup delays the instrumented jobs so background noise is
 	// established first.
 	Warmup sim.Time
-	// LDMS enables global periodic counter sampling.
-	LDMS *ldms.Options
 }
 
 // JobResult is the outcome of one instrumented job.
 type JobResult struct {
 	App           string
-	Env           mpi.Env
 	Nodes         []topology.NodeID
 	GroupsSpanned int
 	Runtime       sim.Time
@@ -204,15 +201,14 @@ type JobResult struct {
 // RunResult is the outcome of one Run.
 type RunResult struct {
 	Jobs []JobResult
-	// Global is the whole-system counter delta over the run.
+	// Global holds the whole-system class totals over the run.
 	Global network.ClassTotals
-	// GlobalCounters is the full per-tile counter delta.
+	// GlobalCounters is the run's full per-tile counter state. Every run
+	// starts from zeroed counters (a fresh fabric, or Fabric.Reset), so
+	// this is exactly what the run itself counted.
 	GlobalCounters *network.Counters
-	// LDMS holds the sampler (nil unless requested).
-	LDMS *ldms.Daemon
 	// Fabric-level stats.
 	PacketsSent, PacketsDelivered uint64
-	MinimalTaken, NonMinimalTaken uint64
 	EventsExecuted                uint64
 	// Mean network transit by route class, diagnostics for the routing
 	// mechanism (microseconds; counts in thousands).
@@ -263,11 +259,6 @@ func (m *Machine) Run(specs []JobSpec, opts RunOpts) (*RunResult, error) {
 		jobs[i] = &liveJob{spec: spec, nodes: nodes}
 	}
 
-	var daemon *ldms.Daemon
-	if opts.LDMS != nil {
-		daemon = ldms.Start(fab, *opts.LDMS)
-	}
-
 	cancelNoise := sim.NewSignal()
 	if opts.Background != nil {
 		startBackground(fab, alloc, *opts.Background, cancelNoise, opts.Seed)
@@ -286,28 +277,21 @@ func (m *Machine) Run(specs []JobSpec, opts RunOpts) (*RunResult, error) {
 			j.world.Run(j.spec.App.Main(baseCfg))
 		}
 		// Watcher: when every instrumented job completes, stop the
-		// noise and the sampler so the kernel can drain.
+		// noise so the kernel can drain.
 		k.Spawn(func(p *sim.Proc) {
 			for _, j := range jobs {
 				p.Wait(j.world.Done)
 			}
 			cancelNoise.Fire(k)
-			if daemon != nil {
-				daemon.Stop()
-			}
 		})
 	})
 
-	before := fab.Counters().Snapshot()
 	k.Run()
 
 	res := &RunResult{
-		GlobalCounters:   fab.Counters().Sub(before),
-		LDMS:             daemon,
+		GlobalCounters:   fab.Counters().Snapshot(),
 		PacketsSent:      fab.PacketsSent,
 		PacketsDelivered: fab.PacketsDelivered,
-		MinimalTaken:     fab.MinimalTaken,
-		NonMinimalTaken:  fab.NonMinimalTaken,
 		EventsExecuted:   k.Stats().EventsExecuted,
 		Pool:             fab.PoolStats(),
 	}
@@ -326,7 +310,6 @@ func (m *Machine) Run(specs []JobSpec, opts RunOpts) (*RunResult, error) {
 		}
 		res.Jobs = append(res.Jobs, JobResult{
 			App:            j.spec.App.Name(),
-			Env:            j.spec.Env,
 			Nodes:          j.nodes,
 			GroupsSpanned:  placement.GroupsSpanned(m.Topo, j.nodes),
 			Runtime:        j.world.Runtime(),
@@ -381,11 +364,10 @@ func (m *Machine) RunCampaign(duration sim.Time, bg BackgroundSpec, ldmsOpts ldm
 		cancel.Fire(k)
 		daemon.Stop()
 	})
-	before := fab.Counters().Snapshot()
 	k.Run()
 	return &CampaignResult{
 		LDMS:     daemon,
-		Global:   fab.Counters().Sub(before).Aggregate(nil),
+		Global:   fab.Counters().Aggregate(nil),
 		Duration: duration,
 	}, nil
 }

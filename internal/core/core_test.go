@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/ldms"
 	"repro/internal/mpi"
+	"repro/internal/network"
 	"repro/internal/placement"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -157,25 +159,35 @@ func TestRunEnsemble(t *testing.T) {
 
 func TestRunWithLDMS(t *testing.T) {
 	m := testMachine(t)
-	_, res, err := m.RunOne(milcSpec(8, routing.AD0), RunOpts{
-		Seed: 3,
-		LDMS: &ldms.Options{Period: 2 * sim.Millisecond, RecordRouterRatios: true, RecordNICLatency: true},
-	})
+	res, err := m.RunCampaign(10*sim.Millisecond, *DefaultBackground(),
+		ldms.Options{Period: 2 * sim.Millisecond, RecordRouterRatios: true, RecordNICLatency: true}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.LDMS == nil || len(res.LDMS.Samples()) == 0 {
 		t.Fatal("no LDMS samples")
 	}
-	if len(res.LDMS.AllRouterRatios()) == 0 {
+	if res.LDMS.RouterRatioAgg().Count() == 0 {
 		t.Fatal("no router ratios recorded")
 	}
-	if len(res.LDMS.AllNICLatencies()) == 0 {
+	if res.LDMS.NICLatencyAgg().Count() == 0 {
 		t.Fatal("no NIC latency samples recorded")
 	}
-	if res.LDMS.TotalsOverall().TotalFlits() == 0 {
+	if sampleTotals(res.LDMS.Samples()).TotalFlits() == 0 {
 		t.Fatal("LDMS totals empty")
 	}
+}
+
+// sampleTotals sums class totals across LDMS windows.
+func sampleTotals(samples []ldms.Sample) network.ClassTotals {
+	var ct network.ClassTotals
+	for _, s := range samples {
+		for c := range ct.Flits {
+			ct.Flits[c] += s.Totals.Flits[c]
+			ct.Stalls[c] += s.Totals.Stalls[c]
+		}
+	}
+	return ct
 }
 
 func TestRunErrors(t *testing.T) {
@@ -233,60 +245,58 @@ func TestCampaignModeChangesCongestion(t *testing.T) {
 	}
 }
 
-// TestLDMSSurvivesWarmReuse closes the ROADMAP audit item: RunResult.LDMS
-// must keep reporting the originating run's counters after the warm
-// kernel/fabric pair is rewound and reused for another run. Every Sample
-// is materialized at tick time and Daemon.Stop drops the fabric
-// reference, so re-reading the first result after the second run must be
-// byte-identical to reading it before.
+// TestLDMSSurvivesWarmReuse pins that CampaignResult.LDMS keeps
+// reporting the originating campaign's counters after the warm
+// kernel/fabric pair is rewound and reused for another campaign. Every
+// Sample is materialized at tick time and Daemon.Stop drops the fabric
+// reference, so re-reading the first result after the second campaign
+// must be byte-identical to reading it before.
 func TestLDMSSurvivesWarmReuse(t *testing.T) {
 	m := testMachine(t)
-	opts := RunOpts{
-		Seed: 3,
-		LDMS: &ldms.Options{Period: 2 * sim.Millisecond, RecordRouterRatios: true, RecordNICLatency: true},
+	opts := ldms.Options{Period: 2 * sim.Millisecond, RecordRouterRatios: true, RecordNICLatency: true}
+	campaign := func(mode routing.Mode) *CampaignResult {
+		t.Helper()
+		bg := DefaultBackground()
+		bg.Env = mpi.UniformEnv(mode)
+		res, err := m.RunCampaign(10*sim.Millisecond, *bg, opts, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.LDMS.Samples()) == 0 {
+			t.Fatalf("%v campaign recorded no LDMS samples", mode)
+		}
+		return res
 	}
-	_, res1, err := m.RunOne(milcSpec(8, routing.AD0), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.LDMS == nil || len(res1.LDMS.Samples()) == 0 {
-		t.Fatal("first run recorded no LDMS samples")
-	}
+	res1 := campaign(routing.AD0)
 	samples1 := deepCopySamples(res1.LDMS.Samples())
-	totals1 := res1.LDMS.TotalsOverall()
-	ratios1 := append([]float64(nil), res1.LDMS.AllRouterRatios()...)
+	totals1 := sampleTotals(samples1)
+	ratios1 := res1.LDMS.RouterRatioAgg().Clone()
 
-	// Second run on the same machine: fabric() must take the warm path
-	// (same config, drained kernel), mutating the counters res1's daemon
-	// sampled from. Use a different routing mode so the traffic genuinely
-	// differs.
+	// Second campaign on the same machine: fabric() must take the warm
+	// path (same config, drained kernel), mutating the counters res1's
+	// daemon sampled from. A different background routing mode makes the
+	// traffic genuinely differ.
 	k1 := m.k
-	_, res2, err := m.RunOne(milcSpec(8, routing.AD3), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	campaign(routing.AD3)
 	if m.k != k1 {
-		t.Fatal("second run rebuilt instead of reusing the warm kernel")
-	}
-	if res2.LDMS == nil || len(res2.LDMS.Samples()) == 0 {
-		t.Fatal("second run recorded no LDMS samples")
+		t.Fatal("second campaign rebuilt instead of reusing the warm kernel")
 	}
 
-	// Re-read the FIRST run's daemon after the reuse.
-	if got := res1.LDMS.TotalsOverall(); got != totals1 {
-		t.Fatalf("warm reuse changed first run's LDMS totals:\n before %+v\n after  %+v", totals1, got)
-	}
+	// Re-read the FIRST campaign's daemon after the reuse.
 	after := res1.LDMS.Samples()
+	if got := sampleTotals(after); got != totals1 {
+		t.Fatalf("warm reuse changed first campaign's LDMS totals:\n before %+v\n after  %+v", totals1, got)
+	}
 	if len(after) != len(samples1) {
-		t.Fatalf("warm reuse changed first run's sample count: %d -> %d", len(samples1), len(after))
+		t.Fatalf("warm reuse changed first campaign's sample count: %d -> %d", len(samples1), len(after))
 	}
 	for i := range after {
 		if !sampleEqual(after[i], samples1[i]) {
-			t.Fatalf("warm reuse changed first run's sample %d:\n before %+v\n after  %+v", i, samples1[i], after[i])
+			t.Fatalf("warm reuse changed first campaign's sample %d:\n before %+v\n after  %+v", i, samples1[i], after[i])
 		}
 	}
-	if got := res1.LDMS.AllRouterRatios(); !floatsEqual(got, ratios1) {
-		t.Fatal("warm reuse changed first run's router ratios")
+	if !reflect.DeepEqual(res1.LDMS.RouterRatioAgg(), ratios1) {
+		t.Fatal("warm reuse changed first campaign's router-ratio aggregate")
 	}
 }
 

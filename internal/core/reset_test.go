@@ -15,7 +15,9 @@ import (
 // on a cold machine. This is the invariant that makes per-worker machine
 // reuse safe for the ensemble runner — any state leaking across a reset
 // (queue remnants, counter residue, RNG position, pool stats) shows up
-// here as a diff.
+// here as a diff. RunResult.GlobalCounters is the raw counter state at
+// the end of the run, not a delta, so a Counters.Reset that missed a
+// field (the ORB arrays, say) fails this comparison.
 func TestMachineResetEquivalence(t *testing.T) {
 	target := milcSpec(8, routing.AD3)
 	opts := RunOpts{Seed: 99, Background: DefaultBackground()}

@@ -68,7 +68,7 @@ func Fig9ControlledAllModes(p Profile, seed int64) (*Fig9Result, error) {
 			func(worker, idx int) (*core.RunResult, error) {
 				mi, policy := idx/len(policies), policies[idx%len(policies)]
 				return ensembleRun(mp.machine(worker), p, a, count, p.NodesMedium,
-					modes[mi], policy, seed+int64(mi)*101, nil)
+					modes[mi], policy, seed+int64(mi)*101)
 			},
 			func(idx int, run *core.RunResult) {
 				agg := perMode[modes[idx/len(policies)]]

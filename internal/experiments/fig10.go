@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/ldms"
 	"repro/internal/network"
 	"repro/internal/parallel"
 	"repro/internal/placement"
@@ -70,8 +69,7 @@ func ensembleCounterStudy(p Profile, a apps.App, figure string, count, nodes int
 	err = parallel.ReduceContext(context.Background(), mp.workers(), len(modes),
 		func(worker, idx int) (EnsembleCounters, error) {
 			m := mp.machine(worker)
-			run, err := ensembleRun(m, p, a, count, nodes, modes[idx], placement.Dispersed, seed,
-				&ldms.Options{Period: p.LDMSPeriod, RecordRouterRatios: true})
+			run, err := ensembleRun(m, p, a, count, nodes, modes[idx], placement.Dispersed, seed)
 			if err != nil {
 				return EnsembleCounters{}, err
 			}

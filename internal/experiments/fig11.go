@@ -49,7 +49,7 @@ func Fig11RegimeComparison(p Profile, seed int64) (*Fig11Result, error) {
 		prodAgg := aggAt(res.Ratios, mode, RegimeProduction)
 		err := production(context.Background(), mp, p, apps.MILC{}, p.NodesMedium,
 			[]routing.Mode{mode}, core.DefaultBackground(), seed, func(s *Sample) {
-				prodAgg.AddAll(networkTileRatios(s))
+				prodAgg.AddAll(networkTileRatios(s.Report))
 			})
 		if err != nil {
 			return nil, err
@@ -63,7 +63,7 @@ func Fig11RegimeComparison(p Profile, seed int64) (*Fig11Result, error) {
 					mode, placement.Dispersed, seed+int64(i))
 			},
 			func(i int, s Sample) {
-				isoAgg.AddAll(networkTileRatios(&s))
+				isoAgg.AddAll(networkTileRatios(s.Report))
 			})
 		if err != nil {
 			return nil, err
@@ -80,14 +80,12 @@ func Fig11RegimeComparison(p Profile, seed int64) (*Fig11Result, error) {
 		err = parallel.ReduceContext(context.Background(), mp.workers(), len(regimes),
 			func(worker, idx int) (*core.RunResult, error) {
 				return ensembleRun(mp.machine(worker), p, apps.MILC{}, p.EnsembleMedium,
-					p.NodesMedium, mode, regimes[idx].policy, seed+977, nil)
+					p.NodesMedium, mode, regimes[idx].policy, seed+977)
 			},
 			func(idx int, run *core.RunResult) {
 				agg := aggAt(res.Ratios, mode, regimes[idx].regime)
 				for _, j := range run.Jobs {
-					for _, class := range networkClasses {
-						agg.AddAll(j.Report.LocalTileRatios[class])
-					}
+					agg.AddAll(networkTileRatios(j.Report))
 				}
 			})
 		if err != nil {

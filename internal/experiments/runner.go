@@ -7,7 +7,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/autoperf"
 	"repro/internal/core"
-	"repro/internal/ldms"
 	"repro/internal/mpi"
 	"repro/internal/parallel"
 	"repro/internal/placement"
@@ -253,16 +252,15 @@ func isolatedSample(m *core.Machine, p Profile, app apps.App, nodes int,
 
 // ensembleRun launches `count` simultaneous copies of the same app (the
 // paper's controlled reservation experiments) and returns the RunResult
-// with per-job results plus global counters / LDMS samples.
+// with per-job results plus the run's global counters.
 func ensembleRun(m *core.Machine, p Profile, app apps.App, count, nodes int,
-	mode routing.Mode, policy placement.Policy, seed int64,
-	ldmsOpts *ldms.Options) (*core.RunResult, error) {
+	mode routing.Mode, policy placement.Policy, seed int64) (*core.RunResult, error) {
 
 	specs := make([]core.JobSpec, count)
 	for i := range specs {
 		specs[i] = p.jobSpec(app, nodes, mode, policy, 0, seed+int64(i))
 	}
-	return m.Run(specs, core.RunOpts{Seed: seed, LDMS: ldmsOpts})
+	return m.Run(specs, core.RunOpts{Seed: seed})
 }
 
 // aggAt returns m[k1][k2], creating the inner map and the aggregate on
@@ -287,17 +285,17 @@ var networkClasses = []topology.TileClass{
 	topology.TileRank1, topology.TileRank2, topology.TileRank3,
 }
 
-// networkTileRatios pools a sample's per-tile stalls-to-flits ratios over
+// networkTileRatios pools a report's per-tile stalls-to-flits ratios over
 // the network tile classes. Requires the full Report — call it inside a
 // streaming fold, before the sample is compacted.
-func networkTileRatios(s *Sample) []float64 {
+func networkTileRatios(r *autoperf.Report) []float64 {
 	n := 0
 	for _, class := range networkClasses {
-		n += len(s.Report.LocalTileRatios[class])
+		n += len(r.LocalTileRatios[class])
 	}
 	out := make([]float64, 0, n)
 	for _, class := range networkClasses {
-		out = append(out, s.Report.LocalTileRatios[class]...)
+		out = append(out, r.LocalTileRatios[class]...)
 	}
 	return out
 }

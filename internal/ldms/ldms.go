@@ -34,8 +34,8 @@ type Options struct {
 	// and keeps only the daemon-level online aggregates, so a long
 	// campaign's monitoring footprint stays bounded no matter how many
 	// windows elapse. The pooled distributions remain available through
-	// RouterRatioAgg and NICLatencyAgg (which are maintained in either
-	// mode); AllRouterRatios/AllNICLatencies return nil under Stream.
+	// RouterRatioAgg and NICLatencyAgg, which are maintained in either
+	// mode.
 	Stream bool
 }
 
@@ -95,8 +95,7 @@ func (d *Daemon) tick() {
 		topo := d.fab.Topology()
 		for n := 0; n < topo.NumNodes(); n++ {
 			if delta.ORBCount[n] > 0 {
-				lat := delta.ORBTimeSum[n] / sim.Time(delta.ORBCount[n])
-				v := lat.Seconds()
+				v := delta.MeanORBLatency(topology.NodeID(n)).Seconds()
 				d.nicAgg.Add(v)
 				if !d.opts.Stream {
 					s.NICLatency = append(s.NICLatency, v)
@@ -131,18 +130,6 @@ func (d *Daemon) Stop() {
 // Samples returns the recorded windows.
 func (d *Daemon) Samples() []Sample { return d.samples }
 
-// TotalsOverall sums class totals across all windows.
-func (d *Daemon) TotalsOverall() network.ClassTotals {
-	var ct network.ClassTotals
-	for _, s := range d.samples {
-		for c := topology.TileClass(0); c < topology.NumTileClasses; c++ {
-			ct.Flits[c] += s.Totals.Flits[c]
-			ct.Stalls[c] += s.Totals.Stalls[c]
-		}
-	}
-	return ct
-}
-
 // RouterRatioAgg returns the pooled per-router per-window ratio
 // distribution across all windows (nil when RecordRouterRatios unset;
 // *stats.Agg reads are nil-safe).
@@ -151,25 +138,3 @@ func (d *Daemon) RouterRatioAgg() *stats.Agg { return d.routerAgg }
 // NICLatencyAgg returns the pooled per-NIC mean-latency distribution
 // across all windows (nil when RecordNICLatency unset).
 func (d *Daemon) NICLatencyAgg() *stats.Agg { return d.nicAgg }
-
-// AllRouterRatios concatenates router-ratio samples across windows (the
-// population behind the paper's Fig. 13 STALLS/FLITS panels). Empty when
-// Options.Stream dropped the per-window slices — use RouterRatioAgg.
-func (d *Daemon) AllRouterRatios() []float64 {
-	var out []float64
-	for _, s := range d.samples {
-		out = append(out, s.RouterRatios...)
-	}
-	return out
-}
-
-// AllNICLatencies concatenates per-NIC mean-latency samples across windows
-// (the population behind the paper's Fig. 14 percentiles). Empty when
-// Options.Stream dropped the per-window slices — use NICLatencyAgg.
-func (d *Daemon) AllNICLatencies() []float64 {
-	var out []float64
-	for _, s := range d.samples {
-		out = append(out, s.NICLatency...)
-	}
-	return out
-}

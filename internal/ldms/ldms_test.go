@@ -54,15 +54,17 @@ func TestDaemonSamples(t *testing.T) {
 	if samples[0].Totals.TotalFlits() == 0 {
 		t.Fatal("first window empty despite traffic")
 	}
-	if len(d.AllRouterRatios()) == 0 {
+	if d.RouterRatioAgg().Count() == 0 {
 		t.Fatal("no router ratios")
 	}
-	if len(d.AllNICLatencies()) == 0 {
+	if d.NICLatencyAgg().Count() == 0 {
 		t.Fatal("no NIC latencies")
 	}
-	for _, l := range d.AllNICLatencies() {
-		if l <= 0 {
-			t.Fatal("nonpositive latency sample")
+	for _, s := range samples {
+		for _, l := range s.NICLatency {
+			if l <= 0 {
+				t.Fatal("nonpositive latency sample")
+			}
 		}
 	}
 }
@@ -91,10 +93,13 @@ func TestDeltaWindows(t *testing.T) {
 	drip(fab, k, 200*sim.Microsecond, 4*sim.Millisecond)
 	stopAt(k, d, 8*sim.Millisecond)
 	k.Run()
-	total := d.TotalsOverall()
+	var total uint64
+	for _, s := range d.Samples() {
+		total += s.Totals.TotalFlits()
+	}
 	global := fab.Counters().Aggregate(nil)
-	if total.TotalFlits() != global.TotalFlits() {
-		t.Fatalf("window sum %d != global %d", total.TotalFlits(), global.TotalFlits())
+	if total != global.TotalFlits() {
+		t.Fatalf("window sum %d != global %d", total, global.TotalFlits())
 	}
 }
 

@@ -55,9 +55,6 @@ func NewCounters(topo *topology.Topology) *Counters {
 	return c
 }
 
-// Topology returns the topology these counters describe.
-func (c *Counters) Topo() *topology.Topology { return c.topo }
-
 // Snapshot deep-copies the current counter state.
 func (c *Counters) Snapshot() *Counters {
 	s := NewCounters(c.topo)
@@ -119,25 +116,31 @@ func (ct ClassTotals) TotalStalls() float64 {
 	return s
 }
 
+// eachRouter calls f for each of the given routers in order, or for
+// every router when routers is nil: the router-subset convention of the
+// readers below.
+func (c *Counters) eachRouter(routers []topology.RouterID, f func(r int)) {
+	if routers == nil {
+		for r := range c.Flits {
+			f(r)
+		}
+		return
+	}
+	for _, r := range routers {
+		f(int(r))
+	}
+}
+
 // Aggregate computes ClassTotals over the given routers (nil = all).
 func (c *Counters) Aggregate(routers []topology.RouterID) ClassTotals {
 	var ct ClassTotals
-	add := func(r int) {
+	c.eachRouter(routers, func(r int) {
 		for t := range c.Flits[r] {
 			class := c.topo.TileClassOf(t)
 			ct.Flits[class] += c.Flits[r][t]
 			ct.Stalls[class] += c.Stalls[r][t]
 		}
-	}
-	if routers == nil {
-		for r := range c.Flits {
-			add(r)
-		}
-		return ct
-	}
-	for _, r := range routers {
-		add(int(r))
-	}
+	})
 	return ct
 }
 
@@ -169,10 +172,11 @@ func (c *Counters) RouterRatios(routers []topology.RouterID) []float64 {
 }
 
 // TileRatios returns the per-tile stalls-to-flits ratio for every tile of
-// the given class with nonzero flits, across all routers.
-func (c *Counters) TileRatios(class topology.TileClass) []float64 {
+// the given class with nonzero flits, over the given routers in order
+// (nil = all routers).
+func (c *Counters) TileRatios(routers []topology.RouterID, class topology.TileClass) []float64 {
 	var out []float64
-	for r := range c.Flits {
+	c.eachRouter(routers, func(r int) {
 		for t := range c.Flits[r] {
 			if c.topo.TileClassOf(t) != class {
 				continue
@@ -181,7 +185,7 @@ func (c *Counters) TileRatios(class topology.TileClass) []float64 {
 				out = append(out, c.Stalls[r][t]/float64(f))
 			}
 		}
-	}
+	})
 	return out
 }
 

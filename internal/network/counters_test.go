@@ -1,6 +1,7 @@
 package network
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -64,7 +65,7 @@ func TestCountersSub(t *testing.T) {
 
 func TestAggregateByClassAndSubset(t *testing.T) {
 	c := countersFixture(t)
-	topo := c.Topo()
+	topo := c.topo
 	// Put flits on a known rank-1 tile of router 0 and router 5.
 	var r1tile int
 	for tile := 0; tile < topo.TilesPerRouter(); tile++ {
@@ -96,13 +97,13 @@ func TestAggregateByClassAndSubset(t *testing.T) {
 
 func TestTileRatiosClassFilter(t *testing.T) {
 	c := countersFixture(t)
-	topo := c.Topo()
+	topo := c.topo
 	for tile := 0; tile < topo.TilesPerRouter(); tile++ {
 		c.Flits[2][tile] = 10
 		c.Stalls[2][tile] = float64(tile)
 	}
 	for class := topology.TileClass(0); class < topology.NumTileClasses; class++ {
-		ratios := c.TileRatios(class)
+		ratios := c.TileRatios(nil, class)
 		if len(ratios) == 0 {
 			t.Fatalf("no ratios for class %v", class)
 		}
@@ -111,10 +112,45 @@ func TestTileRatiosClassFilter(t *testing.T) {
 	// has traffic).
 	total := 0
 	for class := topology.TileClass(0); class < topology.NumTileClasses; class++ {
-		total += len(c.TileRatios(class))
+		total += len(c.TileRatios(nil, class))
 	}
 	if total != topo.TilesPerRouter() {
 		t.Fatalf("ratio samples = %d, want %d", total, topo.TilesPerRouter())
+	}
+}
+
+// TestTileRatiosRouterSubset checks a router subset against filtering the
+// all-routers result: each tile's ratio encodes its router, so the subset
+// must be exactly the all-routers ratios whose router is in the subset,
+// in the same order.
+func TestTileRatiosRouterSubset(t *testing.T) {
+	c := countersFixture(t)
+	const scale = 1000 // ratio = router*scale + tile: decodable back to its router
+	for r := range c.Flits {
+		if r%3 == 1 {
+			continue // idle routers contribute no ratios
+		}
+		for tile := range c.Flits[r] {
+			c.Flits[r][tile] = 1
+			c.Stalls[r][tile] = float64(r*scale + tile)
+		}
+	}
+	subset := []topology.RouterID{0, 1, 4, 5, topology.RouterID(len(c.Flits) - 1)}
+	in := map[int]bool{}
+	for _, r := range subset {
+		in[int(r)] = true
+	}
+	for class := topology.TileClass(0); class < topology.NumTileClasses; class++ {
+		var want []float64
+		for _, v := range c.TileRatios(nil, class) {
+			if in[int(v)/scale] {
+				want = append(want, v)
+			}
+		}
+		got := c.TileRatios(subset, class)
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("class %v: subset ratios %v, want %v", class, got, want)
+		}
 	}
 }
 

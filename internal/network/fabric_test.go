@@ -2,6 +2,7 @@ package network
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -334,8 +335,17 @@ func TestRouterRatiosAndTileRatios(t *testing.T) {
 			t.Fatalf("negative ratio %g", r)
 		}
 	}
-	if tr := f.Counters().TileRatios(topology.TileRank1); len(tr) == 0 {
+	tr := f.Counters().TileRatios(nil, topology.TileRank1)
+	if len(tr) == 0 {
 		t.Fatal("no rank-1 tile ratios despite intra-group traffic")
+	}
+	// Naming every router in order is the same question as nil.
+	all := make([]topology.RouterID, f.Topology().NumRouters())
+	for i := range all {
+		all[i] = topology.RouterID(i)
+	}
+	if got := f.Counters().TileRatios(all, topology.TileRank1); !reflect.DeepEqual(got, tr) {
+		t.Fatalf("all-routers subset %v differs from nil %v", got, tr)
 	}
 }
 
