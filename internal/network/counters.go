@@ -21,11 +21,17 @@ type Counters struct {
 	topo *topology.Topology //simlint:resetsafe immutable topology these counters describe
 
 	// Flits[r][t] counts flits transmitted by tile t of router r.
-	Flits [][]uint64
+	Flits [][]uint64 //simlint:resetsafe row views into flits, which Reset clears
 	// Stalls[r][t] accumulates stalled flit-cycles on tile t of router r:
 	// time the tile had a flit ready but could not transmit, converted to
 	// flit periods at the tile's line rate.
-	Stalls [][]float64
+	Stalls [][]float64 //simlint:resetsafe row views into stalls, which Reset clears
+	// flits and stalls are the flat backing slabs the Flits and Stalls
+	// rows are carved from: tile t of router r is element
+	// r*TilesPerRouter()+t. The fabric's per-hop writes index them
+	// directly through each server's precomputed counter index.
+	flits  []uint64
+	stalls []float64
 
 	// ORBTimeSum[n] accumulates request->response round-trip time for
 	// node n's NIC; ORBCount[n] counts tracked pairs. Their quotient is
@@ -43,14 +49,14 @@ func NewCounters(topo *topology.Topology) *Counters {
 		topo:       topo,
 		Flits:      make([][]uint64, nr),
 		Stalls:     make([][]float64, nr),
+		flits:      make([]uint64, nr*tiles),
+		stalls:     make([]float64, nr*tiles),
 		ORBTimeSum: make([]sim.Time, topo.Cfg.Capacity()),
 		ORBCount:   make([]uint64, topo.Cfg.Capacity()),
 	}
-	flits := make([]uint64, nr*tiles)
-	stalls := make([]float64, nr*tiles)
 	for r := 0; r < nr; r++ {
-		c.Flits[r] = flits[r*tiles : (r+1)*tiles : (r+1)*tiles]
-		c.Stalls[r] = stalls[r*tiles : (r+1)*tiles : (r+1)*tiles]
+		c.Flits[r] = c.flits[r*tiles : (r+1)*tiles : (r+1)*tiles]
+		c.Stalls[r] = c.stalls[r*tiles : (r+1)*tiles : (r+1)*tiles]
 	}
 	return c
 }
@@ -58,10 +64,8 @@ func NewCounters(topo *topology.Topology) *Counters {
 // Snapshot deep-copies the current counter state.
 func (c *Counters) Snapshot() *Counters {
 	s := NewCounters(c.topo)
-	for r := range c.Flits {
-		copy(s.Flits[r], c.Flits[r])
-		copy(s.Stalls[r], c.Stalls[r])
-	}
+	copy(s.flits, c.flits)
+	copy(s.stalls, c.stalls)
 	copy(s.ORBTimeSum, c.ORBTimeSum)
 	copy(s.ORBCount, c.ORBCount)
 	return s
@@ -70,11 +74,9 @@ func (c *Counters) Snapshot() *Counters {
 // Sub subtracts an earlier snapshot, returning the delta (c - earlier).
 func (c *Counters) Sub(earlier *Counters) *Counters {
 	d := NewCounters(c.topo)
-	for r := range c.Flits {
-		for t := range c.Flits[r] {
-			d.Flits[r][t] = c.Flits[r][t] - earlier.Flits[r][t]
-			d.Stalls[r][t] = c.Stalls[r][t] - earlier.Stalls[r][t]
-		}
+	for i := range c.flits {
+		d.flits[i] = c.flits[i] - earlier.flits[i]
+		d.stalls[i] = c.stalls[i] - earlier.stalls[i]
 	}
 	for n := range c.ORBTimeSum {
 		d.ORBTimeSum[n] = c.ORBTimeSum[n] - earlier.ORBTimeSum[n]

@@ -184,3 +184,35 @@ func TestCountersDeltaProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestServerCounterIndex checks every server's precomputed counter index
+// against the tile the topology assigns it, for both packet kinds: a
+// link's output tile on its source router, and a NIC's processor request
+// or response tile on its node's router.
+func TestServerCounterIndex(t *testing.T) {
+	f := testFabric(t, 3, 1)
+	topo := f.Topology()
+	tiles := topo.TilesPerRouter()
+	for i := range f.servers {
+		s := &f.servers[i]
+		for _, rsp := range []bool{false, true} {
+			var r topology.RouterID
+			var tile int
+			if i < len(topo.Links) {
+				r, tile = topo.Links[i].Src, topo.Links[i].Tile
+			} else {
+				node := topology.NodeID((i - len(topo.Links)) / 2) // each node's injection, then ejection server
+				r = topo.RouterOfNode(node)
+				tile = topo.ProcReqTile(topo.NICIndexOfNode(node))
+				if rsp {
+					tile = topo.ProcRspTile(topo.NICIndexOfNode(node))
+				}
+			}
+			want := int(r)*tiles + tile
+			if got := s.counter(&Packet{response: rsp}); int(got) != want {
+				t.Fatalf("server %d (kind %d) response=%v: counter index %d, want router %d tile %d = %d",
+					i, s.kind, rsp, got, r, tile, want)
+			}
+		}
+	}
+}

@@ -116,7 +116,9 @@ const (
 // the first line holds everything arbitration and a downstream space or
 // backlog check read: kind, the busy/blocked/pending flags, idx, the VC
 // mask, the round-robin pointer, occupancy, capacity and the timing
-// constants. TestHotLayout pins the size and the offsets.
+// constants. The third holds what a completion or a stall charge reads
+// besides: the propagation latency, the stall start, the flat tile-counter
+// index and the waiter list. TestHotLayout pins the size and the offsets.
 type server struct {
 	// First cache line: per-hop state.
 	kind          serverKind //simlint:resetsafe immutable identity
@@ -153,11 +155,14 @@ type server struct {
 	occInt float64
 	occAt  sim.Time
 
-	fab     *Fabric        //simlint:resetsafe immutable wiring back to the owning fabric
-	link    *topology.Link //simlint:resetsafe immutable identity: nil for NIC servers
-	lat     sim.Time       //simlint:resetsafe immutable config: propagation after serialization
+	fab     *Fabric  //simlint:resetsafe immutable wiring back to the owning fabric
+	lat     sim.Time //simlint:resetsafe immutable config: propagation after serialization
 	stallAt sim.Time
-	node    topology.NodeID //simlint:resetsafe immutable identity: NIC servers' node
+	// ctr is the flat index into Counters.flits/stalls of the tile that
+	// records traffic through s: a link's output tile on its source
+	// router, or a NIC's processor request tile, whose response tile is
+	// ctr+1 (see counter).
+	ctr int32 //simlint:resetsafe immutable identity: fixed by the topology
 
 	// Backpressure bookkeeping (see pool.go): waiters is the list of
 	// upstream servers (by Fabric.servers index) blocked on space here;
@@ -168,7 +173,7 @@ type server struct {
 	wakeGen   uint64
 	waitingOn []waitReg // downstream servers we are registered with
 
-	_ [8]byte // pad to 256 bytes: keeps every slab entry line-aligned
+	_ [16]byte // pad to 256 bytes: keeps every slab entry line-aligned
 }
 
 // linkLoad is one link's congestion-estimate state, kept apart from its
@@ -199,7 +204,7 @@ func (s *server) queued() bool { return s.nonEmpty != 0 }
 //
 //simlint:hotpath
 func (f *Fabric) pushPacket(s *server, vc int, p *Packet) {
-	s.queues[vc].push(f.pool.arena, p)
+	s.queues[vc].push(&f.pool, p)
 	s.nonEmpty |= 1 << uint(vc)
 }
 
@@ -208,7 +213,7 @@ func (f *Fabric) pushPacket(s *server, vc int, p *Packet) {
 //simlint:hotpath
 func (f *Fabric) popPacket(s *server, vc int) *Packet {
 	q := &s.queues[vc]
-	p := q.pop(f.pool.arena)
+	p := q.pop(&f.pool)
 	if q.empty() {
 		s.nonEmpty &^= 1 << uint(vc)
 	}
@@ -270,13 +275,14 @@ func New(k *sim.Kernel, topo *topology.Topology, params Params, engineCfg routin
 
 	nLinks := len(topo.Links)
 	slots := topo.Cfg.Capacity()
+	tiles := topo.TilesPerRouter()
 	f.servers = make([]server, nLinks+2*slots)
 	f.loads = make([]linkLoad, nLinks)
 	for i := range topo.Links {
 		l := &topo.Links[i]
 		s := &f.servers[i]
 		*s = server{
-			fab: f, link: l, kind: kindLink,
+			fab: f, kind: kindLink, ctr: int32(int(l.Src)*tiles + l.Tile),
 			bw: l.Bandwidth, lat: l.Latency,
 			flitTime: sim.Time(float64(FlitBytes) / l.Bandwidth * 1e12),
 			capFlits: params.BufferFlits,
@@ -287,15 +293,17 @@ func New(k *sim.Kernel, topo *topology.Topology, params Params, engineCfg routin
 	f.inject = make([]*server, slots)
 	f.eject = make([]*server, slots)
 	for n := 0; n < slots; n++ {
+		node := topology.NodeID(n)
+		ctr := int32(int(topo.RouterOfNode(node))*tiles + topo.ProcReqTile(topo.NICIndexOfNode(node)))
 		inj, ej := &f.servers[nLinks+2*n], &f.servers[nLinks+2*n+1]
 		*inj = server{
-			fab: f, node: topology.NodeID(n), kind: kindInject,
+			fab: f, ctr: ctr, kind: kindInject,
 			bw: topo.Cfg.InjectionBandwidth, lat: topo.Cfg.NICLatency,
 			flitTime: injFlit,
 			capFlits: 0, // unbounded: host memory
 		}
 		*ej = server{
-			fab: f, node: topology.NodeID(n), kind: kindEject,
+			fab: f, ctr: ctr, kind: kindEject,
 			bw: topo.Cfg.EjectBW(), lat: topo.Cfg.NICLatency,
 			flitTime: ejFlit,
 			capFlits: params.BufferFlits,
@@ -305,7 +313,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params Params, engineCfg routin
 
 	// Carve every server's per-VC queues and occupancies, and pre-size its
 	// waiter lists, out of shared slabs: a handful of allocations instead
-	// of several per server. Queues are list headers into the packet arena
+	// of several per server. Queues are list headers into the packet slab
 	// (see pktQueue), so they need no backing storage of their own. The
 	// waiter lists start with room for waiterSlots entries so the steady
 	// state starts at construction: without it, each list grows lazily
@@ -349,7 +357,7 @@ const (
 	// packet is the head of the server's arbitration-winning VC
 	// (lastVC), which cannot change while the server is busy.
 	evFinishTx uint8 = iota
-	// evArrive: packet b (arena index) arrives at server a after
+	// evArrive: packet b (slab slot) arrives at server a after
 	// propagation; it enters the VC its hop count selects.
 	evArrive
 	// evWake: flush server a's batched waiter snapshot (see pool.go).
@@ -377,7 +385,7 @@ func (f *Fabric) HandleEvent(kind uint8, a, b int64) {
 	switch kind {
 	case evFinishTx:
 		s := &f.servers[a]
-		p := s.queues[s.lastVC].front(f.pool.arena)
+		p := s.queues[s.lastVC].front(&f.pool)
 		f.finishTx(s, p, f.next(s, p), s.lastVC)
 	case evArrive:
 		n := &f.servers[a]
@@ -683,35 +691,16 @@ func (s *server) hasSpace(vc, flits int) bool {
 	return int(s.occ[vc])+flits <= s.capFlits
 }
 
-// tile returns the (router, tileIndex) whose counters record traffic
+// counter returns the flat tile-counter index that records traffic
 // through s for packet p. NIC servers map to processor tiles, split
-// request/response by packet kind.
+// request/response by packet kind; a link's tile is the same for both.
 //
 //simlint:hotpath
-func (s *server) tile(p *Packet) (topology.RouterID, int) {
-	t := s.fab.topo
-	if s.kind == kindLink {
-		return s.link.Src, s.link.Tile
+func (s *server) counter(p *Packet) int32 {
+	if p.response && s.kind != kindLink {
+		return s.ctr + 1
 	}
-	r := t.RouterOfNode(s.node)
-	nic := t.NICIndexOfNode(s.node)
-	if p.response {
-		return r, t.ProcRspTile(nic)
-	}
-	return r, t.ProcReqTile(nic)
-}
-
-// stallTile decides where a blocked interval at s is charged, given the
-// packet that finally unblocked it. Blocking on a full ejection queue is
-// endpoint congestion and lands on the destination's processor tile (the
-// paper's Proc_req/Proc_rsp stalls); everything else lands on s's tile.
-//
-//simlint:hotpath
-func (f *Fabric) stallTile(s *server, p *Packet) (topology.RouterID, int) {
-	if n := f.next(s, p); n != nil && n.kind == kindEject {
-		return n.tile(p)
-	}
-	return s.tile(p)
+	return s.ctr
 }
 
 // settle performs a fused transmission's deferred sender-side completion
@@ -735,8 +724,7 @@ func (f *Fabric) settle(s *server) {
 	f.loads[s.idx].due = 0 // only link servers fuse, so idx is a LinkID
 	vc := s.lastVC
 	p := f.popPacket(s, vc)
-	r, tIdx := s.tile(p)
-	f.counters.Flits[r][tIdx] += uint64(p.flits)
+	f.counters.flits[s.counter(p)] += uint64(p.flits)
 	s.bumpOcc(vc, -p.flits, s.freeAt)
 	s.busy = false
 	f.flushWaiters(s)
@@ -844,7 +832,7 @@ func (f *Fabric) tryStart(s *server) {
 //
 //simlint:hotpath
 func (f *Fabric) startVC(s *server, vc int) bool {
-	p := s.queues[vc].front(f.pool.arena)
+	p := s.queues[vc].front(&f.pool)
 	if s.kind == kindInject && !p.routed {
 		// Route lazily at the head of the injection queue so the
 		// adaptive decision sees current congestion.
@@ -877,9 +865,17 @@ func (f *Fabric) startVC(s *server, vc int) bool {
 		n.bumpOcc(dvc, p.flits, f.k.Now())
 	}
 	if s.blocked {
+		// Charge the blocked interval, given the packet that finally
+		// unblocked it. Blocking on a full ejection queue is endpoint
+		// congestion and lands on the destination's processor tile (the
+		// paper's Proc_req/Proc_rsp stalls); everything else lands on s's
+		// tile.
 		s.blocked = false
-		r, tIdx := f.stallTile(s, p)
-		f.counters.Stalls[r][tIdx] += float64(f.k.Now()-s.stallAt) / float64(s.flitTime)
+		at := s
+		if n != nil && n.kind == kindEject {
+			at = n
+		}
+		f.counters.stalls[at.counter(p)] += float64(f.k.Now()-s.stallAt) / float64(s.flitTime)
 	}
 	s.lastVC = vc
 	s.busy = true
@@ -925,8 +921,7 @@ func (f *Fabric) startVC(s *server, vc int) bool {
 //simlint:hotpath
 func (f *Fabric) finishTx(s *server, p *Packet, n *server, vc int) {
 	// Count the traversal on s's tile.
-	r, tIdx := s.tile(p)
-	f.counters.Flits[r][tIdx] += uint64(p.flits)
+	f.counters.flits[s.counter(p)] += uint64(p.flits)
 
 	// Dequeue and free our input buffer space.
 	f.popPacket(s, vc)

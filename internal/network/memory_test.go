@@ -53,9 +53,10 @@ func TestFabricFootprint(t *testing.T) {
 // TestHotLayout pins the cache layout of the per-hop state. A server is
 // exactly 256 bytes, so every entry of the Fabric.servers slab starts on a
 // cache line, and the fields arbitration and downstream checks read sit in
-// that first line. A Packet stays within the 128-byte size class with its
-// route inline. A field added to either struct must keep these, or move
-// the layout on deliberately with this test.
+// that first line. A Packet is exactly 128 bytes with its route inline,
+// and a fresh slab chunk starts on a cache line, so every packet slot
+// does. A field added to either struct must keep these, or move the
+// layout on deliberately with this test.
 func TestHotLayout(t *testing.T) {
 	if got := unsafe.Sizeof(server{}); got != 256 {
 		t.Errorf("server is %d bytes, want 256", got)
@@ -84,8 +85,12 @@ func TestHotLayout(t *testing.T) {
 	if got := unsafe.Sizeof(linkLoad{}); got != 32 {
 		t.Errorf("linkLoad is %d bytes, want 32", got)
 	}
-	if got := unsafe.Sizeof(Packet{}); got > 128 {
-		t.Errorf("Packet is %d bytes, want at most 128", got)
+	if got := unsafe.Sizeof(Packet{}); got != 128 {
+		t.Errorf("Packet is %d bytes, want 128", got)
+	}
+	f := testFabric(t, 2, 1)
+	if addr := uintptr(unsafe.Pointer(f.allocPacket())); addr%64 != 0 {
+		t.Errorf("slot 0 of a fresh slab chunk at %#x, not 64-byte aligned", addr)
 	}
 	var p Packet
 	end := unsafe.Offsetof(p.route) + 8*unsafe.Sizeof(p.route[0])

@@ -16,10 +16,10 @@ import (
 // Packet is one routed network packet (a chunk of a Message, or a
 // response). Packets are routed independently and adaptively, as on Aries.
 //
-// Packets are pooled: every Packet belongs to its Fabric's arena and is
+// Packets are pooled: every Packet is a slot of its Fabric's slab and is
 // recycled at delivery (see pool.go). Model code must not retain a *Packet
 // across events — after deliver returns, the pointer may be reused for an
-// unrelated packet. idx is the packet's stable arena slot, which doubles
+// unrelated packet. idx is the packet's stable slab slot, which doubles
 // as its identity in typed kernel events (a scalar payload instead of a
 // boxed pointer).
 //
@@ -30,17 +30,19 @@ import (
 // serializing a different packet — so it carries idx in its payload, the
 // same way evArrive always has.
 //
-// qnext threads the per-VC queues through the arena (see pktQueue): a
+// qnext threads the per-VC queues through the slab (see pktQueue): a
 // packet sits in at most one queue at a time, so one link suffices.
 //
 // The route is stored inline (route[:nroute]) rather than in a separately
 // allocated slice, so the per-hop next-server lookup reads one object, and
 // the fields it needs — dst, hop, nroute and the first eight route links
-// (a Valiant route's maximum) — share the packet's first cache line.
-// TestHotLayout pins the 128-byte bound.
+// (a Valiant route's maximum) — share the packet's first cache line. A
+// Packet is exactly 128 bytes and slab chunks are line-aligned, so every
+// slot starts on a cache line; TestHotLayout pins the size, the offsets
+// and the alignment.
 type Packet struct {
-	idx      int32 //simlint:resetsafe arena-slot identity, fixed for the life of the Fabric
-	qnext    int32 // arena slot of the next packet in its VC queue; meaningful only while one is queued behind it
+	idx      int32 //simlint:resetsafe slab-slot identity, fixed for the life of the Fabric
+	qnext    int32 // slab slot of the next packet in its VC queue; meaningful only while one is queued behind it
 	src, dst topology.NodeID
 	hop      int   // index into route of the link currently holding us
 	nroute   uint8 // links in route
@@ -54,6 +56,8 @@ type Packet struct {
 	sendTime sim.Time
 	routedAt sim.Time // when the route was chosen (injection head)
 	msg      *Message // nil for responses
+
+	_ [8]byte // pad to 128 bytes: keeps every slab slot line-aligned
 }
 
 // Bytes returns the packet payload size.

@@ -1,27 +1,28 @@
 package network
 
 // This file holds the fabric's hot-path memory discipline: the packet
-// arena (a free list that recycles Packet values at delivery) and the
-// per-VC packet queue (an intrusive list threaded through that arena, so
-// an empty queue owns no backing array). Together with the typed kernel
-// events in fabric.go these make the steady-state per-packet path
-// allocation-free; the AllocsPerRun gates in alloc_test.go pin that.
+// slab (fixed-size chunks of Packet values, recycled at delivery through a
+// free list) and the per-VC packet queue (an intrusive list threaded
+// through that slab, so an empty queue owns no backing array). Together
+// with the typed kernel events in fabric.go these make the steady-state
+// per-packet path allocation-free; the AllocsPerRun gates in alloc_test.go
+// pin that.
 
-// PoolStats reports packet-arena activity for one fabric. Allocated counts
-// packets issued from the arena cursor (fresh Packet values on a cold
-// fabric, warm spares on a reused one), Recycled counts free-list reuse;
-// in steady state Recycled dwarfs Allocated and the arena size equals the
+// PoolStats reports packet-slab activity for one fabric. Allocated counts
+// packets issued from the slab cursor (fresh slots on a cold fabric, warm
+// spares on a reused one), Recycled counts free-list reuse; in steady
+// state Recycled dwarfs Allocated and the Arena count equals the
 // high-water mark of simultaneously live packets. A reused fabric reports
 // the same stats as a fresh one running the same workload — Arena is the
-// cursor position, not the backing array's historical high-water mark.
+// cursor position, not the slab's historical high-water mark.
 type PoolStats struct {
-	Allocated uint64 // packets issued past the arena cursor
+	Allocated uint64 // packets issued past the slab cursor
 	Recycled  uint64 // packets served from the free list
 	Arena     int    // packets issued this run (live + free)
 	Free      int    // packets currently on the free list
 }
 
-// PoolStats returns the fabric's current packet-arena statistics.
+// PoolStats returns the fabric's current packet-slab statistics.
 func (f *Fabric) PoolStats() PoolStats {
 	s := f.pool.stats
 	s.Arena = f.pool.next
@@ -29,59 +30,91 @@ func (f *Fabric) PoolStats() PoolStats {
 	return s
 }
 
-// packetPool is a per-fabric arena of Packets with a LIFO free list. LIFO
+// The slab grows in chunks of chunkSize packets. A chunk is exactly 32 KB
+// (256 × 128 B): a pointerful object that size takes the runtime's
+// large-object path, a span of its own with no allocation header, so slot
+// 0 — and with 128-byte packets every slot — starts on a cache line
+// (TestHotLayout checks it). A smaller pointerful chunk carries an 8-byte
+// header in front of slot 0, which would split every packet across two
+// lines; a larger one would only raise the floor a small fabric pays for
+// its first packet.
+const (
+	chunkShift = 8
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
+)
+
+// packetPool is a per-fabric slab of Packets with a LIFO free list. LIFO
 // keeps the hottest (cache-resident) packet at hand, and — unlike
 // sync.Pool — is deterministic and survives GC, both of which the
-// simulator requires. next is the warm-reuse cursor: slots below it are in
-// circulation this run, slots at or above it are populated-but-unissued
-// survivors of a previous run (see reset), handed out before the arena
-// grows so a warm fabric replays a fresh fabric's pool behaviour exactly —
-// Allocated counts cursor advances, not heap allocations, keeping
-// PoolStats identical between the two.
+// simulator requires. Slot idx lives at chunks[idx>>chunkShift]
+// [idx&chunkMask]; growing appends a chunk and never moves a packet, so a
+// *Packet stays valid across allocPacket. next is the warm-reuse cursor:
+// slots below it are in circulation this run, slots at or above it are
+// unissued (fresh, or survivors of a previous run, see reset), handed out
+// in order before the slab grows so a warm fabric replays a fresh
+// fabric's pool behaviour exactly — Allocated counts cursor advances, not
+// heap allocations, keeping PoolStats identical between the two.
 type packetPool struct {
-	arena []*Packet // every packet ever created; Packet.idx indexes this
-	free  []int32   // arena slots available for reuse
-	next  int       // arena slots issued this run; arena[next:] are warm spares
-	stats PoolStats
+	chunks []*[chunkSize]Packet // allocated on demand; Packet.idx indexes the slab
+	free   []int32              // slots available for reuse
+	next   int                  // slots issued this run; slots from next on are spares
+	stats  PoolStats
 }
 
-// reset rewinds the pool for fabric reuse: every arena slot becomes a warm
+// at resolves slot idx to its packet.
+//
+//simlint:hotpath
+func (pl *packetPool) at(idx int32) *Packet {
+	return &pl.chunks[idx>>chunkShift][idx&chunkMask]
+}
+
+// grow appends one chunk, stamping each slot with its index.
+//
+//simlint:cold slab growth on a pool miss: each chunk is allocated once per fabric, then recycled
+func (pl *packetPool) grow() {
+	c := new([chunkSize]Packet)
+	base := int32(len(pl.chunks)) << chunkShift
+	for i := range c {
+		c[i].idx = base + int32(i)
+	}
+	pl.chunks = append(pl.chunks, c)
+}
+
+// reset rewinds the pool for fabric reuse: every slot becomes a warm
 // spare again and the stats start over. Message references are dropped so
-// a finished run's transfers do not outlive it.
+// a finished run's transfers do not outlive it; slots at or above next
+// hold none, since none was issued since the last reset.
 func (pl *packetPool) reset() {
-	for _, p := range pl.arena {
-		p.msg = nil
+	for i := 0; i < pl.next; i++ {
+		pl.at(int32(i)).msg = nil
 	}
 	pl.free = pl.free[:0]
 	pl.next = 0
 	pl.stats = PoolStats{}
 }
 
-// get returns a reset packet. With recycle disabled (Params.NoRecycle) it
-// always allocates, which is the reference behaviour the pool property
-// tests compare against.
+// allocPacket returns a reset packet. With recycle disabled
+// (Params.NoRecycle) it always takes a fresh slot, which is the reference
+// behaviour the pool property tests compare against.
 //
 //simlint:hotpath
 func (f *Fabric) allocPacket() *Packet {
 	pool := &f.pool
 	if n := len(pool.free); n > 0 && !f.params.NoRecycle {
-		p := pool.arena[pool.free[n-1]]
+		p := pool.at(pool.free[n-1])
 		pool.free = pool.free[:n-1]
 		pool.stats.Recycled++
 		p.reset()
 		return p
 	}
 	pool.stats.Allocated++
-	if pool.next < len(pool.arena) {
-		p := pool.arena[pool.next]
-		pool.next++
-		p.reset()
-		return p
+	if pool.next == len(pool.chunks)<<chunkShift {
+		pool.grow()
 	}
-	//simlint:allow hotpath arena growth on a pool miss: each slot is allocated once per fabric, then recycled
-	p := &Packet{idx: int32(len(pool.arena)), hop: -1}
-	pool.arena = append(pool.arena, p)
-	pool.next = len(pool.arena)
+	p := pool.at(int32(pool.next))
+	pool.next++
+	p.reset()
 	return p
 }
 
@@ -116,10 +149,10 @@ func (p *Packet) reset() {
 // packetOf resolves a typed-event payload back to its packet.
 //
 //simlint:hotpath
-func (f *Fabric) packetOf(idx int64) *Packet { return f.pool.arena[idx] }
+func (f *Fabric) packetOf(idx int64) *Packet { return f.pool.at(int32(idx)) }
 
 // pktQueue is one virtual channel's FIFO of queued packets: a singly
-// linked list threaded through the packet arena. head and tail are arena
+// linked list threaded through the packet slab. head and tail are slab
 // slots, each queued packet's qnext names its successor, and both ends are
 // meaningful only while n > 0. A packet is in at most one VC queue at any
 // moment — settle and finishTx pop it before hopDone or evArrive pushes it
@@ -130,24 +163,24 @@ type pktQueue struct {
 	head, tail, n int32
 }
 
-func (q *pktQueue) empty() bool                   { return q.n == 0 }
-func (q *pktQueue) len() int                      { return int(q.n) }
-func (q *pktQueue) front(arena []*Packet) *Packet { return arena[q.head] }
+func (q *pktQueue) empty() bool                  { return q.n == 0 }
+func (q *pktQueue) len() int                     { return int(q.n) }
+func (q *pktQueue) front(pl *packetPool) *Packet { return pl.at(q.head) }
 
 //simlint:hotpath
-func (q *pktQueue) push(arena []*Packet, p *Packet) {
+func (q *pktQueue) push(pl *packetPool, p *Packet) {
 	if q.n == 0 {
 		q.head = p.idx
 	} else {
-		arena[q.tail].qnext = p.idx
+		pl.at(q.tail).qnext = p.idx
 	}
 	q.tail = p.idx
 	q.n++
 }
 
 //simlint:hotpath
-func (q *pktQueue) pop(arena []*Packet) *Packet {
-	p := arena[q.head]
+func (q *pktQueue) pop(pl *packetPool) *Packet {
+	p := pl.at(q.head)
 	q.head = p.qnext
 	q.n--
 	return p

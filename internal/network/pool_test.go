@@ -65,12 +65,12 @@ func TestQueuedFlitsMatchesWalk(t *testing.T) {
 // queued and whether any server was blocked or had waiters.
 func checkQueueLists(t *testing.T, f *Fabric) (queued int, congested bool) {
 	t.Helper()
-	arena := f.pool.arena
-	free := make(map[int32]bool, len(f.pool.free))
-	for _, idx := range f.pool.free {
+	pool := &f.pool
+	free := make(map[int32]bool, len(pool.free))
+	for _, idx := range pool.free {
 		free[idx] = true
 	}
-	seen := make(map[int32]int32, len(arena)) // packet slot -> server holding it
+	seen := make(map[int32]int32, pool.next) // packet slot -> server holding it
 	for i := range f.servers {
 		s := &f.servers[i]
 		occ := 0
@@ -87,7 +87,7 @@ func checkQueueLists(t *testing.T, f *Fabric) (queued int, congested bool) {
 				continue
 			}
 			walked := int32(0)
-			for slot := q.head; ; slot = arena[slot].qnext {
+			for slot := q.head; ; slot = pool.at(slot).qnext {
 				if walked == q.n {
 					t.Fatalf("server %d VC %d: list runs past its count %d without reaching tail %d",
 						s.idx, vc, q.n, q.tail)
@@ -179,34 +179,94 @@ func TestUnmatchedReleasePanics(t *testing.T) {
 	s.bumpOcc(3, -1, 0)
 }
 
-// checkPoolInvariants verifies the arena/free-list structure after a fully
-// drained run: every arena slot knows its own index, the free list holds
+// checkPoolInvariants verifies the slab/free-list structure after a fully
+// drained run: every slab slot knows its own index, the free list holds
 // each recyclable slot exactly once, and with no packet in flight the free
-// list covers the whole arena (no leaked, no double-freed packets).
+// list covers every issued slot (no leaked, no double-freed packets).
 func checkPoolInvariants(t *testing.T, f *Fabric) {
 	t.Helper()
 	pool := &f.pool
-	for i, p := range pool.arena {
-		if int(p.idx) != i {
-			t.Fatalf("arena[%d].idx = %d; recycled packet aliases another slot", i, p.idx)
+	if pool.next > len(pool.chunks)*chunkSize {
+		t.Fatalf("cursor %d past the slab's %d slots", pool.next, len(pool.chunks)*chunkSize)
+	}
+	for c, chunk := range pool.chunks {
+		for j := range chunk {
+			if i := c*chunkSize + j; int(chunk[j].idx) != i {
+				t.Fatalf("slot %d has idx %d; recycled packet aliases another slot", i, chunk[j].idx)
+			}
 		}
 	}
 	seen := make(map[int32]bool, len(pool.free))
 	for _, idx := range pool.free {
-		if idx < 0 || int(idx) >= len(pool.arena) {
-			t.Fatalf("free-list index %d outside arena of %d", idx, len(pool.arena))
+		if idx < 0 || int(idx) >= pool.next {
+			t.Fatalf("free-list index %d outside the %d issued slots", idx, pool.next)
 		}
 		if seen[idx] {
-			t.Fatalf("arena slot %d double-freed", idx)
+			t.Fatalf("slab slot %d double-freed", idx)
 		}
 		seen[idx] = true
 	}
-	if len(pool.free) != len(pool.arena) {
-		t.Fatalf("after drain %d of %d arena slots on the free list; %d packets leaked",
-			len(pool.free), len(pool.arena), len(pool.arena)-len(pool.free))
+	if len(pool.free) != pool.next {
+		t.Fatalf("after drain %d of %d issued slots on the free list; %d packets leaked",
+			len(pool.free), pool.next, pool.next-len(pool.free))
 	}
-	if got := pool.stats.Allocated; got != uint64(len(pool.arena)) {
-		t.Fatalf("PoolStats.Allocated=%d, arena holds %d", got, len(pool.arena))
+	if got := pool.stats.Allocated; got != uint64(pool.next) {
+		t.Fatalf("PoolStats.Allocated=%d, %d slots issued", got, pool.next)
+	}
+}
+
+// TestPacketSlabGrowth holds live packets across a chunk boundary: growing
+// the slab must not move a packet, so pointers taken before the growth
+// still read their own slot, and packetOf resolves each slot to the same
+// pointer. A warm Reset then replays the same slots and PoolStats without
+// growing the slab again.
+func TestPacketSlabGrowth(t *testing.T) {
+	f := testFabric(t, 2, 1)
+	run := func() ([]*Packet, []PoolStats) {
+		var live []*Packet
+		var stats []PoolStats
+		for i := 0; i < chunkSize+1; i++ {
+			live = append(live, f.allocPacket())
+			stats = append(stats, f.PoolStats())
+		}
+		for i, p := range live {
+			if int(p.idx) != i {
+				t.Fatalf("packet %d reads idx %d after the slab grew", i, p.idx)
+			}
+			if q := f.packetOf(int64(i)); q != p {
+				t.Fatalf("packetOf(%d) = %p, want %p", i, q, p)
+			}
+		}
+		for _, p := range live {
+			f.releasePacket(p)
+		}
+		for i := 0; i < chunkSize+1; i++ {
+			f.allocPacket()
+			stats = append(stats, f.PoolStats())
+		}
+		return live, stats
+	}
+	cold, coldStats := run()
+	if len(f.pool.chunks) != 2 {
+		t.Fatalf("%d live packets span %d chunks, want 2", chunkSize+1, len(f.pool.chunks))
+	}
+	if st := coldStats[len(coldStats)-1]; st.Recycled != chunkSize+1 {
+		t.Fatalf("second round recycled %d packets, want %d (stats %+v)", st.Recycled, chunkSize+1, st)
+	}
+	f.Reset(1)
+	warm, warmStats := run()
+	if len(f.pool.chunks) != 2 {
+		t.Fatalf("warm replay grew the slab to %d chunks", len(f.pool.chunks))
+	}
+	for i := range cold {
+		if warm[i] != cold[i] {
+			t.Fatalf("warm replay issued slot %d at %p, cold at %p", i, warm[i], cold[i])
+		}
+	}
+	for i := range coldStats {
+		if warmStats[i] != coldStats[i] {
+			t.Fatalf("allocation %d: warm PoolStats %+v, cold %+v", i, warmStats[i], coldStats[i])
+		}
 	}
 }
 

@@ -34,24 +34,18 @@ func (s *server) reset() {
 	s.waitingOn = s.waitingOn[:0]
 }
 
-// Reset zeroes every counter in place, keeping the backing slabs.
+// Reset zeroes every counter in place, keeping the backing slabs (the
+// Flits and Stalls rows are views into flits and stalls).
 func (c *Counters) Reset() {
-	for r := range c.Flits {
-		fl, st := c.Flits[r], c.Stalls[r]
-		for t := range fl {
-			fl[t] = 0
-			st[t] = 0
-		}
-	}
-	for n := range c.ORBTimeSum {
-		c.ORBTimeSum[n] = 0
-		c.ORBCount[n] = 0
-	}
+	clear(c.flits)
+	clear(c.stalls)
+	clear(c.ORBTimeSum)
+	clear(c.ORBCount)
 }
 
 // Reset rewinds the fabric to its just-constructed state for the given
 // seed, reusing every allocation: server queues and slabs, the packet
-// arena, the counter slabs, and the routing engine's scratch all keep
+// slab, the counter slabs, and the routing engine's scratch all keep
 // their capacity. The caller owns the kernel lifecycle — the fabric's
 // handler registration survives a kernel Reset, so the pair (kernel,
 // fabric) resets as a unit (see core.Machine).
