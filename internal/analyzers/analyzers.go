@@ -16,9 +16,9 @@ import (
 // All is the suite cmd/simlint runs, in reporting order: one analyzer
 // per invariant. detrand (determinism) is a module pass over the
 // simulation-state scope plus every function reachable from an output
-// sink; hotpath (zero allocation) and sharecheck (worker isolation)
-// compose per-function facts over the module call graph; resetcheck
-// (warm-reuse reset coverage) is per package.
+// sink; hotpath (zero allocation) composes per-function facts over the
+// module call graph; resetcheck (warm-reuse reset coverage) and
+// sharecheck (worker isolation) are per-package passes.
 var All = []*analysis.Analyzer{
 	detrand.Analyzer,
 	resetcheck.Analyzer,

@@ -11,6 +11,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/routing"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -270,7 +271,7 @@ func TestLDMSSurvivesWarmReuse(t *testing.T) {
 	res1 := campaign(routing.AD0)
 	samples1 := deepCopySamples(res1.LDMS.Samples())
 	totals1 := sampleTotals(samples1)
-	ratios1 := res1.LDMS.RouterRatioAgg().Clone()
+	ratios1 := aggReadout(res1.LDMS.RouterRatioAgg())
 
 	// Second campaign on the same machine: fabric() must take the warm
 	// path (same config, drained kernel), mutating the counters res1's
@@ -295,9 +296,17 @@ func TestLDMSSurvivesWarmReuse(t *testing.T) {
 			t.Fatalf("warm reuse changed first campaign's sample %d:\n before %+v\n after  %+v", i, samples1[i], after[i])
 		}
 	}
-	if !reflect.DeepEqual(res1.LDMS.RouterRatioAgg(), ratios1) {
+	if got := aggReadout(res1.LDMS.RouterRatioAgg()); !reflect.DeepEqual(got, ratios1) {
 		t.Fatal("warm reuse changed first campaign's router-ratio aggregate")
 	}
+}
+
+// aggReadout captures every read an aggregate offers (count, sum, mean
+// and a spread of percentiles), so comparing two readouts detects any
+// change to its state.
+func aggReadout(a *stats.Agg) []float64 {
+	return append([]float64{float64(a.Count()), a.Sum(), a.Mean()},
+		a.Percentiles([]float64{0, 1, 5, 25, 50, 75, 95, 99, 100})...)
 }
 
 // deepCopySamples clones samples including their slice payloads, so later

@@ -146,6 +146,10 @@ func TestFig3AndFig4(t *testing.T) {
 	if c.Machine != "Cori" || len(c.Apps) != 1 {
 		t.Fatalf("cori result: %+v", c.Apps)
 	}
+	if !testing.Short() {
+		checkGolden(t, "fig3", r.Render())
+		checkGolden(t, "fig4", c.Render())
+	}
 }
 
 func TestFig5Fig6(t *testing.T) {
@@ -218,12 +222,15 @@ func TestFig9(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []routing.Mode{routing.AD0, routing.AD1, routing.AD2, routing.AD3} {
-		if r.Z[mode].Count() == 0 {
+		if len(r.Z[mode]) == 0 {
 			t.Fatalf("no samples for %s", mode)
 		}
 	}
 	if !strings.Contains(r.Render(), "AD2") {
 		t.Error("render incomplete")
+	}
+	if !testing.Short() {
+		checkGolden(t, "fig9", r.Render())
 	}
 }
 

@@ -20,14 +20,15 @@ type ModeStats struct {
 }
 
 // modeStats computes the summary, applying the paper's ±3σ outlier
-// filter to the aggregated runtimes.
-func modeStats(mode routing.Mode, values *stats.Agg, lo, hi float64, bins int) ModeStats {
-	filtered := values.FilterOutliers(3)
+// filter to the mode's runtimes.
+func modeStats(mode routing.Mode, runtimes []float64, lo, hi float64, bins int) ModeStats {
+	filtered := stats.FilterOutliers(runtimes, 3)
+	mean, std := stats.MeanStd(filtered)
 	return ModeStats{
-		Mode: mode, N: filtered.Count(),
-		Mean: filtered.Mean(), Std: filtered.Std(),
-		P95: filtered.Percentile(95),
-		PDF: filtered.Hist(lo, hi, bins),
+		Mode: mode, N: len(filtered),
+		Mean: mean, Std: std,
+		P95: stats.Percentile(filtered, 95),
+		PDF: stats.NewHistogram(filtered, lo, hi, bins),
 	}
 }
 
@@ -74,21 +75,22 @@ func (r *Fig2Result) Render() string {
 // (Table II's runs). Compact samples suffice — only runtimes are
 // consumed. Each app's density bins span its runtimes under both modes.
 func Fig2FromSamples(nodes int, samples []Sample) *Fig2Result {
-	aggs := map[string]map[routing.Mode]*stats.Agg{}
+	runtimes := map[string]map[routing.Mode][]float64{}
 	for _, s := range samples {
 		if s.App == "MILC" || s.App == "MILCREORDER" {
-			aggAt(aggs, s.App, s.Mode).Add(s.RuntimeSec)
+			appendAt(runtimes, s.App, s.Mode, s.RuntimeSec)
 		}
 	}
 	res := &Fig2Result{Nodes: nodes, PerApp: map[string]map[routing.Mode]ModeStats{}}
-	for app, perMode := range aggs {
+	for app, perMode := range runtimes {
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, agg := range perMode {
-			lo, hi = min(lo, agg.Min()), max(hi, agg.Max())
+		for _, xs := range perMode {
+			mn, mx := stats.MinMax(xs)
+			lo, hi = min(lo, mn), max(hi, mx)
 		}
 		res.PerApp[app] = map[routing.Mode]ModeStats{}
-		for mode, agg := range perMode {
-			res.PerApp[app][mode] = modeStats(mode, agg, lo, hi, 10)
+		for mode, xs := range perMode {
+			res.PerApp[app][mode] = modeStats(mode, xs, lo, hi, 10)
 		}
 	}
 	return res

@@ -59,41 +59,30 @@ func groupsSpannedStudy(mp *machinePool, machine string, p Profile,
 		res.Points[a.Name()] = map[int][]GroupsPoint{}
 		res.MeanImprovement[a.Name()] = map[int]float64{}
 		for _, nodes := range sizes {
-			// Fold runtimes into the pooled and per-mode aggregates as
-			// the campaign streams; only the small GroupsPoint slice is
-			// retained (Normalized temporarily carries the raw runtime
-			// until the pooled moments are known).
-			pooled := stats.NewAgg()
-			perMode := map[routing.Mode]*stats.Agg{}
-			for _, m := range modes {
-				perMode[m] = stats.NewAgg()
-			}
+			// Keep each run's runtime (pooled, in sample order, and per
+			// mode) beside its point until the pooled moments are known.
+			var pooled []float64
+			perMode := map[routing.Mode][]float64{}
 			pts := make([]GroupsPoint, 0, p.Runs*len(modes))
 			err := production(context.Background(), mp, p, a, nodes, modes,
 				core.DefaultBackground(), seed+int64(nodes), func(s *Sample) {
-					pooled.Add(s.RuntimeSec)
-					perMode[s.Mode].Add(s.RuntimeSec)
-					pts = append(pts, GroupsPoint{
-						Groups: s.Groups, Mode: s.Mode, Normalized: s.RuntimeSec,
-					})
+					pooled = append(pooled, s.RuntimeSec)
+					perMode[s.Mode] = append(perMode[s.Mode], s.RuntimeSec)
+					pts = append(pts, GroupsPoint{Groups: s.Groups, Mode: s.Mode})
 				})
 			if err != nil {
 				return nil, err
 			}
 			// Z-score against the pooled mean of both modes (the
 			// paper's normalization for a given job size).
-			mean, std := pooled.Mean(), pooled.Std()
-			for i := range pts {
-				if std > 0 {
-					pts[i].Normalized = (pts[i].Normalized - mean) / std
-				} else {
-					pts[i].Normalized = 0
-				}
+			mean, std := stats.MeanStd(pooled)
+			for i, z := range stats.ZScoresAgainst(pooled, mean, std) {
+				pts[i].Normalized = z
 			}
 			sort.Slice(pts, func(i, j int) bool { return pts[i].Groups < pts[j].Groups })
 			res.Points[a.Name()][nodes] = pts
 			res.MeanImprovement[a.Name()][nodes] =
-				stats.PercentImprovementAgg(perMode[routing.AD0], perMode[routing.AD3])
+				stats.PercentImprovement(perMode[routing.AD0], perMode[routing.AD3])
 		}
 	}
 	return res, nil

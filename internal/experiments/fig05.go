@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/routing"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // BreakdownRun is one run's stacked runtime decomposition (the paper's
@@ -76,21 +77,17 @@ func (r *BreakdownResult) Render() string {
 	}
 	// Mode-level MPI means: the paper's claim is that the MPI share
 	// shrinks under AD3.
-	sums := map[routing.Mode][]float64{}
+	mpiTimes := map[routing.Mode][]float64{}
 	for _, run := range r.Runs {
 		mpiTotal := run.Other
 		for _, c := range r.Dominant {
 			mpiTotal += run.Parts[c]
 		}
-		sums[run.Mode] = append(sums[run.Mode], mpiTotal)
+		mpiTimes[run.Mode] = append(mpiTimes[run.Mode], mpiTotal)
 	}
 	for _, mode := range []routing.Mode{routing.AD0, routing.AD3} {
-		if vs := sums[mode]; len(vs) > 0 {
-			mean := 0.0
-			for _, v := range vs {
-				mean += v
-			}
-			fmt.Fprintf(&b, "mean MPI time %s: %.4fs\n", mode, mean/float64(len(vs)))
+		if vs := mpiTimes[mode]; len(vs) > 0 {
+			fmt.Fprintf(&b, "mean MPI time %s: %.4fs\n", mode, stats.Mean(vs))
 		}
 	}
 	return b.String()

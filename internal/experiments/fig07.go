@@ -13,31 +13,30 @@ import (
 // Table II). It reuses Table II's samples.
 type Fig7Result struct {
 	Nodes int
-	// Z[app][mode] aggregates the normalized runtimes (pooled
+	// Z[app][mode] holds the normalized runtimes in sample order (pooled
 	// normalization per app across both modes).
-	Z map[string]map[routing.Mode]*stats.Agg
+	Z map[string]map[routing.Mode][]float64
 	// Order preserves the app ordering.
 	Order []string
 }
 
 // Fig7NormalizedAllApps derives the figure from Table II samples.
 func Fig7NormalizedAllApps(t2 *Table2Result) *Fig7Result {
-	res := &Fig7Result{Nodes: t2.Nodes, Z: map[string]map[routing.Mode]*stats.Agg{}}
-	pooled := map[string]*stats.Agg{}
-	perMode := map[string]map[routing.Mode]*stats.Agg{}
+	res := &Fig7Result{Nodes: t2.Nodes, Z: map[string]map[routing.Mode][]float64{}}
+	pooled := map[string][]float64{}
+	perMode := map[string]map[routing.Mode][]float64{}
 	for _, s := range t2.Samples {
 		if _, ok := pooled[s.App]; !ok {
 			res.Order = append(res.Order, s.App)
-			pooled[s.App] = stats.NewAgg()
 		}
-		pooled[s.App].Add(s.RuntimeSec)
-		aggAt(perMode, s.App, s.Mode).Add(s.RuntimeSec)
+		pooled[s.App] = append(pooled[s.App], s.RuntimeSec)
+		appendAt(perMode, s.App, s.Mode, s.RuntimeSec)
 	}
 	for _, app := range res.Order {
-		mean, std := pooled[app].Mean(), pooled[app].Std()
-		res.Z[app] = map[routing.Mode]*stats.Agg{}
-		for mode, agg := range perMode[app] {
-			res.Z[app][mode] = agg.Normalized(mean, std)
+		mean, std := stats.MeanStd(pooled[app])
+		res.Z[app] = map[routing.Mode][]float64{}
+		for mode, xs := range perMode[app] {
+			res.Z[app][mode] = stats.ZScoresAgainst(xs, mean, std)
 		}
 	}
 	return res
@@ -51,11 +50,13 @@ func (r *Fig7Result) Render() string {
 	for _, app := range r.Order {
 		for _, mode := range []routing.Mode{routing.AD0, routing.AD3} {
 			zs := r.Z[app][mode]
-			if zs.Count() == 0 {
+			if len(zs) == 0 {
 				continue
 			}
+			mean, std := stats.MeanStd(zs)
+			lo, hi := stats.MinMax(zs)
 			fmt.Fprintf(&b, "%-13s %-7s %-+9.2f %-9.2f %-+9.2f %-+9.2f\n",
-				app, mode, zs.Mean(), zs.Std(), zs.Min(), zs.Max())
+				app, mode, mean, std, lo, hi)
 		}
 	}
 	return b.String()

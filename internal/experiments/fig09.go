@@ -19,8 +19,9 @@ import (
 // Z-scored per application over the pooled mode samples.
 type Fig9Result struct {
 	Nodes int
-	// Z[mode] aggregates the normalized runtimes of all apps and jobs.
-	Z map[routing.Mode]*stats.Agg
+	// Z[mode] holds the normalized runtimes of all apps and jobs, app by
+	// app in run order.
+	Z map[routing.Mode][]float64
 	// Mean[mode] is the mean normalized runtime.
 	Mean map[routing.Mode]float64
 	// Spread[mode] is max-min of the normalized runtimes.
@@ -41,29 +42,22 @@ func Fig9ControlledAllModes(p Profile, seed int64) (*Fig9Result, error) {
 	}
 	res := &Fig9Result{
 		Nodes:  p.NodesMedium,
-		Z:      map[routing.Mode]*stats.Agg{},
+		Z:      map[routing.Mode][]float64{},
 		Mean:   map[routing.Mode]float64{},
 		Spread: map[routing.Mode]float64{},
 	}
 	modes := []routing.Mode{routing.AD0, routing.AD1, routing.AD2, routing.AD3}
-	for _, mode := range modes {
-		res.Z[mode] = stats.NewAgg()
-	}
 	policies := []placement.Policy{placement.Compact, placement.Dispersed}
 	count := p.EnsembleMedium / 2
 	if count < 1 {
 		count = 1
 	}
-	// Per app: run each mode's ensemble, fold raw runtimes, z-score per
-	// app over all modes pooled, then merge into the cross-app aggregates
-	// in mode order.
+	// Per app: run each mode's ensemble, collect raw runtimes, z-score per
+	// app over all modes pooled, then append to the cross-app samples.
 	for _, a := range []apps.App{apps.MILC{}, apps.Nek5000{}, apps.Qbox{}} {
 		a := a
-		perMode := map[routing.Mode]*stats.Agg{}
-		for _, mode := range modes {
-			perMode[mode] = stats.NewAgg()
-		}
-		pool := stats.NewAgg()
+		perMode := map[routing.Mode][]float64{}
+		var pool []float64
 		err := parallel.ReduceContext(context.Background(), mp.workers(), len(modes)*len(policies),
 			func(worker, idx int) (*core.RunResult, error) {
 				mi, policy := idx/len(policies), policies[idx%len(policies)]
@@ -71,24 +65,25 @@ func Fig9ControlledAllModes(p Profile, seed int64) (*Fig9Result, error) {
 					modes[mi], policy, seed+int64(mi)*101)
 			},
 			func(idx int, run *core.RunResult) {
-				agg := perMode[modes[idx/len(policies)]]
+				mode := modes[idx/len(policies)]
 				for _, j := range run.Jobs {
 					v := j.Runtime.Seconds()
-					agg.Add(v)
-					pool.Add(v)
+					perMode[mode] = append(perMode[mode], v)
+					pool = append(pool, v)
 				}
 			})
 		if err != nil {
 			return nil, err
 		}
-		mean, std := pool.Mean(), pool.Std()
+		mean, std := stats.MeanStd(pool)
 		for _, mode := range modes {
-			res.Z[mode].Merge(perMode[mode].Normalized(mean, std))
+			res.Z[mode] = append(res.Z[mode], stats.ZScoresAgainst(perMode[mode], mean, std)...)
 		}
 	}
-	for mode, zs := range res.Z {
-		res.Mean[mode] = zs.Mean()
-		res.Spread[mode] = zs.Max() - zs.Min()
+	for _, mode := range modes {
+		lo, hi := stats.MinMax(res.Z[mode])
+		res.Mean[mode] = stats.Mean(res.Z[mode])
+		res.Spread[mode] = hi - lo
 	}
 	return res, nil
 }
@@ -101,7 +96,7 @@ func (r *Fig9Result) Render() string {
 	for _, mode := range []routing.Mode{routing.AD0, routing.AD1, routing.AD2, routing.AD3} {
 		zs := r.Z[mode]
 		fmt.Fprintf(&b, "%-6s %-6d %-+9.3f %-9.3f %-9.2f\n",
-			mode, zs.Count(), r.Mean[mode], zs.Std(), r.Spread[mode])
+			mode, len(zs), r.Mean[mode], stats.StdDev(zs), r.Spread[mode])
 	}
 	return b.String()
 }

@@ -37,7 +37,7 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden file (run `go test ./internal/experiments -run TestGolden -update`): %v", err)
+		t.Fatalf("missing golden file (rerun the test with -update): %v", err)
 	}
 	if got != string(want) {
 		t.Errorf("output differs from %s\n--- got ---\n%s--- want ---\n%s", path, got, want)

@@ -264,7 +264,7 @@ func ensembleRun(m *core.Machine, p Profile, app apps.App, count, nodes int,
 }
 
 // aggAt returns m[k1][k2], creating the inner map and the aggregate on
-// first use: the get-or-create step of every keyed fold.
+// first use: the get-or-create step of the keyed tile-ratio folds.
 func aggAt[K1, K2 comparable](m map[K1]map[K2]*stats.Agg, k1 K1, k2 K2) *stats.Agg {
 	inner := m[k1]
 	if inner == nil {
@@ -277,6 +277,17 @@ func aggAt[K1, K2 comparable](m map[K1]map[K2]*stats.Agg, k1 K1, k2 K2) *stats.A
 		inner[k2] = agg
 	}
 	return agg
+}
+
+// appendAt appends x to m[k1][k2], creating the inner map on first use:
+// aggAt's counterpart for one-value-per-run samples.
+func appendAt[K1, K2 comparable](m map[K1]map[K2][]float64, k1 K1, k2 K2, x float64) {
+	inner := m[k1]
+	if inner == nil {
+		inner = map[K2][]float64{}
+		m[k1] = inner
+	}
+	inner[k2] = append(inner[k2], x)
 }
 
 // networkClasses are the three network tile classes (the "40 network

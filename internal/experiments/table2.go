@@ -36,7 +36,7 @@ type Table2Result struct {
 }
 
 // Table2AllApps runs the production campaign for every application at the
-// medium size under AD0 and AD3, folding statistics as the runs stream.
+// medium size under AD0 and AD3, collecting per-run values as the runs stream.
 func Table2AllApps(p Profile, seed int64) (*Table2Result, error) {
 	return p.productionStudy(apps.All(), seed)
 }
@@ -54,17 +54,14 @@ func (p Profile) productionStudy(list []apps.App, seed int64) (*Table2Result, er
 	res := &Table2Result{Nodes: p.NodesMedium, Tiles: tileAggs{}}
 	modes := []routing.Mode{routing.AD0, routing.AD3}
 	for _, a := range list {
-		rt := map[routing.Mode]*stats.Agg{}
-		mpiT := map[routing.Mode]*stats.Agg{}
-		for _, m := range modes {
-			rt[m], mpiT[m] = stats.NewAgg(), stats.NewAgg()
-		}
+		rt := map[routing.Mode][]float64{}
+		mpiT := map[routing.Mode][]float64{}
 		isMILC := a.Name() == apps.MILC{}.Name()
 		err := production(context.Background(), mp, p, a, p.NodesMedium, modes,
 			core.DefaultBackground(), seed, func(s *Sample) {
 				res.Samples = append(res.Samples, s.Compact())
-				rt[s.Mode].Add(s.RuntimeSec)
-				mpiT[s.Mode].Add(s.MPISec())
+				rt[s.Mode] = append(rt[s.Mode], s.RuntimeSec)
+				mpiT[s.Mode] = append(mpiT[s.Mode], s.MPISec())
 				if isMILC {
 					foldTileRatios(res.Tiles, s)
 				}
@@ -72,18 +69,18 @@ func (p Profile) productionStudy(list []apps.App, seed int64) (*Table2Result, er
 		if err != nil {
 			return nil, err
 		}
-		f0 := rt[routing.AD0].FilterOutliers(3)
-		f3 := rt[routing.AD3].FilterOutliers(3)
-		tstat, _ := stats.WelchTAgg(f0, f3)
-		res.Rows = append(res.Rows, Table2Row{
-			App:     a.Name(),
-			MeanAD0: f0.Mean(), StdAD0: f0.Std(),
-			MeanAD3: f3.Mean(), StdAD3: f3.Std(),
-			ImprovePct:    stats.PercentImprovementAgg(f0, f3),
-			ImproveMPIPct: stats.PercentImprovementAgg(mpiT[routing.AD0], mpiT[routing.AD3]),
-			Runs:          f0.Count(),
-			WelchT:        tstat,
-		})
+		f0 := stats.FilterOutliers(rt[routing.AD0], 3)
+		f3 := stats.FilterOutliers(rt[routing.AD3], 3)
+		row := Table2Row{
+			App:           a.Name(),
+			ImprovePct:    stats.PercentImprovement(f0, f3),
+			ImproveMPIPct: stats.PercentImprovement(mpiT[routing.AD0], mpiT[routing.AD3]),
+			Runs:          len(f0),
+		}
+		row.MeanAD0, row.StdAD0 = stats.MeanStd(f0)
+		row.MeanAD3, row.StdAD3 = stats.MeanStd(f3)
+		row.WelchT, _ = stats.WelchT(f0, f3)
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }

@@ -63,6 +63,26 @@ func TestDeterminismWorkers1Vs8(t *testing.T) {
 	}
 }
 
+// TestKeySeparatesUtilizations pins that the coalescing key tells apart
+// backgrounds that differ only past the sixth significant digit: a
+// shared key would hand one query the other's response, whose echoed
+// background.utilization is wrong.
+func TestKeySeparatesUtilizations(t *testing.T) {
+	body := func(u string) string {
+		return `{"topology":"test","app":"MILC","nodes":8,"runs":1,"background":{"utilization":` + u + `}}`
+	}
+	a, b := mustDecode(t, body("0.1234567")), mustDecode(t, body("0.1234568"))
+	if a.BGUtil == b.BGUtil {
+		t.Fatalf("decoded utilizations are equal: %v", a.BGUtil)
+	}
+	if a.Key() == b.Key() {
+		t.Fatalf("distinct utilizations share coalescing key %q", a.Key())
+	}
+	if a.Key() != mustDecode(t, body("0.1234567")).Key() {
+		t.Fatal("equal utilizations produced different keys")
+	}
+}
+
 // TestDeterminismSoloVsCoalesced holds one execution of the canonical
 // query at a test hook, piles concurrent duplicates (from distinct
 // tenants) onto it, and checks that every coalesced response is

@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/apps"
@@ -125,13 +126,16 @@ func (q Query) Key() string {
 	for i, m := range q.Modes {
 		modes[i] = m.String()
 	}
+	// The utilization prints in shortest round-trip form: any rounding
+	// would let two distinct backgrounds share a key, and the follower
+	// would receive bytes echoing the leader's utilization.
 	bg := "none"
 	if q.BGUtil > 0 {
+		bgMode := "default"
 		if q.BGModeSet {
-			bg = fmt.Sprintf("%.6g@%s", q.BGUtil, q.BGMode)
-		} else {
-			bg = fmt.Sprintf("%.6g@default", q.BGUtil)
+			bgMode = q.BGMode.String()
 		}
+		bg = strconv.FormatFloat(q.BGUtil, 'g', -1, 64) + "@" + bgMode
 	}
 	return fmt.Sprintf("%s|%s|n%d|%s|r%d|s%d|bg:%s",
 		q.Topology, q.App.Name(), q.Nodes, strings.Join(modes, ","), q.Runs, q.Seed, bg)

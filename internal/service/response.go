@@ -99,24 +99,24 @@ var networkTileClasses = []topology.TileClass{
 // buildResponse aggregates the ensemble's samples into a response.
 // Samples arrive compact (Reduced digest only, no full report) in
 // (run, mode) interleaved order from the seed-order merge; each mode's
-// values fold into online aggregates in that fixed order, so float
-// summation order — and therefore the marshaled bytes — is independent
-// of pool warmth, worker count, and coalescing.
+// per-run values are collected in that fixed order, so float summation
+// order — and therefore the marshaled bytes — is independent of pool
+// warmth, worker count, and coalescing.
 func buildResponse(q Query, samples []experiments.Sample) *Response {
 	resp := &Response{Request: q.echo(), Modes: make([]ModeResult, len(q.Modes))}
 	for mi, mode := range q.Modes {
-		runtimes, mpiFracs, transits := stats.NewAgg(), stats.NewAgg(), stats.NewAgg()
+		var runtimes, mpiFracs, transits []float64
 		var flits, minPkts, nonMinPkts uint64
 		var stalls float64
 		for si := mi; si < len(samples); si += len(q.Modes) {
 			s := samples[si]
-			runtimes.Add(s.RuntimeSec)
+			runtimes = append(runtimes, s.RuntimeSec)
 			frac := 0.0
 			if s.RuntimeSec > 0 {
 				frac = s.MPISec() / s.RuntimeSec
 			}
-			mpiFracs.Add(frac)
-			transits.Add(s.MeanTransitSec)
+			mpiFracs = append(mpiFracs, frac)
+			transits = append(transits, s.MeanTransitSec)
 			for _, class := range networkTileClasses {
 				flits += s.Reduced.LocalTiles.Flits[class]
 				stalls += s.Reduced.LocalTiles.Stalls[class]
@@ -124,15 +124,16 @@ func buildResponse(q Query, samples []experiments.Sample) *Response {
 			minPkts += s.MinPkts
 			nonMinPkts += s.NonMinPkts
 		}
-		ps := runtimes.Percentiles([]float64{95, 99})
+		ps := stats.Percentiles(runtimes, []float64{95, 99})
+		mean, std := stats.MeanStd(runtimes)
 		r := ModeResult{
 			Mode:           mode.String(),
-			Runs:           runtimes.Count(),
-			RuntimeMeanSec: runtimes.Mean(),
-			RuntimeStdSec:  runtimes.Std(),
+			Runs:           len(runtimes),
+			RuntimeMeanSec: mean,
+			RuntimeStdSec:  std,
 			RuntimeP95Sec:  ps[0],
 			RuntimeP99Sec:  ps[1],
-			MPIFracMean:    mpiFracs.Mean(),
+			MPIFracMean:    stats.Mean(mpiFracs),
 		}
 		if flits > 0 {
 			r.StallRatio = stalls / float64(flits)
@@ -140,7 +141,7 @@ func buildResponse(q Query, samples []experiments.Sample) *Response {
 		if total := minPkts + nonMinPkts; total > 0 {
 			r.NonMinimalFrac = float64(nonMinPkts) / float64(total)
 		}
-		r.MeanTransitUsec = transits.Mean() * 1e6
+		r.MeanTransitUsec = stats.Mean(transits) * 1e6
 		resp.Modes[mi] = r
 	}
 	best := 0

@@ -1,71 +1,41 @@
 package stats
 
-import "math"
-
-// ExactCap is the default number of values an Agg retains verbatim
-// before switching to streaming (Welford moments + quantile sketch)
-// mode. Below the cap every read delegates to the batch functions in
-// this package over the insertion-order buffer, so results are
-// bit-identical to the pre-streaming pipelines — this is what keeps the
-// figure/table goldens byte-stable. Above the cap memory is fixed
-// (~4KB sketch + a few scalars) regardless of how many values stream
-// through; percentile error is then bounded by one sketch bin width
-// (see Sketch).
+// ExactCap is the number of values an Agg retains verbatim before
+// switching to streaming mode (running mean + quantile sketch). Below
+// the cap every read delegates to the batch functions in this package
+// over the insertion-order buffer, so results are bit-identical to the
+// batch pipelines — this is what keeps the figure/table goldens
+// byte-stable. Above the cap memory is fixed (~4KB sketch + a few
+// scalars) regardless of how many values stream through; percentile
+// error is then bounded by one sketch bin width (see Sketch).
 const ExactCap = 4096
 
-// Agg is an online, mergeable aggregate: count/sum/min/max, mean and
-// variance, percentiles, and histograms over a value stream, in memory
-// bounded by ExactCap. Determinism contract: an Agg's state is a pure
-// function of its value insertion order. Merging an exact-mode Agg
-// replays its values in insertion order — so folding per-run aggregates
-// in seed order reproduces the sequential fold bit-for-bit, and
-// worker-count invariance holds by construction. The zero value and nil
-// are both empty, ready-to-read aggregates (but Add requires a non-nil
-// receiver).
+// Agg is an online, mergeable aggregate of a value stream that grows
+// with the machine or the window (per-tile counter ratios, LDMS
+// samples): count, sum, mean and percentiles in memory bounded by
+// ExactCap. Determinism contract: an Agg's state is a pure function of
+// its value insertion order. Merging an exact-mode Agg replays its
+// values in insertion order — so folding per-run aggregates in seed
+// order reproduces the sequential fold bit-for-bit, and worker-count
+// invariance holds by construction. The zero value and nil are both
+// empty, ready-to-read aggregates (but Add requires a non-nil receiver).
 type Agg struct {
 	n        uint64
 	sum      float64
 	min, max float64
 
-	// limit overrides ExactCap: 0 means default, negative means stream
-	// from the first value. Tests use NewAggLimit to exercise the
-	// streaming path on small inputs.
-	limit int
-
-	// exact holds the values in insertion order while n <= cap; nil once
-	// spilled to streaming mode.
+	// exact holds the values in insertion order while n <= ExactCap; nil
+	// once spilled to streaming mode.
 	exact []float64
 
-	// Streaming state (valid once sk != nil): Welford/West weighted
-	// moments and the quantile sketch. wn tracks the total weight folded
-	// into the moments.
-	wn, mean, m2 float64
-	sk           *Sketch
+	// Streaming state (valid once sk != nil): the running mean of all n
+	// values and the quantile sketch.
+	mean float64
+	sk   *Sketch
 }
 
-// NewAgg returns an empty aggregate with the default exact-mode cap.
+// NewAgg returns an empty aggregate.
 func NewAgg() *Agg { return &Agg{} }
-
-// NewAggLimit returns an empty aggregate that holds at most limit values
-// exactly before spilling to streaming mode; limit < 1 streams from the
-// first value.
-func NewAggLimit(limit int) *Agg {
-	if limit < 1 {
-		limit = -1
-	}
-	return &Agg{limit: limit}
-}
-
-func (a *Agg) capLimit() int {
-	switch {
-	case a.limit == 0:
-		return ExactCap
-	case a.limit < 0:
-		return 0
-	default:
-		return a.limit
-	}
-}
 
 // Add records one value.
 func (a *Agg) Add(x float64) {
@@ -82,13 +52,13 @@ func (a *Agg) Add(x float64) {
 	a.n++
 	a.sum += x
 	if a.sk == nil {
-		if len(a.exact) < a.capLimit() {
+		if len(a.exact) < ExactCap {
 			a.exact = append(a.exact, x)
 			return
 		}
 		a.spill()
 	}
-	a.addMoments(x, 1)
+	a.mean += (x - a.mean) / float64(a.n)
 	a.sk.AddN(x, 1)
 }
 
@@ -99,62 +69,22 @@ func (a *Agg) AddAll(xs []float64) {
 	}
 }
 
-// addN records x with multiplicity w (internal: used by streaming
-// transforms that re-deposit sketch bins).
-func (a *Agg) addN(x float64, w uint64) {
-	if w == 0 {
-		return
-	}
-	if a.sk == nil && len(a.exact)+int(w) <= a.capLimit() {
-		for i := uint64(0); i < w; i++ {
-			a.Add(x)
-		}
-		return
-	}
-	if a.n == 0 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
-	a.n += w
-	a.sum += x * float64(w)
-	if a.sk == nil {
-		a.spill()
-	}
-	a.addMoments(x, float64(w))
-	a.sk.AddN(x, w)
-}
-
 // spill converts the aggregate to streaming mode, replaying the exact
-// buffer (in insertion order) into the moments and a fresh sketch
+// buffer (in insertion order) into the running mean and a fresh sketch
 // spanning the observed range.
 func (a *Agg) spill() {
 	a.sk = NewSketch(a.min, a.max, sketchBins)
-	for _, v := range a.exact {
-		a.addMoments(v, 1)
+	for i, v := range a.exact {
+		a.mean += (v - a.mean) / float64(i+1)
 		a.sk.AddN(v, 1)
 	}
 	a.exact = nil
 }
 
-// addMoments folds one weighted value into the Welford/West moments.
-func (a *Agg) addMoments(x, w float64) {
-	a.wn += w
-	d := x - a.mean
-	r := d * w / a.wn
-	a.mean += r
-	a.m2 += (a.wn - w) * d * r
-}
-
 // Merge folds b into a. An exact-mode b is replayed value-by-value in
 // insertion order — equivalent to having Add-ed b's stream after a's, so
 // seed-ordered merges are bit-identical to a sequential fold. A
-// streaming b combines moments with the Chan et al. parallel update and
+// streaming b combines means with the Chan et al. parallel update and
 // merges sketches. b is not modified.
 func (a *Agg) Merge(b *Agg) {
 	if b == nil || b.n == 0 {
@@ -181,25 +111,8 @@ func (a *Agg) Merge(b *Agg) {
 	if a.sk == nil {
 		a.spill()
 	}
-	w := a.wn + b.wn
-	d := b.mean - a.mean
-	a.m2 += b.m2 + d*d*a.wn*b.wn/w
-	a.mean += d * b.wn / w
-	a.wn = w
+	a.mean += (b.mean - a.mean) * float64(b.n) / float64(a.n)
 	a.sk.Merge(b.sk)
-}
-
-// Clone returns an independent copy of the aggregate.
-func (a *Agg) Clone() *Agg {
-	if a == nil {
-		return &Agg{}
-	}
-	c := *a
-	c.exact = append([]float64(nil), a.exact...)
-	if a.sk != nil {
-		c.sk = a.sk.clone()
-	}
-	return &c
 }
 
 // Count returns the number of values folded in.
@@ -218,67 +131,20 @@ func (a *Agg) Sum() float64 {
 	return a.sum
 }
 
-// Min returns the smallest value seen (0 if empty, matching MinMax).
-func (a *Agg) Min() float64 {
-	if a == nil || a.n == 0 {
-		return 0
-	}
-	return a.min
-}
-
-// Max returns the largest value seen (0 if empty, matching MinMax).
-func (a *Agg) Max() float64 {
-	if a == nil || a.n == 0 {
-		return 0
-	}
-	return a.max
-}
-
-// Exact reports whether the aggregate still holds every value verbatim
-// (reads are bit-identical to the batch functions).
-func (a *Agg) Exact() bool { return a == nil || a.sk == nil }
-
-// Values returns the insertion-order buffer in exact mode, nil once
-// streaming. Callers must not mutate it.
-func (a *Agg) Values() []float64 {
-	if a == nil {
-		return nil
-	}
-	return a.exact
-}
-
 // Mean returns the arithmetic mean (0 if empty, matching Mean).
 func (a *Agg) Mean() float64 {
-	if a == nil || a.n == 0 {
-		return 0
-	}
-	if a.sk == nil {
-		return Mean(a.exact)
+	if a == nil || a.sk == nil {
+		return Mean(a.values())
 	}
 	return a.mean
-}
-
-// Std returns the sample standard deviation (n-1; 0 below two values,
-// matching StdDev).
-func (a *Agg) Std() float64 {
-	if a == nil || a.n < 2 {
-		return 0
-	}
-	if a.sk == nil {
-		return StdDev(a.exact)
-	}
-	return math.Sqrt(a.m2 / (a.wn - 1))
 }
 
 // Percentile returns the p-th percentile: exact (batch Percentile) below
 // the cap, sketch estimate clamped to the true observed [min, max]
 // above it. NaN if empty, matching Percentile.
 func (a *Agg) Percentile(p float64) float64 {
-	if a == nil || a.n == 0 {
-		return math.NaN()
-	}
-	if a.sk == nil {
-		return Percentile(a.exact, p)
+	if a == nil || a.sk == nil {
+		return Percentile(a.values(), p)
 	}
 	if p <= 0 {
 		return a.min
@@ -300,7 +166,7 @@ func (a *Agg) Percentile(p float64) float64 {
 // once (matching Percentiles) or querying the sketch per point.
 func (a *Agg) Percentiles(ps []float64) []float64 {
 	if a == nil || a.sk == nil {
-		return Percentiles(a.Values(), ps)
+		return Percentiles(a.values(), ps)
 	}
 	out := make([]float64, len(ps))
 	for i, p := range ps {
@@ -309,113 +175,10 @@ func (a *Agg) Percentiles(ps []float64) []float64 {
 	return out
 }
 
-// Hist bins the aggregate onto a fixed grid: exact mode delegates to
-// NewHistogram over the retained values; streaming mode re-bins the
-// sketch.
-func (a *Agg) Hist(lo, hi float64, bins int) *Histogram {
-	if a == nil || a.sk == nil {
-		return NewHistogram(a.Values(), lo, hi, bins)
+// values returns the exact-mode buffer (nil for a nil aggregate).
+func (a *Agg) values() []float64 {
+	if a == nil {
+		return nil
 	}
-	return a.sk.Histogram(lo, hi, bins)
-}
-
-// FilterOutliers returns a new aggregate keeping values within k
-// standard deviations of the mean. Exact mode replays the batch
-// FilterOutliers result in order (bit-identical downstream); streaming
-// mode keeps the sketch bins whose centers fall inside the band (error
-// bounded by one bin width, like the quantiles).
-func (a *Agg) FilterOutliers(k float64) *Agg {
-	if a == nil || a.n == 0 {
-		return &Agg{}
-	}
-	if a.sk == nil {
-		out := &Agg{limit: a.limit}
-		out.AddAll(FilterOutliers(a.exact, k))
-		return out
-	}
-	m, s := a.Mean(), a.Std()
-	if s == 0 {
-		return a.Clone()
-	}
-	out := &Agg{limit: -1}
-	w := a.sk.binWidth()
-	for i, c := range a.sk.counts {
-		if c == 0 {
-			continue
-		}
-		center := a.sk.lo + (float64(i)+0.5)*w
-		if math.Abs(center-m) <= k*s {
-			out.addN(center, c)
-		}
-	}
-	return out
-}
-
-// Normalized returns an aggregate of (x-mean)/std over a's values,
-// matching ZScoresAgainst (std == 0 maps every value to 0). Exact mode
-// transforms each retained value in order; streaming mode transforms the
-// moments and sketch affinely.
-func (a *Agg) Normalized(mean, std float64) *Agg {
-	if a == nil || a.n == 0 {
-		return &Agg{}
-	}
-	out := &Agg{limit: a.limit}
-	if a.sk == nil {
-		for _, x := range a.exact {
-			if std == 0 {
-				out.Add(0)
-			} else {
-				out.Add((x - mean) / std)
-			}
-		}
-		return out
-	}
-	if std == 0 {
-		out.addN(0, a.n)
-		return out
-	}
-	out.n = a.n
-	out.sum = (a.sum - mean*float64(a.n)) / std
-	out.min = (a.min - mean) / std
-	out.max = (a.max - mean) / std
-	out.wn = a.wn
-	out.mean = (a.mean - mean) / std
-	out.m2 = a.m2 / (std * std)
-	out.sk = &Sketch{
-		lo:     (a.sk.lo - mean) / std,
-		hi:     (a.sk.hi - mean) / std,
-		counts: append([]uint64(nil), a.sk.counts...),
-		n:      a.sk.n,
-	}
-	return out
-}
-
-// WelchTAgg computes Welch's t statistic and degrees of freedom between
-// two aggregates, with the same arithmetic and guards as WelchT.
-func WelchTAgg(a, b *Agg) (t, df float64) {
-	na, nb := a.Count(), b.Count()
-	if na < 2 || nb < 2 {
-		return 0, 0
-	}
-	ma, sa := a.Mean(), a.Std()
-	mb, sb := b.Mean(), b.Std()
-	va := sa * sa / float64(na)
-	vb := sb * sb / float64(nb)
-	if va+vb == 0 {
-		return 0, 0
-	}
-	t = (ma - mb) / math.Sqrt(va+vb)
-	df = (va + vb) * (va + vb) /
-		(va*va/float64(na-1) + vb*vb/float64(nb-1))
-	return t, df
-}
-
-// PercentImprovementAgg mirrors PercentImprovement over two aggregates:
-// (mean(a)-mean(b))/mean(a) * 100, 0 when a's mean is 0.
-func PercentImprovementAgg(a, b *Agg) float64 {
-	ma := a.Mean()
-	if ma == 0 {
-		return 0
-	}
-	return (ma - b.Mean()) / ma * 100
+	return a.exact
 }

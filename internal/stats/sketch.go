@@ -43,9 +43,6 @@ func NewSketch(lo, hi float64, bins int) *Sketch {
 // Count returns the number of values added.
 func (s *Sketch) Count() uint64 { return s.n }
 
-// Range returns the current covered range.
-func (s *Sketch) Range() (lo, hi float64) { return s.lo, s.hi }
-
 // binWidth returns the current width of one bin.
 func (s *Sketch) binWidth() float64 {
 	return (s.hi - s.lo) / float64(len(s.counts))
@@ -171,42 +168,4 @@ func (s *Sketch) Quantile(p float64) float64 {
 		cum += c
 	}
 	return s.hi
-}
-
-// Histogram re-bins the sketch onto a caller-specified fixed grid (the
-// streaming replacement for NewHistogram over retained values): each
-// occupied sketch bin contributes its count at its center. Resolution is
-// limited by the sketch's own bin width.
-func (s *Sketch) Histogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 {
-		bins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins), BinSize: (hi - lo) / float64(bins)}
-	w := s.binWidth()
-	for i, c := range s.counts {
-		if c == 0 {
-			continue
-		}
-		center := s.lo + (float64(i)+0.5)*w
-		j := int((center - lo) / h.BinSize)
-		if j < 0 {
-			j = 0
-		}
-		if j >= bins {
-			j = bins - 1
-		}
-		h.Counts[j] += int(c)
-		h.Total += int(c)
-	}
-	return h
-}
-
-// clone returns an independent copy.
-func (s *Sketch) clone() *Sketch {
-	c := *s
-	c.counts = append([]uint64(nil), s.counts...)
-	return &c
 }

@@ -2,6 +2,15 @@
 // uses: mean/σ, Z-score normalization, percentiles, histogram PDFs, CCDFs,
 // the ±3σ outlier filter applied to run samples, and a Welch t-test used
 // to check that reported improvements are significant.
+//
+// One rule decides which form a statistic takes. Values that grow with
+// the machine or the window — per-tile counter ratios (Figs. 6/11),
+// LDMS router and NIC samples (Figs. 13/14) — fold into an Agg, which
+// keeps memory bounded by streaming past ExactCap. One-value-per-run
+// data (runtimes, MPI times, z-scores: a few dozen values per mode at
+// most) stays in a []float64 and goes through the batch functions in
+// this file, which are the only implementations of the outlier filter,
+// z-scores, histograms, Welch's t and percent improvement.
 package stats
 
 import (
@@ -39,20 +48,6 @@ func StdDev(xs []float64) float64 {
 // MeanStd returns both moments in one pass over the data.
 func MeanStd(xs []float64) (mean, std float64) {
 	return Mean(xs), StdDev(xs)
-}
-
-// ZScores normalizes xs to zero mean and unit standard deviation. When the
-// deviation is zero every score is zero.
-func ZScores(xs []float64) []float64 {
-	m, s := MeanStd(xs)
-	out := make([]float64, len(xs))
-	if s == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - m) / s
-	}
-	return out
 }
 
 // ZScoresAgainst normalizes xs using an externally supplied mean and

@@ -22,9 +22,11 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
+// TestZScores normalizes a sample against its own moments.
 func TestZScores(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
-	zs := ZScores(xs)
+	m, sd := MeanStd(xs)
+	zs := ZScoresAgainst(xs, m, sd)
 	if !approx(Mean(zs), 0, 1e-12) {
 		t.Errorf("z mean = %g", Mean(zs))
 	}
@@ -32,7 +34,9 @@ func TestZScores(t *testing.T) {
 		t.Errorf("z std = %g", StdDev(zs))
 	}
 	// Constant input: all zeros.
-	for _, z := range ZScores([]float64{3, 3, 3}) {
+	flat := []float64{3, 3, 3}
+	m, sd = MeanStd(flat)
+	for _, z := range ZScoresAgainst(flat, m, sd) {
 		if z != 0 {
 			t.Error("constant input should give zero scores")
 		}
@@ -185,8 +189,8 @@ func TestStatsProperties(t *testing.T) {
 		if len(xs) < 3 {
 			return true
 		}
-		if StdDev(xs) > 0 {
-			zs := ZScores(xs)
+		if m, sd := MeanStd(xs); sd > 0 {
+			zs := ZScoresAgainst(xs, m, sd)
 			if !approx(Mean(zs), 0, 1e-6) || !approx(StdDev(zs), 1, 1e-6) {
 				return false
 			}

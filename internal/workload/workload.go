@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // SizeBucket is one job-size class with its share of machine core-hours.
@@ -69,19 +68,6 @@ func (m Mix) SampleJob(rng *rand.Rand) (nodes int, duration sim.Time) {
 	}
 	duration = sim.Time(float64(m.MeanDuration) * (0.5 + rng.Float64()))
 	return nodes, duration
-}
-
-// CoreHourCCDF simulates a campaign of n jobs and returns the
-// complementary CDF of core-hours over job size — the paper's Fig. 1.
-func (m Mix) CoreHourCCDF(n int, rng *rand.Rand) []stats.CCDFPoint {
-	sizes := make([]float64, n)
-	hours := make([]float64, n)
-	for i := 0; i < n; i++ {
-		nodes, dur := m.SampleJob(rng)
-		sizes[i] = float64(nodes)
-		hours[i] = float64(nodes) * dur.Seconds()
-	}
-	return stats.WeightedCCDF(sizes, hours)
 }
 
 // FractionInRange returns the share of core-hours carried by jobs whose

@@ -48,28 +48,6 @@ func TestSampleJobDistribution(t *testing.T) {
 	}
 }
 
-func TestCoreHourCCDF(t *testing.T) {
-	m := ThetaMix()
-	rng := rand.New(rand.NewSource(2))
-	ccdf := m.CoreHourCCDF(5000, rng)
-	if len(ccdf) < 5 {
-		t.Fatalf("ccdf has %d points", len(ccdf))
-	}
-	if ccdf[0].Frac < 0.999999 || ccdf[0].Frac > 1.000001 {
-		t.Errorf("ccdf starts at %g", ccdf[0].Frac)
-	}
-	for i := 1; i < len(ccdf); i++ {
-		if ccdf[i].Frac > ccdf[i-1].Frac {
-			t.Fatal("ccdf not monotone")
-		}
-	}
-	// Sanity: there is mass above 1024 nodes (big jobs exist).
-	last := ccdf[len(ccdf)-1]
-	if last.X < 2048 {
-		t.Errorf("largest sampled job only %g nodes", last.X)
-	}
-}
-
 func TestSampleTraffic(t *testing.T) {
 	classes := DefaultTrafficClasses()
 	rng := rand.New(rand.NewSource(3))
