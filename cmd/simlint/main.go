@@ -1,15 +1,14 @@
 // Command simlint runs the repository's custom static-analysis suite
 // (detrand, resetcheck, hotpath, sharecheck — see DESIGN.md "Static
-// invariants") over the module, mirroring a x/tools multichecker:
+// invariants") over the module:
 //
 //	go run ./cmd/simlint ./...
 //
 // Unlike a per-package checker, simlint loads every requested package
 // (plus its module-internal dependencies) into one driver run, builds
-// the static call graph across them, and lets analyzers exchange
-// per-function facts — the interprocedural checks (transitive hot-path
-// allocation, output-order taint, worker isolation) need the whole
-// module in view.
+// the static call graph across them, and runs each analyzer once over
+// the whole set — the interprocedural checks (transitive hot-path
+// allocation, output-order taint) need the whole module in view.
 //
 // It prints one line per finding — or one JSON object per line with
 // -json, for CI to turn into per-file annotations — and exits nonzero

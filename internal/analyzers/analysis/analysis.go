@@ -1,14 +1,13 @@
-// Package analysis is a self-contained miniature of
-// golang.org/x/tools/go/analysis: just enough framework to write typed
-// AST analyzers against the standard library alone. The build
-// environment for this repository is hermetic (no module downloads), so
-// vendoring x/tools is not an option; instead the package mirrors the
-// x/tools API shape — Analyzer, Pass, Diagnostic — closely enough that
-// migrating the simlint suite onto the real framework later is a
-// mechanical import swap.
+// Package analysis is the stdlib-only framework the simlint analyzers
+// run on. The build environment for this repository is hermetic (no
+// module downloads), so golang.org/x/tools/go/analysis is not
+// available; this package keeps only what the suite uses. An Analyzer
+// runs once per driver run over the whole loaded Module — every
+// package in dependency order plus the static call graph across them —
+// and reports through Pass.Reportf.
 //
-// Beyond the x/tools core, the package implements the simlint
-// suppression grammar shared by every analyzer:
+// The package also implements the simlint suppression grammar shared
+// by every analyzer:
 //
 //	//simlint:allow <analyzer> <reason>
 //
@@ -21,7 +20,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"regexp"
 	"sort"
 	"strings"
@@ -34,54 +32,23 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
-	// Run applies the analyzer to one package, reporting findings
-	// through pass.Reportf. Under the module driver, packages are
-	// visited in dependency order, so facts exported on an imported
-	// package's objects are visible here.
+	// Run applies the analyzer to the whole module, once per driver
+	// run, reporting findings through pass.Reportf.
 	Run func(*Pass) error
-	// RunModule, if set, runs once after every package pass with the
-	// whole module — full package list, call graph, fact store — for
-	// analyses whose scope cannot be expressed package-by-package
-	// (reverse reachability from sinks, cross-package sharing).
-	RunModule func(*ModulePass) error
-	// FactTypes declares every Fact type the analyzer exports or
-	// imports, mirroring x/tools; using an undeclared type panics.
-	FactTypes []Fact
 }
 
-// Pass carries one (analyzer, package) unit of work, mirroring
-// x/tools' analysis.Pass.
+// Pass carries one analyzer's run over the loaded module.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-	// Module is the driver run this pass belongs to (call graph,
-	// sibling packages). Nil when the pass runs outside a module
-	// driver.
+	Analyzer *Analyzer
+	// Module holds every loaded package in dependency order and the
+	// call graph across them.
 	Module *Module
 
-	diags    *[]Diagnostic
-	suppress suppressions
+	diags *[]Diagnostic
 }
 
-// ExportObjectFact attaches fact to obj for importing packages'
-// passes (and module passes) to consume.
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	p.Module.facts.exportObject(p.Analyzer, obj, fact)
-}
-
-// ImportObjectFact copies the fact of ptr's concrete type previously
-// exported on obj into *ptr, reporting whether one existed.
-func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
-	return p.Module.facts.importObject(p.Analyzer, obj, ptr)
-}
-
-// ImportObjectFact is available on module passes too.
-func (p *ModulePass) ImportObjectFact(obj types.Object, ptr Fact) bool {
-	return p.Module.facts.importObject(p.Analyzer, obj, ptr)
-}
+// Fset returns the module's shared file set.
+func (p *Pass) Fset() *token.FileSet { return p.Module.Loader.Fset }
 
 // Diagnostic is one finding at one position.
 type Diagnostic struct {
@@ -96,8 +63,8 @@ func (d Diagnostic) String() string {
 
 // Reportf records a finding unless a //simlint:allow comment covers it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	if p.suppress.allows(p.Analyzer.Name, position) {
+	position := p.Fset().Position(pos)
+	if p.Module.sup.allows(p.Analyzer.Name, position) {
 		return
 	}
 	*p.diags = append(*p.diags, Diagnostic{

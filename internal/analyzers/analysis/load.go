@@ -20,7 +20,6 @@ type Package struct {
 	// analysistest fixtures, the directory relative to testdata/src).
 	Path  string
 	Dir   string
-	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -169,7 +168,6 @@ func (l *Loader) Load(path string) (*Package, error) {
 	pkg := &Package{
 		Path:  path,
 		Dir:   dir,
-		Fset:  l.Fset,
 		Files: files,
 		Types: tpkg,
 		Info:  info,

@@ -10,10 +10,7 @@ import (
 // Module is one whole-program driver run: every requested package (and
 // every module-internal dependency) loaded and type-checked, ordered so
 // that a package always precedes its importers, plus the static call
-// graph spanning them. It is the unit interprocedural analyzers run
-// over — per-package passes execute in dependency order so facts flow
-// from callee packages to caller packages, and module passes see the
-// finished graph.
+// graph spanning them. It is the unit every analyzer runs over, once.
 type Module struct {
 	Loader *Loader
 	// Pkgs holds every loaded module package in dependency order
@@ -22,8 +19,7 @@ type Module struct {
 	// Graph is the static-dispatch call graph over all of Pkgs.
 	Graph *CallGraph
 
-	facts *factStore
-	sup   suppressions
+	sup suppressions
 }
 
 // LoadModule loads the packages named by the given module import paths
@@ -36,10 +32,7 @@ func LoadModule(moduleDir, modulePath string, roots []string) (*Module, error) {
 			return nil, err
 		}
 	}
-	m := &Module{
-		Loader: l,
-		facts:  newFactStore(),
-	}
+	m := &Module{Loader: l}
 	m.Pkgs = dependencyOrder(l.pkgs)
 	m.Graph = NewCallGraph()
 	for _, pkg := range m.Pkgs {
@@ -95,43 +88,12 @@ func (m *Module) Package(path string) *Package {
 	return m.Loader.pkgs[path]
 }
 
-// Run applies the analyzer suite to the module: per-package passes
-// (Analyzer.Run) over every package in dependency order first, then
-// module passes (Analyzer.RunModule), returning surviving diagnostics
-// sorted by position.
+// Run applies each analyzer of the suite once to the module,
+// returning surviving diagnostics sorted by position.
 func (m *Module) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	for _, pkg := range m.Pkgs {
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			pass := &Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-				Module:    m,
-				diags:     &diags,
-				suppress:  m.sup,
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-			}
-		}
-	}
 	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		mp := &ModulePass{
-			Analyzer: a,
-			Module:   m,
-			diags:    &diags,
-			suppress: m.sup,
-		}
-		if err := a.RunModule(mp); err != nil {
+		if err := a.Run(&Pass{Analyzer: a, Module: m, diags: &diags}); err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
@@ -162,31 +124,4 @@ func (m *Module) UnknownAllows(suite []*Analyzer) []Diagnostic {
 	}
 	sortDiagnostics(diags)
 	return diags
-}
-
-// ModulePass is the whole-module counterpart of Pass, handed to
-// Analyzer.RunModule after every package pass has completed: the full
-// package list, the call graph, and the accumulated fact store.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Module   *Module
-
-	diags    *[]Diagnostic
-	suppress suppressions
-}
-
-// Fset returns the module's shared file set.
-func (p *ModulePass) Fset() *token.FileSet { return p.Module.Loader.Fset }
-
-// Reportf records a finding unless a //simlint:allow comment covers it.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset().Position(pos)
-	if p.suppress.allows(p.Analyzer.Name, position) {
-		return
-	}
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      position,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
 }

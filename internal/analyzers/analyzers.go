@@ -13,12 +13,13 @@ import (
 	"repro/internal/analyzers/sharecheck"
 )
 
-// All is the suite cmd/simlint runs, in reporting order: one analyzer
-// per invariant. detrand (determinism) is a module pass over the
+// All is the suite cmd/simlint runs: one analyzer per invariant, each
+// run once over the loaded module. detrand (determinism) covers the
 // simulation-state scope plus every function reachable from an output
-// sink; hotpath (zero allocation) composes per-function facts over the
-// module call graph; resetcheck (warm-reuse reset coverage) and
-// sharecheck (worker isolation) are per-package passes.
+// sink; hotpath (zero allocation) composes per-function summaries over
+// the module call graph; resetcheck (warm-reuse reset coverage) and
+// sharecheck (worker isolation) check each package's declarations in
+// turn.
 var All = []*analysis.Analyzer{
 	detrand.Analyzer,
 	resetcheck.Analyzer,

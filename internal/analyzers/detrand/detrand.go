@@ -4,8 +4,8 @@
 // given seed, sequential or parallel (DESIGN.md "Determinism"), and the
 // service's is byte-identical rendered artifacts — figure and table
 // text, HTTP response bodies, /metrics exposition — across worker
-// counts, pool warmth, and process restarts. detrand is one module pass
-// with two scopes, and reports each site once.
+// counts, pool warmth, and process restarts. detrand is one pass over
+// the module with two scopes, and reports each site once.
 //
 // Inside the simulation-state packages (Scope) it outlaws:
 //
@@ -66,7 +66,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "detrand",
 	Doc: "forbid wall-clock time, global math/rand state, map iteration, and goroutine " +
 		"scheduling in simulation packages, and map-iteration order reaching rendered output",
-	RunModule: run,
+	Run: run,
 }
 
 // Scope lists the module-relative package paths (and their subtrees)
@@ -125,7 +125,7 @@ func inScope(pkgPath string) bool {
 	return false
 }
 
-func run(pass *analysis.ModulePass) error {
+func run(pass *analysis.Pass) error {
 	m := pass.Module
 	for _, pkg := range m.Pkgs {
 		if !inScope(pkg.Path) {
@@ -147,7 +147,7 @@ func run(pass *analysis.ModulePass) error {
 
 // checkScoped applies every determinism rule to one simulation-state
 // file.
-func checkScoped(pass *analysis.ModulePass, info *types.Info, file *ast.File) {
+func checkScoped(pass *analysis.Pass, info *types.Info, file *ast.File) {
 	analysis.WithParents(file, func(n ast.Node, stack []ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.SelectorExpr:
@@ -173,7 +173,7 @@ func checkScoped(pass *analysis.ModulePass, info *types.Info, file *ast.File) {
 
 // checkReachable applies the two iteration-order rules, with the
 // sorted-keys exemptions, to one sink-reachable function.
-func checkReachable(pass *analysis.ModulePass, info *types.Info, fd *ast.FuncDecl, root *types.Func) {
+func checkReachable(pass *analysis.Pass, info *types.Info, fd *ast.FuncDecl, root *types.Func) {
 	analysis.WithParents(fd.Body, func(n ast.Node, stack []ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.RangeStmt:
@@ -219,7 +219,7 @@ func isMap(info *types.Info, e ast.Expr) bool {
 
 // checkSelector flags uses of time.Now and of math/rand's global-state
 // package-level functions.
-func checkSelector(pass *analysis.ModulePass, info *types.Info, sel *ast.SelectorExpr) {
+func checkSelector(pass *analysis.Pass, info *types.Info, sel *ast.SelectorExpr) {
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
 		return

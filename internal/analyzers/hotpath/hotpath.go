@@ -25,10 +25,11 @@
 //     call argument, conversion, assignment, var declaration, or return;
 //   - formats: any call into fmt, log, log/slog, or errors.
 //
-// Every function in the module folds its marks into a summary, which is
-// propagated over the module's static call graph to a fixed point and
-// exported as a fact so importing packages' passes compose without
-// reanalysis. A //simlint:hotpath function reports its own marks where
+// Every function in the module folds its marks into a summary held in
+// one module-wide map. Packages are filled in dependency order, each
+// propagating its summaries over the static call graph to a fixed
+// point, so a callee in an imported package is final before any caller
+// folds it. A //simlint:hotpath function reports its own marks where
 // they occur, and every static call site whose callee's summary is
 // dirty, with the why-chain.
 //
@@ -66,27 +67,23 @@ var Analyzer = &analysis.Analyzer{
 	Name: "hotpath",
 	Doc: "functions annotated //simlint:hotpath must not allocate, box into interfaces, or format — " +
 		"in their own bodies or in callees not annotated //simlint:cold with a reason",
-	Run:       run,
-	FactTypes: []analysis.Fact{(*SummaryFact)(nil)},
+	Run: run,
 }
 
-// SummaryFact is the per-function allocation summary exported for
-// importing packages. Why names the first root cause for diagnostics.
-type SummaryFact struct {
+// summary is one function's allocation summary. Why names the first
+// root cause for diagnostics.
+type summary struct {
 	Allocates bool
 	Boxes     bool
 	CallsFmt  bool
 	Why       string
 }
 
-// AFact marks SummaryFact as a fact type.
-func (*SummaryFact) AFact() {}
-
-func (s *SummaryFact) dirty() bool { return s.Allocates || s.Boxes || s.CallsFmt }
+func (s *summary) dirty() bool { return s.Allocates || s.Boxes || s.CallsFmt }
 
 // merge folds o into s, keeping s's first cause, and reports whether s
 // gained a hazard.
-func (s *SummaryFact) merge(o *SummaryFact, why string) bool {
+func (s *summary) merge(o *summary, why string) bool {
 	grew := (o.Allocates && !s.Allocates) || (o.Boxes && !s.Boxes) || (o.CallsFmt && !s.CallsFmt)
 	s.Allocates = s.Allocates || o.Allocates
 	s.Boxes = s.Boxes || o.Boxes
@@ -98,7 +95,7 @@ func (s *SummaryFact) merge(o *SummaryFact, why string) bool {
 }
 
 // describe renders the summary's dominant hazard for a diagnostic.
-func (s *SummaryFact) describe() string {
+func (s *summary) describe() string {
 	switch {
 	case s.CallsFmt:
 		return "formats: " + s.Why
@@ -121,20 +118,17 @@ var fmtPackages = map[string]bool{
 // summary contribution, and the diagnostic text.
 type mark struct {
 	pos  token.Pos
-	kind SummaryFact
+	kind summary
 	what string
 }
 
 var (
-	allocates = SummaryFact{Allocates: true}
-	boxes     = SummaryFact{Boxes: true}
-	formats   = SummaryFact{Allocates: true, CallsFmt: true}
+	allocates = summary{Allocates: true}
+	boxes     = summary{Boxes: true}
+	formats   = summary{Allocates: true, CallsFmt: true}
 )
 
 func run(pass *analysis.Pass) error {
-	if pass.Module == nil {
-		return fmt.Errorf("hotpath requires the module driver (call graph + facts)")
-	}
 	graph := pass.Module.Graph
 
 	// cut reports whether propagation stops at fn: hot functions are
@@ -147,88 +141,72 @@ func run(pass *analysis.Pass) error {
 		reason, _ := analysis.DirectiveReason([]*ast.CommentGroup{fd.Doc}, "cold")
 		return reason != "" || analysis.HasDirective(fd.Doc, "hotpath")
 	}
-
-	// Local summaries in source order; hot functions report their own
-	// marks, and a bare //simlint:cold is flagged.
-	var fns []*types.Func
-	summaries := map[*types.Func]*SummaryFact{}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			if reason, ok := analysis.DirectiveReason([]*ast.CommentGroup{fd.Doc}, "cold"); ok && reason == "" {
-				pass.Reportf(fd.Pos(), "//simlint:cold needs a reason; a bare annotation does not exempt %s", fn.Name())
-			}
-			hot := analysis.HasDirective(fd.Doc, "hotpath")
-			s := &SummaryFact{}
-			for _, m := range classify(pass.TypesInfo, fd) {
-				s.merge(&m.kind, fmt.Sprintf("%s at line %d", m.what, pass.Fset.Position(m.pos).Line))
-				if hot {
-					pass.Reportf(m.pos, "%s", m.what)
-				}
-			}
-			fns = append(fns, fn)
-			summaries[fn] = s
-		}
-	}
-
-	// Fixed point over the package-internal edges (cross-package
-	// callees resolve through imported facts, which dependency-ordered
-	// processing has already produced). Stdlib and unresolved callees
-	// are assumed clean (see caveats).
-	calleeSummary := func(callee *types.Func) *SummaryFact {
-		if s, ok := summaries[callee]; ok {
-			return s
-		}
-		var imported SummaryFact
-		if pass.ImportObjectFact(callee, &imported) {
-			return &imported
-		}
-		return nil
-	}
-	dirtyEdges := func(fn *types.Func, visit func(analysis.CallSite, *SummaryFact)) {
+	// Stdlib and unresolved callees have no summary and are assumed
+	// clean (see caveats).
+	summaries := map[*types.Func]*summary{}
+	var hotFns []*types.Func
+	dirtyEdges := func(fn *types.Func, visit func(analysis.CallSite, *summary)) {
 		for _, site := range graph.Sites[fn] {
 			if site.Callee == nil || site.Dynamic || cut(site.Callee) {
 				continue
 			}
-			if cs := calleeSummary(site.Callee); cs != nil && cs.dirty() {
+			if cs := summaries[site.Callee]; cs != nil && cs.dirty() {
 				visit(site, cs)
 			}
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range fns {
-			dirtyEdges(fn, func(site analysis.CallSite, cs *SummaryFact) {
-				if summaries[fn].merge(cs, "via "+site.Callee.Name()+": "+cs.Why) {
-					changed = true
-				}
-			})
-		}
-	}
 
-	for _, fn := range fns {
-		if cut(fn) {
-			// Cut points export clean summaries: callers trust them.
-			pass.ExportObjectFact(fn, &SummaryFact{})
-			continue
+	for _, pkg := range pass.Module.Pkgs {
+		// Local summaries in source order; hot functions report their
+		// own marks, and a bare //simlint:cold is flagged.
+		var fns []*types.Func
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+				if fn == nil {
+					continue
+				}
+				if reason, ok := analysis.DirectiveReason([]*ast.CommentGroup{fd.Doc}, "cold"); ok && reason == "" {
+					pass.Reportf(fd.Pos(), "//simlint:cold needs a reason; a bare annotation does not exempt %s", fn.Name())
+				}
+				hot := analysis.HasDirective(fd.Doc, "hotpath")
+				if hot {
+					hotFns = append(hotFns, fn)
+				}
+				s := &summary{}
+				for _, m := range classify(pkg.Info, fd) {
+					s.merge(&m.kind, fmt.Sprintf("%s at line %d", m.what, pass.Fset().Position(m.pos).Line))
+					if hot {
+						pass.Reportf(m.pos, "%s", m.what)
+					}
+				}
+				fns = append(fns, fn)
+				summaries[fn] = s
+			}
 		}
-		pass.ExportObjectFact(fn, summaries[fn])
+
+		// Fixed point over the package's edges; callees in imported
+		// packages are already final.
+		for changed := true; changed; {
+			changed = false
+			for _, fn := range fns {
+				dirtyEdges(fn, func(site analysis.CallSite, cs *summary) {
+					if summaries[fn].merge(cs, "via "+site.Callee.Name()+": "+cs.Why) {
+						changed = true
+					}
+				})
+			}
+		}
 	}
 
 	// Every static edge out of a hot function into a dirty, un-cut
 	// callee.
-	for _, fn := range fns {
-		if !analysis.HasDirective(graph.Decls[fn].Doc, "hotpath") {
-			continue
-		}
-		dirtyEdges(fn, func(site analysis.CallSite, cs *SummaryFact) {
+	for _, fn := range hotFns {
+		dirtyEdges(fn, func(site analysis.CallSite, cs *summary) {
 			pass.Reportf(site.Pos,
 				"hot path calls %s, which %s; annotate the callee //simlint:cold <reason> or make it allocation-free",
 				site.Callee.Name(), cs.describe())
@@ -244,7 +222,7 @@ func classify(info *types.Info, fd *ast.FuncDecl) []mark {
 		return nil
 	}
 	var marks []mark
-	add := func(pos token.Pos, kind SummaryFact, format string, args ...any) {
+	add := func(pos token.Pos, kind summary, format string, args ...any) {
 		marks = append(marks, mark{pos, kind, fmt.Sprintf(format, args...)})
 	}
 	boxed := func(target types.Type, e ast.Expr) bool {
@@ -333,7 +311,7 @@ func classify(info *types.Info, fd *ast.FuncDecl) []mark {
 // allocating and boxing conversions, formatting calls, and concrete
 // arguments landing in interface parameters.
 func classifyCall(info *types.Info, call *ast.CallExpr, rooted map[types.Object]bool,
-	add func(token.Pos, SummaryFact, string, ...any)) {
+	add func(token.Pos, summary, string, ...any)) {
 
 	// Builtins.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {

@@ -19,9 +19,10 @@ func TestHotpath(t *testing.T) {
 
 // TestHotpathCallees pins the transitive half: hot functions whose own
 // bodies are clean are flagged at call sites reaching allocating,
-// boxing, or formatting callees — through two levels of helpers and
-// across a package boundary via facts — while clean helpers, other hot
-// functions, and cold-with-reason callees stay silent.
+// boxing, or formatting callees — through two levels of helpers, across
+// a package boundary, and along a chain crossing two (which holds only
+// if summaries are filled in dependency order) — while clean helpers,
+// other hot functions, and cold-with-reason callees stay silent.
 func TestHotpathCallees(t *testing.T) {
 	atest.Run(t, "testdata", "hotcalls", hotpath.Analyzer)
 }

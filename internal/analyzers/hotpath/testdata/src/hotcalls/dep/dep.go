@@ -1,11 +1,18 @@
-// Package dep exists to prove hotpath's summary facts cross package
-// boundaries: its summaries are exported here and imported by the
-// hotcalls fixture package.
+// Package dep exists to prove hotpath's summaries cross package
+// boundaries: they are computed here, before any importer, and folded
+// by the hotcalls fixture package's callers.
 package dep
+
+import "hotcalls/dep/leaf"
 
 // Build allocates a fresh buffer per call.
 func Build(n int) []byte {
 	return make([]byte, n)
+}
+
+// Wrap is clean itself but reaches leaf.Alloc, one package further.
+func Wrap(n int) int {
+	return len(leaf.Alloc(n))
 }
 
 // Reuse is clean: it only slices caller storage.

@@ -33,11 +33,19 @@ func deep(n int) int {
 	return indirect(n) // want "hot path calls indirect, which may allocate"
 }
 
-// crossPkg flags through a fact imported from another package.
+// crossPkg flags through a summary computed in another package.
 //
 //simlint:hotpath
 func crossPkg(n int) int {
-	return len(dep.Build(n)) // want "hot path calls Build, which may allocate"
+	return len(dep.Build(n)) // want "hot path calls Build, which may allocate: make allocates"
+}
+
+// twoPkgs flags through a chain that crosses two package boundaries:
+// dep.Wrap's summary folds leaf.Alloc's, which must be final first.
+//
+//simlint:hotpath
+func twoPkgs(n int) int {
+	return dep.Wrap(n) // want "hot path calls Wrap, which may allocate: via Alloc: make allocates"
 }
 
 // boxer passes a concrete value into an interface parameter.

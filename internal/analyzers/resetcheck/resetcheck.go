@@ -44,9 +44,17 @@ var Analyzer = &analysis.Analyzer{
 type methodIndex map[string]map[string]*ast.FuncDecl
 
 func run(pass *analysis.Pass) error {
+	for _, pkg := range pass.Module.Pkgs {
+		checkPackage(pass, pkg)
+	}
+	return nil
+}
+
+// checkPackage checks every (struct, Reset) pair declared in pkg.
+func checkPackage(pass *analysis.Pass, pkg *analysis.Package) {
 	methods := methodIndex{}
 	specs := map[string]*ast.TypeSpec{}
-	for _, file := range pass.Files {
+	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -87,9 +95,8 @@ func run(pass *analysis.Pass) error {
 		if !ok {
 			continue
 		}
-		checkReset(pass, typeName, st, reset, byName)
+		checkReset(pass, pkg.Info, typeName, st, reset, byName)
 	}
-	return nil
 }
 
 // recvTypeName unwraps a receiver type expression to its base type name.
@@ -144,7 +151,7 @@ func structFields(st *ast.StructType) (names []string, exempt map[string]bool, f
 }
 
 // checkReset verifies field coverage for one (struct, Reset) pair.
-func checkReset(pass *analysis.Pass, typeName string, st *ast.StructType, reset *ast.FuncDecl, byName map[string]*ast.FuncDecl) {
+func checkReset(pass *analysis.Pass, info *types.Info, typeName string, st *ast.StructType, reset *ast.FuncDecl, byName map[string]*ast.FuncDecl) {
 	names, exempt, _ := structFields(st)
 	isField := map[string]bool{}
 	for _, n := range names {
@@ -152,7 +159,7 @@ func checkReset(pass *analysis.Pass, typeName string, st *ast.StructType, reset 
 	}
 
 	cov := &coverage{
-		pass:    pass,
+		info:    info,
 		isField: isField,
 		covered: map[string]bool{},
 		byName:  byName,
@@ -173,7 +180,7 @@ func checkReset(pass *analysis.Pass, typeName string, st *ast.StructType, reset 
 // coverage walks Reset (and same-receiver callees) accumulating the set
 // of fields touched in a resetting position.
 type coverage struct {
-	pass    *analysis.Pass
+	info    *types.Info
 	isField map[string]bool
 	covered map[string]bool
 	all     bool // *recv = T{} style wholesale reset seen
@@ -336,10 +343,10 @@ func (c *coverage) root(alias map[types.Object]string, expr ast.Expr) (string, b
 }
 
 func (c *coverage) objectOf(id *ast.Ident) types.Object {
-	if obj := c.pass.TypesInfo.Defs[id]; obj != nil {
+	if obj := c.info.Defs[id]; obj != nil {
 		return obj
 	}
-	return c.pass.TypesInfo.Uses[id]
+	return c.info.Uses[id]
 }
 
 // receiverObject returns the types.Object of fd's receiver variable.
@@ -347,5 +354,5 @@ func (c *coverage) receiverObject(fd *ast.FuncDecl) types.Object {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
 		return nil
 	}
-	return c.pass.TypesInfo.Defs[fd.Recv.List[0].Names[0]]
+	return c.info.Defs[fd.Recv.List[0].Names[0]]
 }

@@ -57,21 +57,23 @@ var workerFuncs = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	for _, file := range pass.Files {
-		checkGlobals(pass, file)
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	for _, pkg := range pass.Module.Pkgs {
+		for _, file := range pkg.Files {
+			checkGlobals(pass, pkg.Info, file)
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				checkFunc(pass, pkg, fd)
 			}
-			checkFunc(pass, fd)
 		}
 	}
 	return nil
 }
 
 // checkGlobals enforces rule 3 over package-level var declarations.
-func checkGlobals(pass *analysis.Pass, file *ast.File) {
+func checkGlobals(pass *analysis.Pass, info *types.Info, file *ast.File) {
 	for _, decl := range file.Decls {
 		gd, ok := decl.(*ast.GenDecl)
 		if !ok || gd.Tok != token.VAR {
@@ -83,7 +85,7 @@ func checkGlobals(pass *analysis.Pass, file *ast.File) {
 				continue
 			}
 			for _, name := range vs.Names {
-				obj := pass.TypesInfo.Defs[name]
+				obj := info.Defs[name]
 				if obj == nil {
 					continue
 				}
@@ -98,22 +100,22 @@ func checkGlobals(pass *analysis.Pass, file *ast.File) {
 }
 
 // checkFunc enforces rules 1 and 2 inside one function declaration.
-func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
+func checkFunc(pass *analysis.Pass, pkg *analysis.Package, fd *ast.FuncDecl) {
 	analysis.WithParents(fd.Body, func(n ast.Node, stack []ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.GoStmt:
 			if lit, ok := ast.Unparen(x.Call.Fun).(*ast.FuncLit); ok {
-				captured := capturedVars(pass, lit)
-				checkPostSpawnWrites(pass, fd, x, lit, captured, stack)
-				checkMachineCapture(pass, lit, captured, nil, "goroutine closure")
+				captured := capturedVars(pkg, lit)
+				checkPostSpawnWrites(pass, pkg.Info, fd, x, lit, captured, stack)
+				checkMachineCapture(pass, pkg.Info, lit, captured, nil, "goroutine closure")
 			}
 		case *ast.CallExpr:
-			for _, rc := range runnerClosures(pass, x) {
+			for _, rc := range runnerClosures(pkg.Info, x) {
 				what := "worker closure"
 				if rc.worker == nil {
 					what = "fold closure"
 				}
-				checkMachineCapture(pass, rc.lit, capturedVars(pass, rc.lit), rc.worker, what)
+				checkMachineCapture(pass, pkg.Info, rc.lit, capturedVars(pkg, rc.lit), rc.worker, what)
 			}
 		}
 		return true
@@ -123,18 +125,18 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 // capturedVars returns the local variables the literal closes over:
 // objects used inside the literal but declared outside it (and not at
 // package scope — globals have their own rule).
-func capturedVars(pass *analysis.Pass, lit *ast.FuncLit) map[types.Object][]*ast.Ident {
+func capturedVars(pkg *analysis.Package, lit *ast.FuncLit) map[types.Object][]*ast.Ident {
 	out := map[types.Object][]*ast.Ident{}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return true
 		}
-		obj, ok := pass.TypesInfo.Uses[id].(*types.Var)
+		obj, ok := pkg.Info.Uses[id].(*types.Var)
 		if !ok || obj.IsField() {
 			return true
 		}
-		if obj.Parent() == pass.Pkg.Scope() {
+		if obj.Parent() == pkg.Types.Scope() {
 			return true // package-level: rule 3's domain
 		}
 		if obj.Pos() >= lit.Pos() && obj.Pos() < lit.End() {
@@ -153,7 +155,7 @@ func capturedVars(pass *analysis.Pass, lit *ast.FuncLit) map[types.Object][]*ast
 // write races with the previous iteration's goroutine. Variables
 // declared inside the loop are fresh per iteration (Go ≥1.22 loop
 // scoping), so only their genuinely post-spawn writes count.
-func checkPostSpawnWrites(pass *analysis.Pass, fd *ast.FuncDecl, spawn *ast.GoStmt,
+func checkPostSpawnWrites(pass *analysis.Pass, info *types.Info, fd *ast.FuncDecl, spawn *ast.GoStmt,
 	lit *ast.FuncLit, captured map[types.Object][]*ast.Ident, stack []ast.Node) {
 
 	if len(captured) == 0 {
@@ -173,7 +175,7 @@ func checkPostSpawnWrites(pass *analysis.Pass, fd *ast.FuncDecl, spawn *ast.GoSt
 		if root == nil {
 			return
 		}
-		obj := analysis.ObjectOf(pass.TypesInfo, root)
+		obj := analysis.ObjectOf(info, root)
 		if obj == nil {
 			return
 		}
@@ -187,7 +189,7 @@ func checkPostSpawnWrites(pass *analysis.Pass, fd *ast.FuncDecl, spawn *ast.GoSt
 		}
 		pass.Reportf(pos,
 			"%s is captured by the goroutine spawned at line %d and written while it may be running: pass it as an argument or prove the ordering and annotate",
-			root.Name, pass.Fset.Position(spawn.Pos()).Line)
+			root.Name, pass.Fset().Position(spawn.Pos()).Line)
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if n == nil {
@@ -224,12 +226,12 @@ type runnerClosure struct {
 // which runs on whichever worker unblocks it) gets none. The shape is
 // read from the runner's declared signature, so a fold over int results
 // is not mistaken for a worker closure.
-func runnerClosures(pass *analysis.Pass, call *ast.CallExpr) []runnerClosure {
+func runnerClosures(info *types.Info, call *ast.CallExpr) []runnerClosure {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return nil
 	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || !workerFuncs[fn.Name()] {
 		return nil
 	}
@@ -247,7 +249,7 @@ func runnerClosures(pass *analysis.Pass, call *ast.CallExpr) []runnerClosure {
 		rc := runnerClosure{lit: lit}
 		if i < params.Len() && isWorkerFunc(params.At(i).Type()) &&
 			len(lit.Type.Params.List) > 0 && len(lit.Type.Params.List[0].Names) > 0 {
-			rc.worker = pass.TypesInfo.Defs[lit.Type.Params.List[0].Names[0]]
+			rc.worker = info.Defs[lit.Type.Params.List[0].Names[0]]
 		}
 		out = append(out, rc)
 	}
@@ -271,7 +273,7 @@ func isInt(t types.Type) bool {
 
 // checkMachineCapture enforces rule 2 on one closure: no captured
 // machine values, and machine-slice indexing only by the worker param.
-func checkMachineCapture(pass *analysis.Pass, lit *ast.FuncLit,
+func checkMachineCapture(pass *analysis.Pass, info *types.Info, lit *ast.FuncLit,
 	captured map[types.Object][]*ast.Ident, worker types.Object, what string) {
 
 	for obj, uses := range captured {
@@ -287,12 +289,12 @@ func checkMachineCapture(pass *analysis.Pass, lit *ast.FuncLit,
 		// A captured machine slice is the sanctioned per-worker-slot
 		// pattern ONLY when every index is the worker parameter.
 		for _, use := range uses {
-			idx := indexOf(pass, lit, use)
+			idx := indexOf(lit, use)
 			if idx == nil {
 				continue
 			}
 			root := analysis.RootIdent(idx)
-			if worker != nil && root != nil && analysis.ObjectOf(pass.TypesInfo, root) == worker {
+			if worker != nil && root != nil && analysis.ObjectOf(info, root) == worker {
 				continue
 			}
 			pass.Reportf(use.Pos(),
@@ -316,7 +318,7 @@ func firstUse(uses []*ast.Ident) token.Pos {
 // indexOf finds the index expression applied to a use of a slice ident
 // inside the literal (machines[i] -> i), or nil when the use is not
 // indexed.
-func indexOf(pass *analysis.Pass, lit *ast.FuncLit, use *ast.Ident) ast.Expr {
+func indexOf(lit *ast.FuncLit, use *ast.Ident) ast.Expr {
 	var out ast.Expr
 	analysis.WithParents(lit.Body, func(n ast.Node, stack []ast.Node) bool {
 		if n != use || len(stack) == 0 {

@@ -23,6 +23,9 @@ type GroupsPoint struct {
 // normalized runtimes at three job sizes, ordered by the number of
 // dragonfly groups the placement spans, AD0 vs AD3.
 type Fig3Result struct {
+	// Figure is the paper figure the result reproduces ("Fig. 3" on
+	// Theta, "Fig. 4" on Cori), the title's label.
+	Figure  string
 	Machine string
 	// Points[app][nodes] lists the per-run normalized samples.
 	Points map[string]map[int][]GroupsPoint
@@ -38,16 +41,17 @@ func Fig3GroupsSpanned(p Profile, seed int64) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return groupsSpannedStudy(mp, "Theta", p,
+	return groupsSpannedStudy(mp, "Fig. 3", "Theta", p,
 		[]apps.App{apps.MILC{}, apps.MILC{Reorder: true}},
 		[]int{p.NodesSmall, p.NodesMedium, p.NodesLarge}, seed)
 }
 
 // groupsSpannedStudy is shared with Fig. 4 (Cori).
-func groupsSpannedStudy(mp *machinePool, machine string, p Profile,
+func groupsSpannedStudy(mp *machinePool, figure, machine string, p Profile,
 	appList []apps.App, sizes []int, seed int64) (*Fig3Result, error) {
 
 	res := &Fig3Result{
+		Figure:          figure,
 		Machine:         machine,
 		Points:          map[string]map[int][]GroupsPoint{},
 		MeanImprovement: map[string]map[int]float64{},
@@ -91,7 +95,7 @@ func groupsSpannedStudy(mp *machinePool, machine string, p Profile,
 // Render prints per-size scatter rows ordered by groups spanned.
 func (r *Fig3Result) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 3 — normalized runtime vs groups spanned (%s)\n", r.Machine)
+	fmt.Fprintf(&b, "%s — normalized runtime vs groups spanned (%s)\n", r.Figure, r.Machine)
 	for _, app := range r.Apps {
 		for _, nodes := range r.Sizes {
 			fmt.Fprintf(&b, "%s @ %d nodes (AD3 mean improvement %.1f%%):\n",

@@ -85,10 +85,12 @@ func Quick() Profile {
 		Name:  "quick",
 		Theta: topology.ThetaMiniConfig(),
 		Cori:  topology.CoriMiniConfig(),
-		// Sizes are chosen so the 4D grid has all-even dimensions —
-		// otherwise MILCREORDER's blocked layout degenerates to the
-		// identity and the two MILC variants coincide (the paper's
-		// 128/256/512 are all powers of two for the same reason).
+		// Every size gives the 4D grid all-even dimensions, but that is
+		// not enough for MILCREORDER's blocked layout to differ from
+		// MILC's: at 16 ([2 2 2 2]) and 32 ([4 2 2 2]) nodes only the
+		// first dimension holds more than one block, the layout is the
+		// identity, and the two MILC variants coincide. They differ at
+		// 64 nodes ([4 4 2 2]).
 		NodesSmall:      16,
 		NodesMedium:     32,
 		NodesLarge:      64,
@@ -173,7 +175,10 @@ func Bench() Profile {
 	p := Quick()
 	p.Name = "bench"
 	p.Runs = 2
-	p.NodesSmall = 8 // odd-dim grid: REORDER==MILC at this size, fine for Fig. 3's small point
+	// MILCREORDER's layout is the identity at all three sizes (8 has an
+	// odd dimension; 16 and 32 have one block per dimension but the
+	// first), so its rows coincide with MILC's here.
+	p.NodesSmall = 8
 	p.NodesMedium = 16
 	p.NodesLarge = 32
 	p.CoriNodesMedium = 16

@@ -34,8 +34,6 @@ type Config struct {
 	// runs not yet dispatched are abandoned and the request fails with
 	// 504 (default 120s; a run already simulating finishes first).
 	QueryTimeout time.Duration
-	// Limits bounds request contents (zero value: DefaultLimits).
-	Limits Limits
 }
 
 func (c Config) withDefaults() Config {
@@ -51,7 +49,6 @@ func (c Config) withDefaults() Config {
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = 120 * time.Second
 	}
-	c.Limits = c.Limits.withDefaults()
 	return c
 }
 
@@ -142,13 +139,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, "use POST")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.Limits.MaxBody))
+	lim := DefaultLimits()
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, lim.MaxBody))
 	if err != nil {
 		status = http.StatusBadRequest
 		httpError(w, status, "read body: "+err.Error())
 		return
 	}
-	q, err := DecodeRequest(body, s.cfg.Limits)
+	q, err := DecodeRequest(body, lim)
 	if err != nil {
 		status = http.StatusBadRequest
 		httpError(w, status, err.Error())
