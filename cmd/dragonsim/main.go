@@ -92,6 +92,7 @@ func main() {
 		cfg.Name, job.App, *nodes, mode, *place, job.GroupsSpanned)
 	fmt.Printf("runtime=%v (virtual)  wall=%.1fs  events=%d\n",
 		job.Runtime, time.Since(start).Seconds(), res.EventsExecuted)
+	fmt.Printf("event_digest=%016x\n", res.EventDigest)
 	total := job.MinimalPkts + job.NonMinimalPkts
 	if total > 0 {
 		fmt.Printf("job packets: %d (%.1f%% non-minimal)  mean transit=%v\n",

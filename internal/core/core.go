@@ -210,6 +210,10 @@ type RunResult struct {
 	// Fabric-level stats.
 	PacketsSent, PacketsDelivered uint64
 	EventsExecuted                uint64
+	// EventDigest is the kernel's event-stream digest
+	// (sim.KernelStats.Digest): equal digests mean the run fired the
+	// same events in the same order. No report or response renders it.
+	EventDigest uint64
 	// Mean network transit by route class, diagnostics for the routing
 	// mechanism (microseconds; counts in thousands).
 	MinTransitUS, NonMinTransitUS float64
@@ -293,6 +297,7 @@ func (m *Machine) Run(specs []JobSpec, opts RunOpts) (*RunResult, error) {
 		PacketsSent:      fab.PacketsSent,
 		PacketsDelivered: fab.PacketsDelivered,
 		EventsExecuted:   k.Stats().EventsExecuted,
+		EventDigest:      k.Stats().Digest,
 		Pool:             fab.PoolStats(),
 	}
 	if fab.MinimalCount > 0 {

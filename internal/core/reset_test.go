@@ -43,6 +43,11 @@ func TestMachineResetEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The digest says it first and exactly: a warm kernel fires the cold
+	// run's events in the cold run's order.
+	if warmRes.EventDigest != coldRes.EventDigest {
+		t.Errorf("warm event digest %#x, cold %#x", warmRes.EventDigest, coldRes.EventDigest)
+	}
 	if !reflect.DeepEqual(warmRes, coldRes) {
 		t.Errorf("warm (reset-then-run) RunResult differs from cold run:\nwarm: %+v\ncold: %+v",
 			warmRes, coldRes)
