@@ -19,31 +19,39 @@ func (h *countingHandler) HandleEvent(kind uint8, a, b int64) {
 }
 
 // TestTypedEventDispatchAllocFree pins the kernel's typed-event fast path
-// at zero allocations per dispatch in steady state: once the event heap
-// has grown to its working size, scheduling and executing AtEvent/
-// AfterEvent events must never touch the allocator. This is the
-// foundation the fabric's zero-alloc packet path is built on; a
-// regression here shows up as allocs-per-packet one layer up.
+// at zero allocations per dispatch in steady state: once the queue's
+// buckets have grown to their working size, scheduling and executing
+// AtEvent/AfterEvent events must never touch the allocator, and a warm
+// Reset keeps that size. This is the foundation the fabric's zero-alloc
+// packet path is built on; a regression here shows up as
+// allocs-per-packet one layer up.
 func TestTypedEventDispatchAllocFree(t *testing.T) {
 	k := NewKernel()
 	h := &countingHandler{k: k}
 	h.id = k.RegisterHandler(h)
 
-	// Warm the heap past the working depth of the measured loop.
+	// Warm the queue past the working depth of the measured loop.
 	for i := 0; i < 1024; i++ {
 		k.AtEvent(k.Now()+Time(i), h.id, 0, 0, 0)
 	}
 	k.Run()
 
 	const perRun = 256
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < perRun; i++ {
-			k.AfterEvent(Time(i%7), h.id, 0, int64(i), 0)
-		}
-		k.Run()
-	})
-	if allocs != 0 {
+	measure := func() float64 {
+		return testing.AllocsPerRun(100, func() {
+			for i := 0; i < perRun; i++ {
+				k.AfterEvent(Time(i%7), h.id, 0, int64(i), 0)
+			}
+			k.Run()
+		})
+	}
+	if allocs := measure(); allocs != 0 {
 		t.Fatalf("typed event schedule+dispatch allocated %.2f times per %d events, want 0",
+			allocs, perRun)
+	}
+	k.Reset()
+	if allocs := measure(); allocs != 0 {
+		t.Fatalf("after a warm Reset, typed event schedule+dispatch allocated %.2f times per %d events, want 0",
 			allocs, perRun)
 	}
 }
@@ -125,7 +133,7 @@ func TestSleepAllocFree(t *testing.T) {
 			p.Sleep(Nanosecond)
 		}
 	})
-	k.RunUntil(100 * Nanosecond) // grow the heap and band to working size
+	k.RunUntil(100 * Nanosecond) // grow the queue and band to working size
 	const cycles = 64
 	allocs := testing.AllocsPerRun(50, func() {
 		k.RunUntil(k.Now() + cycles*Nanosecond)
@@ -134,5 +142,24 @@ func TestSleepAllocFree(t *testing.T) {
 	k.Run()
 	if allocs != 0 {
 		t.Fatalf("%d Sleep/resume cycles allocated %.2f times, want 0", cycles, allocs)
+	}
+
+	// A warm Reset keeps the queue's buckets: the same cycle on a rewound
+	// kernel, with a fresh proc, allocates nothing either.
+	k.Reset()
+	stop = false
+	k.Spawn(func(p *Proc) {
+		for !stop {
+			p.Sleep(Nanosecond)
+		}
+	})
+	k.RunUntil(100 * Nanosecond)
+	allocs = testing.AllocsPerRun(50, func() {
+		k.RunUntil(k.Now() + cycles*Nanosecond)
+	})
+	stop = true
+	k.Run()
+	if allocs != 0 {
+		t.Fatalf("after a warm Reset, %d Sleep/resume cycles allocated %.2f times, want 0", cycles, allocs)
 	}
 }

@@ -4,9 +4,9 @@ import "testing"
 
 // TestBandFIFOOrderAmongEqualTimestamps pins the same-timestamp drain rule
 // against the pre-band reference semantics: events fire in exact (t, seq)
-// order no matter whether they sit in the heap (scheduled before virtual
+// order no matter whether they sit in the queue (scheduled before virtual
 // time reached t) or in the band (scheduled at t == now, from inside an
-// event). Heap entries at the current time carry the smaller sequence
+// event). Queue entries at the current time carry the smaller sequence
 // numbers, so they must all run before any band entry, and each group runs
 // FIFO within itself.
 func TestBandFIFOOrderAmongEqualTimestamps(t *testing.T) {
@@ -15,13 +15,13 @@ func TestBandFIFOOrderAmongEqualTimestamps(t *testing.T) {
 	rec := k.RegisterHandler(&recordingHandler{order: &order})
 	record := func(tm Time, id int) { k.AtEvent(tm, rec, 0, int64(id), 0) }
 
-	// Three events pre-queued at t=10 (heap, seqs 1..3). The first one
+	// Three events pre-queued at t=10 (queue, seqs 1..3). The first one
 	// schedules two zero-delay events (band) plus a future event; the
 	// second schedules one more zero-delay event after those.
 	at(k, 10, func() {
 		order = append(order, 1)
 		record(10, 4) // band
-		record(12, 7) // heap, future
+		record(12, 7) // queue, future
 		record(10, 5) // band
 	})
 	at(k, 10, func() {
@@ -31,7 +31,7 @@ func TestBandFIFOOrderAmongEqualTimestamps(t *testing.T) {
 	record(10, 3)
 	k.Run()
 
-	// Reference (t, seq) order: heap entries 1,2,3 first (scheduled before
+	// Reference (t, seq) order: queue entries 1,2,3 first (scheduled before
 	// now reached 10), then band entries 4,5,6 in scheduling order, then 7
 	// at t=12.
 	want := []int{1, 2, 3, 4, 5, 6, 7}
@@ -51,7 +51,7 @@ func TestBandFIFOOrderAmongEqualTimestamps(t *testing.T) {
 // TestBandModelAndProcInterleave checks the band preserves order across
 // handlers: a model's typed events and the kernel's own proc resumes
 // scheduled at the current time run in scheduling order, exactly as
-// zero-delay heap events did before the band existed.
+// zero-delay queue events did before the band existed.
 func TestBandModelAndProcInterleave(t *testing.T) {
 	k := NewKernel()
 	var order []int
@@ -64,7 +64,7 @@ func TestBandModelAndProcInterleave(t *testing.T) {
 	})
 	k.Spawn(func(p *Proc) {
 		p.Sleep(5)
-		order = append(order, 4) // heap: woke before the band above
+		order = append(order, 4) // queue: woke before the band above
 		p.Yield()                // band, proc resume
 		order = append(order, 5)
 	})
@@ -266,7 +266,7 @@ func TestResetLiveProcsPanics(t *testing.T) {
 // at one timestamp fire in (t, seq) order when the procs hold recycled
 // ids. Ids are reissued LIFO from the free list, so the later procs here
 // hold lower ids than the earlier ones: order must come from the sequence
-// number alone, through the heap and the band alike.
+// number alone, through the queue and the band alike.
 func TestMixedEventsReusedProcIDsOrder(t *testing.T) {
 	k := NewKernel()
 	var order []int

@@ -2,14 +2,14 @@ package sim
 
 import "testing"
 
-// BenchmarkHeapChurn measures scheduling with a deep pending queue, the
+// BenchmarkQueueChurn measures scheduling with a deep pending queue, the
 // regime of a busy fabric.
-func BenchmarkHeapChurn(b *testing.B) {
+func BenchmarkQueueChurn(b *testing.B) {
 	k := NewKernel()
 	h := &benchHandler{k: k, n: b.N, spread: 7}
 	h.id = k.RegisterHandler(h)
 	// Pre-fill with events past the chain's last one (each step is at
-	// most 7ns) to keep the heap deep.
+	// most 7ns) to keep the queue deep.
 	far := Time(8*b.N) * Nanosecond
 	for i := 0; i < 4096; i++ {
 		k.AtEvent(far+Time(i), h.id, 0, 0, 0)
