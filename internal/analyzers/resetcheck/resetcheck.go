@@ -296,7 +296,7 @@ func (c *coverage) call(alias map[types.Object]string, call *ast.CallExpr) {
 		return
 	}
 	if field != "" {
-		// Method call on a field: recv.band.reset(), recv.rng.Seed(...).
+		// Method call on a field: recv.events.reset(), recv.rng.Seed(...).
 		c.covered[field] = true
 		return
 	}

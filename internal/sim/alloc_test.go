@@ -98,7 +98,7 @@ func TestSignalFireAllocFree(t *testing.T) {
 	const waiters = 8
 	const rounds = 50
 	// rounds+1: AllocsPerRun calls the body once for warmup (which also
-	// grows the same-timestamp band to its working size) before measuring.
+	// grows the current-time bucket to its working size) before measuring.
 	sigs := make([]*Signal, rounds+1)
 	for i := range sigs {
 		s := NewSignal()
@@ -133,7 +133,7 @@ func TestSleepAllocFree(t *testing.T) {
 			p.Sleep(Nanosecond)
 		}
 	})
-	k.RunUntil(100 * Nanosecond) // grow the queue and band to working size
+	k.RunUntil(100 * Nanosecond) // grow the queue to working size
 	const cycles = 64
 	allocs := testing.AllocsPerRun(50, func() {
 		k.RunUntil(k.Now() + cycles*Nanosecond)

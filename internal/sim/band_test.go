@@ -2,38 +2,37 @@ package sim
 
 import "testing"
 
-// TestBandFIFOOrderAmongEqualTimestamps pins the same-timestamp drain rule
-// against the pre-band reference semantics: events fire in exact (t, seq)
-// order no matter whether they sit in the queue (scheduled before virtual
-// time reached t) or in the band (scheduled at t == now, from inside an
-// event). Queue entries at the current time carry the smaller sequence
-// numbers, so they must all run before any band entry, and each group runs
-// FIFO within itself.
+// TestBandFIFOOrderAmongEqualTimestamps pins the same-timestamp drain rule:
+// events fire in exact (t, seq) order whether they were scheduled ahead
+// (before virtual time reached t, so the advance to t moved them into the
+// current-time bucket) or at t == now, from inside an event (appended to
+// that bucket). Events scheduled ahead carry the smaller sequence numbers,
+// so they must all run before any zero-delay one, and each group runs FIFO
+// within itself.
 func TestBandFIFOOrderAmongEqualTimestamps(t *testing.T) {
 	k := NewKernel()
 	var order []int
 	rec := k.RegisterHandler(&recordingHandler{order: &order})
 	record := func(tm Time, id int) { k.AtEvent(tm, rec, 0, int64(id), 0) }
 
-	// Three events pre-queued at t=10 (queue, seqs 1..3). The first one
-	// schedules two zero-delay events (band) plus a future event; the
-	// second schedules one more zero-delay event after those.
+	// Three events scheduled ahead to t=10 (seqs 1..3). The first one
+	// schedules two zero-delay events plus a future event; the second
+	// schedules one more zero-delay event after those.
 	at(k, 10, func() {
 		order = append(order, 1)
-		record(10, 4) // band
-		record(12, 7) // queue, future
-		record(10, 5) // band
+		record(10, 4) // zero-delay
+		record(12, 7) // future
+		record(10, 5) // zero-delay
 	})
 	at(k, 10, func() {
 		order = append(order, 2)
-		record(10, 6) // band, after 4 and 5
+		record(10, 6) // zero-delay, after 4 and 5
 	})
 	record(10, 3)
 	k.Run()
 
-	// Reference (t, seq) order: queue entries 1,2,3 first (scheduled before
-	// now reached 10), then band entries 4,5,6 in scheduling order, then 7
-	// at t=12.
+	// Reference (t, seq) order: 1,2,3 first (scheduled before now reached
+	// 10), then the zero-delay 4,5,6 in scheduling order, then 7 at t=12.
 	want := []int{1, 2, 3, 4, 5, 6, 7}
 	if len(order) != len(want) {
 		t.Fatalf("ran %d events, want %d: %v", len(order), len(want), order)
@@ -48,24 +47,23 @@ func TestBandFIFOOrderAmongEqualTimestamps(t *testing.T) {
 	}
 }
 
-// TestBandModelAndProcInterleave checks the band preserves order across
-// handlers: a model's typed events and the kernel's own proc resumes
-// scheduled at the current time run in scheduling order, exactly as
-// zero-delay queue events did before the band existed.
+// TestBandModelAndProcInterleave checks zero-delay events keep their order
+// across handlers: a model's typed events and the kernel's own proc
+// resumes scheduled at the current time run in scheduling order.
 func TestBandModelAndProcInterleave(t *testing.T) {
 	k := NewKernel()
 	var order []int
 	rec := k.RegisterHandler(&recordingHandler{order: &order})
 	at(k, 5, func() {
 		order = append(order, 0)
-		k.AfterEvent(0, rec, 0, 1, 0)                 // band, model
-		at(k, 5, func() { order = append(order, 2) }) // band, proc spawn
-		k.AtEvent(5, rec, 0, 3, 0)                    // band, model
+		k.AfterEvent(0, rec, 0, 1, 0)                 // zero-delay, model
+		at(k, 5, func() { order = append(order, 2) }) // zero-delay, proc spawn
+		k.AtEvent(5, rec, 0, 3, 0)                    // zero-delay, model
 	})
 	k.Spawn(func(p *Proc) {
 		p.Sleep(5)
-		order = append(order, 4) // queue: woke before the band above
-		p.Yield()                // band, proc resume
+		order = append(order, 4) // scheduled ahead: woke before the three above
+		p.Sleep(0)               // zero-delay, proc resume
 		order = append(order, 5)
 	})
 	k.Run()
@@ -77,15 +75,15 @@ func TestBandModelAndProcInterleave(t *testing.T) {
 	}
 }
 
-// TestBandDeepNesting drains long zero-delay chains: each band entry
-// schedules the next at the same timestamp, so the whole cascade runs
-// without virtual time advancing.
+// TestBandDeepNesting drains long zero-delay chains: each zero-delay
+// event schedules the next at the same timestamp, so the whole cascade
+// runs without virtual time advancing.
 func TestBandDeepNesting(t *testing.T) {
 	k := NewKernel()
 	n := 0
 	k.SpawnAt(7, func(p *Proc) {
 		for n++; n < 1000; n++ {
-			p.Yield()
+			p.Sleep(0)
 		}
 	})
 	k.Run()
@@ -226,7 +224,7 @@ func TestKernelReset(t *testing.T) {
 	// Dirty the kernel: run a different workload, leave an event queued,
 	// then reset.
 	warm.AtEvent(999, warmRec, 0, 0, 0)
-	warm.SpawnAt(1, func(p *Proc) { p.Yield() })
+	warm.SpawnAt(1, func(p *Proc) { p.Sleep(0) })
 	warm.RunUntil(5)
 	warm.Reset()
 	if warm.Now() != 0 || warm.Pending() != 0 {
@@ -266,7 +264,7 @@ func TestResetLiveProcsPanics(t *testing.T) {
 // at one timestamp fire in (t, seq) order when the procs hold recycled
 // ids. Ids are reissued LIFO from the free list, so the later procs here
 // hold lower ids than the earlier ones: order must come from the sequence
-// number alone, through the queue and the band alike.
+// number alone, for events scheduled ahead and at now alike.
 func TestMixedEventsReusedProcIDsOrder(t *testing.T) {
 	k := NewKernel()
 	var order []int
@@ -277,8 +275,8 @@ func TestMixedEventsReusedProcIDsOrder(t *testing.T) {
 	k.Run() // four ids now free, reissued highest first
 	at(k, 10, func() {
 		order = append(order, 1)
-		at(k, 10, func() { order = append(order, 5) }) // band, proc
-		k.AfterEvent(0, rec, 0, 6, 0)                  // band, model
+		at(k, 10, func() { order = append(order, 5) }) // zero-delay, proc
+		k.AfterEvent(0, rec, 0, 6, 0)                  // zero-delay, model
 	})
 	k.AtEvent(10, rec, 0, 2, 0)
 	at(k, 10, func() { order = append(order, 3) })

@@ -38,47 +38,6 @@ const (
 	maxHandlers = 1 << 8
 )
 
-// band is the same-timestamp insertion band: a FIFO ring of the payloads
-// of events scheduled for the CURRENT virtual time. An entry carries
-// neither a timestamp nor a sequence number: its FIFO position IS its
-// sequence order. Scheduling at t == now is the hot degenerate case of a
-// DES queue — zero-delay wakes, signal fires, and proc handoffs all land
-// there — and their order is forced: they always run after everything
-// already queued at now, in scheduling order. So the band appends an
-// 8-byte payload where the radix queue would append a 24-byte event, and
-// the queue holds only events pushed before now was reached. The drain
-// rule in step preserves exact (t, seq) order: queue events at the
-// current time were all scheduled before now advanced — so with strictly
-// smaller sequence numbers than any band entry — and run first; band
-// entries then run in append order. The band fully drains before virtual
-// time advances, so the backing array is reused forever after warmup.
-type band struct {
-	buf  []uint64
-	head int
-}
-
-func (b *band) empty() bool { return b.head == len(b.buf) }
-func (b *band) len() int    { return len(b.buf) - b.head }
-
-//simlint:hotpath
-func (b *band) push(pay uint64) { b.buf = append(b.buf, pay) }
-
-//simlint:hotpath
-func (b *band) take() uint64 {
-	e := b.buf[b.head]
-	b.head++
-	if b.head == len(b.buf) {
-		b.buf = b.buf[:0]
-		b.head = 0
-	}
-	return e
-}
-
-func (b *band) reset() {
-	b.buf = b.buf[:0]
-	b.head = 0
-}
-
 // Kernel is a deterministic discrete-event simulator.
 //
 // The zero value is not usable; construct with NewKernel. A Kernel is not
@@ -87,10 +46,9 @@ func (b *band) reset() {
 type Kernel struct {
 	now     Time
 	seq     uint64
-	events  eventQueue // events scheduled before now reached their time
-	band    band       // events at t == now, FIFO (see band)
-	tail    []uint64   // payloads of the current event's deferred continuations
-	inEvent bool       // an event handler is currently executing
+	events  eventQueue
+	tail    []uint64 // payloads of the current event's deferred continuations
+	inEvent bool     // an event handler is currently executing
 	// handlers is the typed-event dispatch table, by HandlerID; the
 	// kernel itself is entry procHandler.
 	handlers []Handler //simlint:resetsafe registrations survive Reset by contract: warm fabrics keep their HandlerID
@@ -102,12 +60,14 @@ type Kernel struct {
 	freeProcs []int32
 	stopped   bool
 	parked    chan struct{} //simlint:resetsafe channel identity; parked procs forbid Reset anyway (panic guard)
-	// tieArmed is true when the clock's current reading was set by a
-	// queue event (as opposed to an idle RunUntil advance or a fresh
-	// kernel), so a further queue event at the same reading is a genuine
-	// same-timestamp tie for KernelStats.TimestampTies.
-	tieArmed bool
-	stats    KernelStats
+	// tieMark is the seq of the latest event scheduled when step last
+	// moved the clock: an event at now with seq ≤ tieMark was scheduled
+	// ahead, to fire at this reading, and each one after the first is a
+	// KernelStats.TimestampTies tie. An idle RunUntil advance leaves it:
+	// the events queued then are all later than the new reading, and
+	// those scheduled after it have larger seqs.
+	tieMark uint64
+	stats   KernelStats
 }
 
 // digestBasis seeds KernelStats.Digest: a fresh or Reset kernel starts
@@ -133,17 +93,18 @@ type KernelStats struct {
 	TailCalls    uint64
 	ProcsSpawned uint64
 	ProcSwitches uint64
-	// TimestampTies counts queue events that fired at a virtual time some
-	// earlier queue event had already fired at — i.e., members beyond the
-	// first of each exact-timestamp group. Such groups are the only
-	// places where scheduling order (the seq tiebreak) rather than
-	// physics decides execution order, which makes this the detector for
-	// "this run's outcome may depend on event-scheduling details":
-	// network.FuseLinks changes WHERE its events are scheduled, so its
-	// equivalence tests assert byte-identity exactly when both runs
-	// report zero ties. Deliberate zero-delay continuations (the
-	// same-timestamp band, tail calls) are not counted — they follow
-	// their trigger by construction.
+	// TimestampTies counts events scheduled ahead (at a t later than
+	// the clock's reading when they were scheduled) that fired at a
+	// reading some earlier such event had already fired at — i.e.,
+	// members beyond the first of each exact-timestamp group. Such groups
+	// are the only places where scheduling order (the seq tiebreak)
+	// rather than physics decides execution order, which makes this the
+	// detector for "this run's outcome may depend on event-scheduling
+	// details": network.FuseLinks changes WHERE its events are scheduled,
+	// so its equivalence tests assert byte-identity exactly when both
+	// runs report zero ties. Deliberate zero-delay continuations (events
+	// scheduled at now, tail calls) are not counted — they follow their
+	// trigger by construction.
 	TimestampTies uint64
 	// Digest is a 64-bit hash of the event stream in firing order: each
 	// queue event's (time, payload) and each tail call's payload, folded
@@ -152,8 +113,9 @@ type KernelStats struct {
 	// not reorder anything (the event queue, the proc handoff).
 	Digest uint64
 	// QueueMoves counts events the radix queue re-bucketed on its way to
-	// the next timestamp (see eventQueue). Each queue event moves at least
-	// once, into the current-time bucket, so QueueMoves per queue event is
+	// the next timestamp (see eventQueue). Each event scheduled ahead
+	// moves at least once, into the current-time bucket, and one
+	// scheduled at now moves never, so QueueMoves per executed event is
 	// the queue's own cost, independent of the host.
 	QueueMoves uint64
 }
@@ -172,7 +134,7 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Stats() KernelStats { return k.stats }
 
 // Pending returns the number of queued events.
-func (k *Kernel) Pending() int { return k.events.len() + k.band.len() }
+func (k *Kernel) Pending() int { return k.events.len() }
 
 // panicPast reports scheduling before the current time. Outlined from the
 // schedulers so the hot typed-event path stays free of fmt in its body.
@@ -215,13 +177,8 @@ func (k *Kernel) AtEvent(t Time, h HandlerID, kind uint8, a, b int64) {
 	if uint64(a) > maxPayload || uint64(b) > maxPayload {
 		panicPayload(a, b)
 	}
-	pay := pack(h, kind, a, b)
-	if t == k.now {
-		k.band.push(pay)
-		return
-	}
 	k.seq++
-	k.events.push(event{t: t, seq: k.seq, pay: pay})
+	k.events.push(event{t: t, seq: k.seq, pay: pack(h, kind, a, b)})
 }
 
 // pack builds an event payload from its checked parts.
@@ -240,10 +197,7 @@ func pack(h HandlerID, kind uint8, a, b int64) uint64 {
 //
 //simlint:hotpath
 func (k *Kernel) TryTailCall(h HandlerID, kind uint8, a, b int64) bool {
-	if !k.inEvent || !k.band.empty() {
-		return false
-	}
-	if k.events.hasNow() {
+	if !k.inEvent || k.events.hasNow() {
 		return false
 	}
 	if uint64(a) > maxPayload || uint64(b) > maxPayload {
@@ -260,7 +214,8 @@ func (k *Kernel) AfterEvent(d Time, h HandlerID, kind uint8, a, b int64) {
 	k.AtEvent(k.now+d, h, kind, a, b)
 }
 
-// Stop makes Run return after the current event completes.
+// Stop makes Run or RunUntil return after the current event completes,
+// with the clock at that event's time.
 func (k *Kernel) Stop() { k.stopped = true }
 
 // exec dispatches one event to its handler, then drains any tail calls it
@@ -297,27 +252,24 @@ func (k *Kernel) dispatch(pay uint64) {
 // step executes the earliest event due at or before limit. Returns false
 // when no such event remains.
 //
-// Batch drain of the current timestamp: queue events at t == now first
-// (they were scheduled before now advanced, so they hold the smaller
-// sequence numbers), then the band in FIFO order — exact (t, seq) order.
-// Virtual time advances only once both are empty, and only as far as
-// limit: the queue's advance leaves everything as it was when the next
-// event is later.
+// Batch drain of the current timestamp: the queue's b[0] holds the
+// events at now in seq order — first those scheduled ahead, which the
+// advance that reached now moved there, then those scheduled at now,
+// appended as they come — so popping it in order is exact (t, seq)
+// order. Virtual time advances only once b[0] is drained, and only as
+// far as limit: the queue's advance leaves everything as it was when the
+// next event is later.
 //
 //simlint:hotpath
 func (k *Kernel) step(limit Time) bool {
 	if k.events.hasNow() {
-		// A queue event at the clock's current reading: if an earlier
-		// queue event already fired at this exact time, seq order is
-		// deciding.
-		if k.tieArmed {
+		e := k.events.pop()
+		// Scheduled ahead to a reading where an earlier such event
+		// already fired: seq order is deciding.
+		if e.seq <= k.tieMark {
 			k.stats.TimestampTies++
 		}
-		k.exec(k.events.pop().pay)
-		return true
-	}
-	if !k.band.empty() {
-		k.exec(k.band.take())
+		k.exec(e.pay)
 		return true
 	}
 	moved := k.events.advance(limit)
@@ -326,8 +278,11 @@ func (k *Kernel) step(limit Time) bool {
 	}
 	k.stats.QueueMoves += uint64(moved)
 	e := k.events.pop()
-	k.now = e.t
-	k.tieArmed = true
+	// The clock keeps its reading when an idle RunUntil advance already
+	// set it: the events there were all scheduled at now.
+	if e.t != k.now {
+		k.now, k.tieMark = e.t, k.seq
+	}
 	k.exec(e.pay)
 	return true
 }
@@ -346,14 +301,14 @@ func (k *Kernel) Run() Time {
 
 // RunUntil executes events with timestamps ≤ deadline, then advances the
 // clock to deadline (even if idle) and returns. Events scheduled beyond the
-// deadline remain queued.
+// deadline remain queued. A Stop leaves the clock where it stopped, since
+// events up to the deadline may remain.
 func (k *Kernel) RunUntil(deadline Time) Time {
 	k.stopped = false
 	for !k.stopped && k.step(deadline) {
 	}
-	if k.now < deadline {
+	if !k.stopped && k.now < deadline {
 		k.now = deadline
-		k.tieArmed = false // idle advance: nothing fired at this reading
 	}
 	return k.now
 }
@@ -376,11 +331,9 @@ func (k *Kernel) Reset() {
 	k.events.reset()
 	k.procs = k.procs[:0] // every entry is nil: no proc is live
 	k.freeProcs = k.freeProcs[:0]
-	k.band.reset()
 	k.tail = k.tail[:0]
 	k.inEvent = false
-	k.now, k.seq = 0, 0
+	k.now, k.seq, k.tieMark = 0, 0, 0
 	k.stopped = false
-	k.tieArmed = false
 	k.stats = KernelStats{Digest: digestBasis}
 }

@@ -115,6 +115,23 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// TestStopInsideRunUntil pins that a Stop cuts RunUntil short with the
+// clock at the stopping event, so the events left before the deadline
+// still fire at their own times.
+func TestStopInsideRunUntil(t *testing.T) {
+	k := NewKernel()
+	var fired []Time
+	at(k, 1*Nanosecond, func() { k.Stop() })
+	at(k, 2*Nanosecond, func() { fired = append(fired, k.Now()) })
+	if got := k.RunUntil(5 * Nanosecond); got != 1*Nanosecond {
+		t.Fatalf("RunUntil stopped at 1ns returned %v", got)
+	}
+	k.Run()
+	if len(fired) != 1 || fired[0] != 2*Nanosecond {
+		t.Fatalf("event after the Stop fired at %v, want [2ns]", fired)
+	}
+}
+
 func TestNestedScheduling(t *testing.T) {
 	k := NewKernel()
 	h := &countingHandler{k: k, chain: 100} // each event schedules the next 1ns on
@@ -174,23 +191,6 @@ func TestSignalAlreadyFired(t *testing.T) {
 	k.Run()
 	if !ran {
 		t.Fatal("proc waiting on fired signal never ran")
-	}
-}
-
-func TestWaitAll(t *testing.T) {
-	k := NewKernel()
-	a, b, c := NewSignal(), NewSignal(), NewSignal()
-	var done Time
-	k.Spawn(func(p *Proc) {
-		p.WaitAll(a, b, c)
-		done = p.Now()
-	})
-	at(k, 1*Nanosecond, func() { b.Fire(k) })
-	at(k, 2*Nanosecond, func() { a.Fire(k) })
-	at(k, 7*Nanosecond, func() { c.Fire(k) })
-	k.Run()
-	if done != 7*Nanosecond {
-		t.Fatalf("WaitAll completed at %v, want 7ns", done)
 	}
 }
 
@@ -272,16 +272,16 @@ func TestKernelStats(t *testing.T) {
 	}
 }
 
-// TestTimestampTies pins the tie detector's semantics: only queue events
-// beyond the first of an exact-timestamp group count; deliberate
-// zero-delay continuations (the same-timestamp band) and idle RunUntil
-// clock advances do not.
+// TestTimestampTies pins the tie detector's semantics: only events
+// scheduled ahead, beyond the first of an exact-timestamp group, count;
+// deliberate zero-delay continuations (events scheduled at now) and idle
+// RunUntil clock advances do not.
 func TestTimestampTies(t *testing.T) {
 	k := NewKernel()
 	h := &countingHandler{k: k}
 	h.id = k.RegisterHandler(h)
 	at(k, 5*Nanosecond, func() {
-		k.AtEvent(k.Now(), h.id, 0, 0, 0) // zero-delay continuation: band, not a tie
+		k.AtEvent(k.Now(), h.id, 0, 0, 0) // zero-delay continuation: not a tie
 	})
 	k.AtEvent(5*Nanosecond, h.id, 0, 0, 0) // second queue event at 5ns: one tie
 	k.AtEvent(5*Nanosecond, h.id, 0, 0, 0) // third: another
@@ -299,6 +299,52 @@ func TestTimestampTies(t *testing.T) {
 	k.Run()
 	if got := k.Stats().TimestampTies; got != 0 {
 		t.Fatalf("TimestampTies after idle advance = %d, want 0", got)
+	}
+
+	// Zero-delay events scheduled in the middle of a group, while an
+	// event scheduled ahead to now is still queued, run behind it and
+	// are not ties; it is.
+	k.Reset()
+	k.AtEvent(3*Nanosecond, h.id, 0, 0, 0) // first at 3ns: not a tie
+	at(k, 3*Nanosecond, func() {           // second: a tie
+		k.AtEvent(k.Now(), h.id, 0, 0, 0) // zero-delay: not a tie
+		at(k, k.Now(), func() {})         // zero-delay proc spawn: not a tie
+	})
+	k.AtEvent(3*Nanosecond, h.id, 0, 0, 0) // third, queued ahead of both: a tie
+	k.Run()
+	if got := k.Stats().TimestampTies; got != 2 {
+		t.Fatalf("TimestampTies with zero-delay events inside a group = %d, want 2", got)
+	}
+
+	// Events scheduled at t=0 before Run are scheduled at now, not ahead.
+	k.Reset()
+	for i := 0; i < 3; i++ {
+		k.AtEvent(0, h.id, 0, 0, 0)
+	}
+	k.AtEvent(Nanosecond, h.id, 0, 0, 0) // first at 1ns: not a tie
+	k.AtEvent(Nanosecond, h.id, 0, 0, 0) // second: a tie
+	k.Run()
+	if got := k.Stats().TimestampTies; got != 1 {
+		t.Fatalf("TimestampTies with events at t=0 = %d, want 1", got)
+	}
+
+	// A chain of zero-delay events after an idle advance: all scheduled
+	// at the new reading, none ahead, so none is a tie.
+	k.Reset()
+	k.RunUntil(10 * Nanosecond)
+	k.AtEvent(k.Now(), h.id, 0, 0, 0)
+	k.Spawn(func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(0)
+		}
+	})
+	k.AtEvent(k.Now(), h.id, 0, 0, 0)
+	k.Run()
+	if got := k.Stats().TimestampTies; got != 0 {
+		t.Fatalf("TimestampTies for a zero-delay chain after an idle advance = %d, want 0", got)
+	}
+	if k.Now() != 10*Nanosecond {
+		t.Fatalf("zero-delay chain ended at %v, want 10ns", k.Now())
 	}
 }
 

@@ -95,9 +95,6 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
-// Yield lets all other events at the current timestamp run, then resumes.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Wait blocks the proc until s fires. If s has already fired it returns
 // immediately without yielding.
 func (p *Proc) Wait(s *Signal) {
@@ -106,13 +103,6 @@ func (p *Proc) Wait(s *Signal) {
 	}
 	s.waiters = append(s.waiters, p)
 	p.park()
-}
-
-// WaitAll blocks until every signal in sigs has fired.
-func (p *Proc) WaitAll(sigs ...*Signal) {
-	for _, s := range sigs {
-		p.Wait(s)
-	}
 }
 
 // Signal is a one-shot broadcast event. The zero value is ready to use.

@@ -20,11 +20,15 @@ type event struct {
 // first differs from last at bit i-1, so each event of bucket i is
 // earlier than each event of bucket j > i. b[0] holds the events at
 // exactly last, and head is its next unpopped entry. mask marks the
-// non-empty buckets above b[0], so the lowest one is one TrailingZeros64.
+// non-empty buckets above b[0], so the lowest one is one TrailingZeros64;
+// a push to b[0] leaves bit 0 clear, so advance never takes b[0] for the
+// bucket to empty.
 // Times are never negative, so bit 63 never differs and 64 buckets cover
 // every key.
 //
-// A push appends to one bucket. Once b[0] is drained, advance finds the
+// A push appends to one bucket: b[0] when t is last, which is how an
+// event scheduled at now while now is last joins the events there behind
+// the ones an advance moved in. Once b[0] is drained, advance finds the
 // lowest non-empty bucket and its minimum m, makes m the new last, and
 // re-buckets that one bucket: each of its events moves to a lower bucket,
 // the ones at m to b[0]. Buckets above it keep their index, since m
@@ -42,8 +46,8 @@ type event struct {
 // committing to it. step then sets now to the popped event's time, which
 // is last.
 //
-// Buckets keep their capacity across reset, like the band, so a warm
-// kernel schedules without allocating.
+// Buckets keep their capacity across reset, so a warm kernel schedules
+// without allocating.
 type eventQueue struct {
 	last Time
 	head int
@@ -58,15 +62,17 @@ func (q *eventQueue) bucket(t Time) int { return bits.Len64(uint64(t ^ q.last)) 
 func (q *eventQueue) push(e event) {
 	i := q.bucket(e.t)
 	q.b[i] = append(q.b[i], e)
-	q.mask |= 1 << i
+	q.mask |= 1 << i &^ 1
 }
 
 // hasNow reports whether events at the current time are still queued.
-// Only b[0] can hold them: an event at now was pushed before now was
-// reached, so the advance that reached now moved it there. And b[0] holds
-// nothing else: advance fills it only for step, which then sets now to
-// last, and now moves on from last only through another advance or, in
-// RunUntil, once step has found b[0] drained.
+// Only b[0] can hold them, and it holds nothing else, since last is now
+// whenever b[0] is not drained: step sets now to last before it runs a
+// handler, so the advance that reached now moved the events scheduled
+// ahead to now there, and a handler's pushes at now land there too. now
+// moves on from last only through another advance or an idle RunUntil
+// advance, which finds b[0] drained; a push at now after that lands in a
+// higher bucket until an advance reaches it.
 func (q *eventQueue) hasNow() bool { return q.head < len(q.b[0]) }
 
 // pop removes the next event of b[0]. The caller has checked hasNow or

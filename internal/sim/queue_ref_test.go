@@ -63,15 +63,24 @@ func (h *refHeap) pop() event {
 
 // refKernel is the definition of the kernel's event order with none of
 // its fast paths: every event, zero-delay ones included, takes a sequence
-// number and goes through one (t, seq) heap; there is no band, no tail
-// call (TryTailCall always refuses, so callers schedule a zero-delay
-// event) and no radix bucket. Its Now, AtEvent, RunUntil, Run, Reset and
-// Pending mean what the Kernel's do.
+// number and goes through one (t, seq) heap; there is no tail call
+// (TryTailCall always refuses, so callers schedule a zero-delay event)
+// and no radix bucket. Its Now, AtEvent, RunUntil, Run, Reset and
+// Pending mean what the Kernel's do, and ties counts
+// KernelStats.TimestampTies from its definition.
 type refKernel struct {
 	now      Time
 	seq      uint64
 	h        refHeap
 	handlers []Handler
+	// ahead[seq-1] records whether that event was scheduled ahead, at a
+	// t later than now.
+	ahead []bool
+	// ties counts the events scheduled ahead that fired at aheadAt, the
+	// reading the latest such event fired at, once one has (aheadFired).
+	ties       uint64
+	aheadAt    Time
+	aheadFired bool
 }
 
 func (r *refKernel) Now() Time { return r.now }
@@ -87,6 +96,7 @@ func (r *refKernel) AtEvent(t Time, h HandlerID, kind uint8, a, b int64) {
 	}
 	r.seq++
 	r.h.push(event{t: t, seq: r.seq, pay: pack(h, kind, a, b)})
+	r.ahead = append(r.ahead, t > r.now)
 }
 
 func (r *refKernel) TryTailCall(HandlerID, uint8, int64, int64) bool { return false }
@@ -95,6 +105,12 @@ func (r *refKernel) TryTailCall(HandlerID, uint8, int64, int64) bool { return fa
 func (r *refKernel) pop() {
 	e := r.h.pop()
 	r.now = e.t
+	if r.ahead[e.seq-1] {
+		if r.aheadFired && r.aheadAt == e.t {
+			r.ties++
+		}
+		r.aheadAt, r.aheadFired = e.t, true
+	}
 	r.handlers[e.pay>>48&0xff].HandleEvent(uint8(e.pay>>56),
 		int64(e.pay>>payloadBits&maxPayload), int64(e.pay&maxPayload))
 }
@@ -119,6 +135,8 @@ func (r *refKernel) RunUntil(deadline Time) Time {
 func (r *refKernel) Reset() {
 	r.h = r.h[:0]
 	r.now, r.seq = 0, 0
+	r.ahead = r.ahead[:0]
+	r.ties, r.aheadAt, r.aheadFired = 0, 0, false
 }
 
 func (r *refKernel) Pending() int { return len(r.h) }

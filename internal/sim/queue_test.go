@@ -21,7 +21,7 @@ type scheduler interface {
 type delayKind uint8
 
 const (
-	zeroDelay delayKind = iota // at now: the band
+	zeroDelay delayKind = iota // at now: appended to the current-time bucket
 	tailCall                   // TryTailCall inside an event, else at now
 	nextNs                     // the next whole nanosecond: dense equal-t groups
 	onePs                      // 1 ps on: adjacent keys, the lowest bucket
@@ -159,7 +159,7 @@ func (d *streamDriver) op() bool {
 
 // checkStream drives the kernel and the reference scheduler through the
 // same script and fails at the first operation after which they differ
-// in the events fired, the clock, or Pending.
+// in the events fired, the clock, Pending, or the TimestampTies count.
 func checkStream(t *testing.T, script []byte, delays []delayKind, ops []opKind) {
 	t.Helper()
 	k := NewKernel()
@@ -189,6 +189,9 @@ func checkStream(t *testing.T, script []byte, delays []delayKind, ops []opKind) 
 			t.Fatalf("step %d: now %v pending %d, reference now %v pending %d",
 				step, k.Now(), k.Pending(), ref.Now(), ref.Pending())
 		}
+		if ties := k.Stats().TimestampTies; ties != ref.ties {
+			t.Fatalf("step %d: %d timestamp ties, reference %d", step, ties, ref.ties)
+		}
 		if !more {
 			return
 		}
@@ -196,10 +199,9 @@ func checkStream(t *testing.T, script []byte, delays []delayKind, ops []opKind) 
 	}
 }
 
-// TestEventQueueMatchesHeap drives the kernel's radix queue, band and
-// tail calls and the reference 4-ary heap through random monotone
-// streams, each case weighted towards one way the radix queue could go
-// wrong.
+// TestEventQueueMatchesHeap drives the kernel's radix queue and tail
+// calls and the reference 4-ary heap through random monotone streams,
+// each case weighted towards one way the radix queue could go wrong.
 func TestEventQueueMatchesHeap(t *testing.T) {
 	cases := []struct {
 		name   string

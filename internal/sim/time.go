@@ -1,7 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel owns a virtual clock measured in picoseconds and a radix-heap
-// event queue. Model code runs either as plain scheduled callbacks or as
+// event queue. Model code runs either as handlers of typed events or as
 // coroutine Procs (goroutines that hand control back and forth with the
 // kernel, so exactly one goroutine is ever runnable). All ordering is
 // deterministic: events fire in (time, insertion sequence) order.
