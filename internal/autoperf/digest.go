@@ -18,9 +18,8 @@ import (
 // sim.Time, so statistics derived from them are exact — no floating
 // point enters until a consumer converts to seconds.
 type Reduced struct {
-	App     string
-	Ranks   int
-	Runtime sim.Time
+	App   string
+	Ranks int
 
 	// MPITime and ComputeTime are summed across ranks (the Profile's
 	// MPITime() and ComputeTime); their sum is the profile's TotalTime.
@@ -41,7 +40,6 @@ func (r *Report) Reduce() *Reduced {
 	d := &Reduced{
 		App:         r.App,
 		Ranks:       r.Ranks,
-		Runtime:     r.Runtime,
 		MPITime:     r.Profile.MPITime(),
 		ComputeTime: r.Profile.ComputeTime,
 		CallTime:    make(map[string]sim.Time, len(r.Profile.ByCall)),

@@ -86,11 +86,21 @@ func TestTable1(t *testing.T) {
 // campaign that Figs. 2, 5 and 6 derive from.
 func milcStudy(t *testing.T, p Profile, seed int64, reorder bool) *Table2Result {
 	t.Helper()
+	mp, err := p.thetaPool()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return milcStudyOn(t, p, mp, seed, reorder)
+}
+
+// milcStudyOn is milcStudy on a given machine pool.
+func milcStudyOn(t *testing.T, p Profile, mp *machinePool, seed int64, reorder bool) *Table2Result {
+	t.Helper()
 	list := []apps.App{apps.MILC{}}
 	if reorder {
 		list = append(list, apps.MILC{Reorder: true})
 	}
-	t2, err := p.productionStudy(list, seed)
+	t2, err := p.productionStudy(mp, list, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

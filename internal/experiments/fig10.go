@@ -99,7 +99,7 @@ func ensembleCounters(topo *topology.Topology, mode routing.Mode, run *core.RunR
 			}
 		}
 	}
-	ratios := c.RouterRatios(nil)
+	ratios := c.RouterRatios()
 	ps := stats.Percentiles(ratios, []float64{50, 95})
 	ec.RouterRatioP50, ec.RouterRatioP95 = ps[0], ps[1]
 	return ec

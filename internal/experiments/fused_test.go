@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/routing"
 )
 
@@ -13,16 +14,24 @@ import (
 // split models legitimately schedule contention races in different
 // orders, so byte-identity is not owed (see network's fused equivalence
 // tests for the tie-free identity proof). What must hold instead is that
-// fusion — now the default; Profile.SplitLinks restores the reference —
-// does not move the paper's results: per-app per-mode mean runtimes stay
-// within a fraction of the reference campaign's own run-to-run spread,
-// and the AD3-vs-AD0 ordering that Fig. 2 reports is preserved.
+// fusion — the default; a pool with network.Params.FuseLinks off runs the
+// split reference — does not move the paper's results: per-app per-mode
+// mean runtimes stay within a fraction of the reference campaign's own
+// run-to-run spread, and the AD3-vs-AD0 ordering that Fig. 2 reports is
+// preserved.
 func TestFusedProfileFigures(t *testing.T) {
-	ref := testProfile()
-	ref.SplitLinks = true
-	fused := testProfile()
+	p := testProfile()
+	// splitStudy runs milcStudy on a fresh pool of split-link machines.
+	splitStudy := func(seed int64, reorder bool) *Table2Result {
+		mp, err := p.thetaPool()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp.apply(func(m *core.Machine) { m.Net.FuseLinks = false })
+		return milcStudyOn(t, p, mp, seed, reorder)
+	}
 
-	t2Ref, t2Fused := milcStudy(t, ref, 3, true), milcStudy(t, fused, 3, true)
+	t2Ref, t2Fused := splitStudy(3, true), milcStudy(t, p, 3, true)
 	rRef := Fig2FromSamples(t2Ref.Nodes, t2Ref.Samples)
 	rFused := Fig2FromSamples(t2Fused.Nodes, t2Fused.Samples)
 	for _, app := range []string{"MILC", "MILCREORDER"} {
@@ -53,8 +62,8 @@ func TestFusedProfileFigures(t *testing.T) {
 	// for both modes, and the pooled means within the same tolerance
 	// regime (stall accounting is the part of the counter contract the
 	// lazy settle machinery most directly touches).
-	f6Ref := Fig6FromTable2(milcStudy(t, ref, 7, false))
-	f6Fused := Fig6FromTable2(milcStudy(t, fused, 7, false))
+	f6Ref := Fig6FromTable2(splitStudy(7, false))
+	f6Fused := Fig6FromTable2(milcStudy(t, p, 7, false))
 	for _, mode := range []routing.Mode{routing.AD0, routing.AD3} {
 		if len(f6Fused.Ratios[mode]) == 0 {
 			t.Fatalf("fused fig6: no ratios for %s", mode)
@@ -63,10 +72,11 @@ func TestFusedProfileFigures(t *testing.T) {
 		var sumFused, sumRef float64
 		var nFused, nRef int
 		for class, rs := range f6Fused.Ratios[mode] {
-			sumFused += rs.Sum()
+			sumFused += rs.Mean() * float64(rs.Count())
 			nFused += rs.Count()
-			sumRef += f6Ref.Ratios[mode][class].Sum()
-			nRef += f6Ref.Ratios[mode][class].Count()
+			rr := f6Ref.Ratios[mode][class]
+			sumRef += rr.Mean() * float64(rr.Count())
+			nRef += rr.Count()
 		}
 		mRef := pooledMean(sumRef, nRef)
 		mFused := pooledMean(sumFused, nFused)

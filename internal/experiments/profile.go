@@ -12,7 +12,6 @@
 package experiments
 
 import (
-	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -58,16 +57,6 @@ type Profile struct {
 	// are merged in seed order, so every value — including <= 1, which
 	// runs strictly sequentially — produces identical output.
 	Workers int
-
-	// SplitLinks turns OFF network.Params.FuseLinks for every machine the
-	// profile builds, restoring the split reference model: separate
-	// serialization-completion and propagation-arrival events per link
-	// hop instead of the fused hop-done event. Fusion is the default
-	// (goldens are recorded under it; ~25% fewer events per packet), so
-	// this knob exists for equivalence checks and debugging — the
-	// figure-level results stay within the campaign's run-to-run spread
-	// either way (TestFusedProfileFigures pins this).
-	SplitLinks bool
 }
 
 // workers clamps the fan-out to at least one.
@@ -131,25 +120,12 @@ func Standard() Profile {
 
 // thetaPool builds one Theta machine per worker for parallel campaigns.
 func (p Profile) thetaPool() (*machinePool, error) {
-	return p.pool(p.Theta)
+	return newMachinePool(p.Theta, p.workers())
 }
 
 // coriPool builds one Cori machine per worker.
 func (p Profile) coriPool() (*machinePool, error) {
-	return p.pool(p.Cori)
-}
-
-// pool builds the per-worker machines for cfg with the profile's network
-// options applied.
-func (p Profile) pool(cfg topology.Config) (*machinePool, error) {
-	mp, err := newMachinePool(cfg, p.workers())
-	if err != nil {
-		return nil, err
-	}
-	if p.SplitLinks {
-		mp.apply(func(m *core.Machine) { m.Net.FuseLinks = false })
-	}
-	return mp, nil
+	return newMachinePool(p.Cori, p.workers())
 }
 
 // iterationsFor returns the app's iteration count under this profile.

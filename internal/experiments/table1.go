@@ -29,8 +29,8 @@ type Table1Result struct {
 }
 
 // p2pCalls and collCalls classify MPI interfaces for the size columns.
-var p2pCalls = []string{"MPI_Isend", "MPI_Send", "MPI_Sendrecv"}
-var collCalls = []string{"MPI_Allreduce", "MPI_Alltoall", "MPI_Alltoallv", "MPI_Bcast", "MPI_Allgather", "MPI_Reduce"}
+var p2pCalls = []string{"MPI_Isend", "MPI_Send"}
+var collCalls = []string{"MPI_Allreduce", "MPI_Alltoallv", "MPI_Bcast"}
 
 // Table1Characterization runs each app isolated at the medium size on the
 // default routing and extracts its communication properties. The six apps

@@ -38,19 +38,19 @@ type Table2Result struct {
 // Table2AllApps runs the production campaign for every application at the
 // medium size under AD0 and AD3, collecting per-run values as the runs stream.
 func Table2AllApps(p Profile, seed int64) (*Table2Result, error) {
-	return p.productionStudy(apps.All(), seed)
-}
-
-// productionStudy runs the medium-size AD0-vs-AD3 production campaign for
-// each app in list, in order, on one warm pool. Every app's runs start
-// from the same seed, so an app's samples do not depend on which other
-// apps the list holds: a study over just MILC reproduces the MILC part of
-// Table II (and with it Figs. 2, 5 and 6) run for run.
-func (p Profile) productionStudy(list []apps.App, seed int64) (*Table2Result, error) {
 	mp, err := p.thetaPool()
 	if err != nil {
 		return nil, err
 	}
+	return p.productionStudy(mp, apps.All(), seed)
+}
+
+// productionStudy runs the medium-size AD0-vs-AD3 production campaign for
+// each app in list, in order, on the warm pool mp. Every app's runs start
+// from the same seed, so an app's samples do not depend on which other
+// apps the list holds: a study over just MILC reproduces the MILC part of
+// Table II (and with it Figs. 2, 5 and 6) run for run.
+func (p Profile) productionStudy(mp *machinePool, list []apps.App, seed int64) (*Table2Result, error) {
 	res := &Table2Result{Nodes: p.NodesMedium, Tiles: tileAggs{}}
 	modes := []routing.Mode{routing.AD0, routing.AD3}
 	for _, a := range list {

@@ -85,7 +85,7 @@ func (d *Daemon) tick() {
 	delta := cur.Sub(d.prev)
 	s := Sample{At: now, Totals: delta.Aggregate(nil)}
 	if d.opts.RecordRouterRatios {
-		ratios := delta.RouterRatios(nil)
+		ratios := delta.RouterRatios()
 		d.routerAgg.AddAll(ratios)
 		if !d.opts.Stream {
 			s.RouterRatios = ratios

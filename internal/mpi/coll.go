@@ -2,9 +2,9 @@ package mpi
 
 // Collective algorithms over the point-to-point layer, mirroring the
 // classic MPICH implementations: dissemination barrier, recursive-doubling
-// allreduce, binomial reduce/bcast, pairwise-exchange alltoall[v], ring
-// allgather. Alltoall[v] traffic is posted with the A2A routing mode, as
-// Cray MPI does.
+// allreduce, binomial bcast, pairwise-exchange alltoallv. These are the
+// collectives the paper's Table I lists for its six applications.
+// Alltoallv traffic is posted with the A2A routing mode, as Cray MPI does.
 
 // collTagBase keeps collective tags out of the application tag space.
 const collTagBase = 1 << 48
@@ -31,7 +31,7 @@ func (r *Rank) Barrier() {
 			dst := (r.id + k) % n
 			src := (r.id - k + n) % n
 			sq := r.isend(dst, r.collTag(round), 1, false)
-			rq := r.irecv(src, r.collTag(round), 1)
+			rq := r.irecv(src, r.collTag(round))
 			r.wait(sq)
 			r.wait(rq)
 		}
@@ -65,7 +65,7 @@ func (r *Rank) allreduceBody(bytes int) {
 	if id >= pow2 {
 		r.wait(r.isend(id-pow2, r.collTag(62), bytes, false))
 	} else if id < extra {
-		r.wait(r.irecv(id+pow2, r.collTag(62), bytes))
+		r.wait(r.irecv(id+pow2, r.collTag(62)))
 	}
 
 	// Recursive doubling within the power-of-two group.
@@ -73,7 +73,7 @@ func (r *Rank) allreduceBody(bytes int) {
 		for mask, round := 1, 0; mask < pow2; mask, round = mask<<1, round+1 {
 			partner := id ^ mask
 			sq := r.isend(partner, r.collTag(round), bytes, false)
-			rq := r.irecv(partner, r.collTag(round), bytes)
+			rq := r.irecv(partner, r.collTag(round))
 			r.wait(sq)
 			r.wait(rq)
 		}
@@ -81,30 +81,10 @@ func (r *Rank) allreduceBody(bytes int) {
 
 	// Post-fold: results flow back to the top ranks.
 	if id >= pow2 {
-		r.wait(r.irecv(id-pow2, r.collTag(63), bytes))
+		r.wait(r.irecv(id-pow2, r.collTag(63)))
 	} else if id < extra {
 		r.wait(r.isend(id+pow2, r.collTag(63), bytes, false))
 	}
-}
-
-// Reduce combines a vector onto root (binomial tree).
-func (r *Rank) Reduce(root, bytes int) {
-	r.timed("MPI_Reduce", bytes, func() {
-		r.startColl()
-		n := r.Size()
-		rel := (r.id - root + n) % n
-		for mask, round := 1, 0; mask < n; mask, round = mask<<1, round+1 {
-			if rel&mask != 0 {
-				dst := ((rel - mask) + root) % n
-				r.wait(r.isend(dst, r.collTag(round), bytes, false))
-				return
-			}
-			if rel|mask < n {
-				src := ((rel | mask) + root) % n
-				r.wait(r.irecv(src, r.collTag(round), bytes))
-			}
-		}
-	})
 }
 
 // Bcast distributes a vector from root (binomial tree).
@@ -122,7 +102,7 @@ func (r *Rank) Bcast(root, bytes int) {
 		}
 		if rel != 0 {
 			src := ((rel ^ recvMask) + root) % n
-			r.wait(r.irecv(src, r.collTag(60), bytes))
+			r.wait(r.irecv(src, r.collTag(60)))
 		}
 		// Forward to subtree: masks above our receive mask.
 		start := recvMask << 1
@@ -142,20 +122,9 @@ func (r *Rank) Bcast(root, bytes int) {
 	})
 }
 
-// Alltoall exchanges bytesPerRank with every other rank (pairwise
-// exchange, n-1 rounds). Posted with the A2A routing mode.
-func (r *Rank) Alltoall(bytesPerRank int) {
-	r.timed("MPI_Alltoall", bytesPerRank*(r.Size()-1), func() {
-		r.startColl()
-		r.pairwise(func(partner int) (send, recv int) {
-			return bytesPerRank, bytesPerRank
-		})
-	})
-}
-
-// Alltoallv exchanges sendCounts[d] bytes with each rank d. All ranks must
-// pass structurally consistent counts (as MPI requires). Posted with the
-// A2A routing mode.
+// Alltoallv exchanges sendCounts[d] bytes with each rank d (pairwise
+// exchange, n-1 rounds). All ranks must pass structurally consistent
+// counts (as MPI requires). Posted with the A2A routing mode.
 func (r *Rank) Alltoallv(sendCounts []int) {
 	total := 0
 	for d, c := range sendCounts {
@@ -165,46 +134,19 @@ func (r *Rank) Alltoallv(sendCounts []int) {
 	}
 	r.timed("MPI_Alltoallv", total, func() {
 		r.startColl()
-		r.pairwise(func(partner int) (send, recv int) {
-			return sendCounts[partner], 0 // recv size known on arrival
-		})
-	})
-}
-
-// pairwise runs the n-1 round pairwise exchange; sizes(partner) returns
-// the bytes to send to (and expect from) that round's partner.
-func (r *Rank) pairwise(sizes func(partner int) (send, recv int)) {
-	n := r.Size()
-	pow2 := n&(n-1) == 0
-	for i := 1; i < n; i++ {
-		var sendTo, recvFrom int
-		if pow2 {
-			sendTo = r.id ^ i
-			recvFrom = sendTo
-		} else {
-			sendTo = (r.id + i) % n
-			recvFrom = (r.id - i + n) % n
-		}
-		sendBytes, recvBytes := sizes(sendTo)
-		sq := r.isend(sendTo, r.collTag(i), sendBytes, true)
-		rq := r.irecv(recvFrom, r.collTag(i), recvBytes)
-		r.wait(sq)
-		r.wait(rq)
-	}
-}
-
-// Allgather gathers bytesPerRank from every rank to every rank (ring:
-// n-1 rounds, each forwarding one block).
-func (r *Rank) Allgather(bytesPerRank int) {
-	r.timed("MPI_Allgather", bytesPerRank*(r.Size()-1), func() {
-		r.startColl()
 		n := r.Size()
-		right := (r.id + 1) % n
-		left := (r.id - 1 + n) % n
-		for round := 0; round < n-1; round++ {
-			tag := r.collTag(round)
-			sq := r.isend(right, tag, bytesPerRank, false)
-			rq := r.irecv(left, tag, bytesPerRank)
+		pow2 := n&(n-1) == 0
+		for i := 1; i < n; i++ {
+			var sendTo, recvFrom int
+			if pow2 {
+				sendTo = r.id ^ i
+				recvFrom = sendTo
+			} else {
+				sendTo = (r.id + i) % n
+				recvFrom = (r.id - i + n) % n
+			}
+			sq := r.isend(sendTo, r.collTag(i), sendCounts[sendTo], true)
+			rq := r.irecv(recvFrom, r.collTag(i))
 			r.wait(sq)
 			r.wait(rq)
 		}

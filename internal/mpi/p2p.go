@@ -13,11 +13,9 @@ const AnyTag = -1
 
 // Request is a nonblocking operation handle.
 type Request struct {
-	done  *sim.Signal
-	bytes int
+	done *sim.Signal
 
 	// recv matching state
-	isRecv   bool
 	src, tag int
 	// filled in on match:
 	MatchedSrc, MatchedTag int
@@ -27,25 +25,25 @@ type Request struct {
 func (q *Request) Done() bool { return q.done.Fired() }
 
 // isend posts a send without timing attribution (used by collectives).
+// The request completes on the message's own Done signal, which the
+// fabric fires right after OnDelivered: the receiver matches first, then
+// the sender resumes.
 func (r *Rank) isend(dst, tag, bytes int, a2a bool) *Request {
 	r.checkPeer(dst)
-	req := &Request{done: sim.NewSignal(), bytes: bytes}
 	peer := r.world.ranks[dst]
 	src := r.id
-	k := r.world.fab.Kernel()
 	m := r.world.fab.Send(r.node, peer.node, bytes, r.modeFor(a2a))
-	// On delivery (kernel context): match at the receiver, then complete
-	// the sender's request.
+	// On delivery (kernel context): count the route classes and match at
+	// the receiver.
 	w := r.world
 	m.OnDelivered = func(msg *network.Message) {
 		mn, nm := msg.RouteCounts()
 		w.MinimalPkts += uint64(mn)
 		w.NonMinimalPkts += uint64(nm)
 		w.TransitSum += msg.TransitSum
-		peer.arrived(&envelope{src: src, tag: tag, bytes: bytes})
-		req.done.Fire(k)
+		peer.arrived(&envelope{src: src, tag: tag})
 	}
-	return req
+	return &Request{done: m.Done}
 }
 
 // Isend posts a nonblocking send of `bytes` to dst with tag. The request
@@ -59,8 +57,8 @@ func (r *Rank) Isend(dst, tag, bytes int) *Request {
 }
 
 // irecv posts a receive without timing attribution.
-func (r *Rank) irecv(src, tag, bytes int) *Request {
-	req := &Request{done: sim.NewSignal(), bytes: bytes, isRecv: true, src: src, tag: tag}
+func (r *Rank) irecv(src, tag int) *Request {
+	req := &Request{done: sim.NewSignal(), src: src, tag: tag}
 	// Check the unexpected queue first (FIFO matching).
 	for i, env := range r.unexpected {
 		if matches(req, env) {
@@ -78,7 +76,7 @@ func (r *Rank) irecv(src, tag, bytes int) *Request {
 // AnyTag as wildcards.
 func (r *Rank) Irecv(src, tag, bytes int) *Request {
 	var req *Request
-	r.timed("MPI_Irecv", bytes, func() { req = r.irecv(src, tag, bytes) })
+	r.timed("MPI_Irecv", bytes, func() { req = r.irecv(src, tag) })
 	return req
 }
 
@@ -134,18 +132,7 @@ func (r *Rank) Send(dst, tag, bytes int) {
 // Recv is a blocking receive (MPI_Recv).
 func (r *Rank) Recv(src, tag, bytes int) {
 	r.timed("MPI_Recv", bytes, func() {
-		req := r.irecv(src, tag, bytes)
+		req := r.irecv(src, tag)
 		r.wait(req)
-	})
-}
-
-// Sendrecv exchanges messages with two peers simultaneously
-// (MPI_Sendrecv): sends to dst and receives from src.
-func (r *Rank) Sendrecv(dst, sendTag, sendBytes, src, recvTag, recvBytes int) {
-	r.timed("MPI_Sendrecv", sendBytes+recvBytes, func() {
-		sq := r.isend(dst, sendTag, sendBytes, false)
-		rq := r.irecv(src, recvTag, recvBytes)
-		r.wait(sq)
-		r.wait(rq)
 	})
 }

@@ -1,7 +1,7 @@
 // Package mpi is a message-passing runtime for simulated applications: one
 // coroutine per rank, nonblocking point-to-point with tag matching, the
-// collectives the paper's applications use (Allreduce, Alltoall[v], Bcast,
-// Barrier, Allgather, Reduce), and per-posted-message routing-mode
+// collectives the paper's applications use (Allreduce, Alltoallv, Bcast,
+// Barrier), and per-posted-message routing-mode
 // selection mirroring Cray MPI's MPICH_GNI_ROUTING_MODE /
 // MPICH_GNI_A2A_ROUTING_MODE environment variables.
 package mpi

@@ -132,7 +132,6 @@ type Rank struct {
 // envelope describes one arrived message awaiting a matching recv.
 type envelope struct {
 	src, tag int
-	bytes    int
 }
 
 // ID returns the rank number.

@@ -46,31 +46,10 @@ func benchPacketDelivery(b *testing.B, fuse bool) {
 	b.ReportMetric(float64(k.Stats().EventsExecuted)/float64(b.N), "events/pkt")
 }
 
-// BenchmarkAdaptiveRoute measures the per-packet routing decision cost
-// (candidate sampling + load scoring) under live load state.
-func BenchmarkAdaptiveRoute(b *testing.B) {
-	topo, err := topology.Build(topology.ThetaMiniConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	k := sim.NewKernel()
-	f := New(k, topo, DefaultParams(), routing.DefaultConfig(), 1)
-	rng := rand.New(rand.NewSource(3))
-	eng := routing.NewEngine(topo, f, routing.DefaultConfig())
-	nr := topo.NumRouters()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := topology.RouterID(rng.Intn(nr))
-		dst := topology.RouterID(rng.Intn(nr))
-		_ = eng.Route(routing.AD0, rng, src, dst, 0)
-	}
-}
-
-// BenchmarkRouteInto measures the same routing decision through the
-// zero-allocation entry the fabric's hot path uses: engine scratch plus a
-// reused caller buffer. Run with -benchmem: this must report 0 allocs/op;
-// the gap to BenchmarkAdaptiveRoute is the cost of materializing a fresh
-// Path per decision.
+// BenchmarkRouteInto measures the per-packet routing decision cost
+// (candidate sampling + load scoring) under live load state, through the
+// engine scratch and a reused caller buffer as on the fabric's hot path.
+// Run with -benchmem: this must report 0 allocs/op.
 func BenchmarkRouteInto(b *testing.B) {
 	topo, err := topology.Build(topology.ThetaMiniConfig())
 	if err != nil {

@@ -146,23 +146,19 @@ func (c *Counters) Aggregate(routers []topology.RouterID) ClassTotals {
 	return ct
 }
 
-// RouterRatios returns the per-router stalls-to-flits ratio over network
-// tiles only (rank-1/2/3), the quantity plotted in the paper's Fig. 11.
-func (c *Counters) RouterRatios(routers []topology.RouterID) []float64 {
-	if routers == nil {
-		routers = make([]topology.RouterID, len(c.Flits))
-		for i := range routers {
-			routers[i] = topology.RouterID(i)
-		}
-	}
+// RouterRatios returns the stalls-to-flits ratio over network tiles only
+// (rank-1/2/3) of every router that carried network traffic, in router
+// order: the quantity plotted in the paper's Fig. 11.
+func (c *Counters) RouterRatios() []float64 {
+	routers := c.Flits
 	out := make([]float64, 0, len(routers))
-	for _, r := range routers {
+	for r, tiles := range routers {
 		var flits uint64
 		var stalls float64
-		for t := range c.Flits[r] {
+		for t, n := range tiles {
 			switch c.topo.TileClassOf(t) {
 			case topology.TileRank1, topology.TileRank2, topology.TileRank3:
-				flits += c.Flits[r][t]
+				flits += n
 				stalls += c.Stalls[r][t]
 			}
 		}

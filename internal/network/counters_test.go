@@ -24,7 +24,7 @@ func TestCountersZeroValue(t *testing.T) {
 	if agg.TotalFlits() != 0 || agg.TotalStalls() != 0 {
 		t.Fatal("fresh counters not zero")
 	}
-	if len(c.RouterRatios(nil)) != 0 {
+	if len(c.RouterRatios()) != 0 {
 		t.Fatal("zero-flit routers should produce no ratios")
 	}
 	if c.MeanORBLatency(0) != 0 {

@@ -24,6 +24,11 @@ const (
 	// localLatency is the delivery latency for same-node messages,
 	// which bypass the network.
 	localLatency = 600 * sim.Nanosecond
+	// numVC is the virtual-channel count of every link: one VC per hop
+	// index of the longest route a packet can carry. A Valiant route is
+	// at most 8 links (routing.MaxPathLinks leaves slack), and
+	// routeOverflow panics on any longer one.
+	numVC = routing.MaxPathLinks
 )
 
 // Params tunes the packet-level fabric model. Each field is varied by an
@@ -77,8 +82,7 @@ type Params struct {
 	// the delay estimate is one serialization time staler. Fusion is the
 	// default (DefaultParams sets it; goldens are recorded under it);
 	// the split path remains available as the reference model for
-	// equivalence tests and debugging, the same pattern NoRecycle uses —
-	// experiments.Profile.SplitLinks reaches it from the campaign layer.
+	// equivalence tests and debugging, the same pattern NoRecycle uses.
 	// Sender-side bookkeeping (flit counters, buffer release, waiter
 	// wake) settles lazily — see (*Fabric).settle.
 	FuseLinks bool
@@ -242,14 +246,11 @@ type Fabric struct {
 	// their evLocal delivery, linked through Message.localNext.
 	localHead, localTail *Message
 
-	numVC int //simlint:resetsafe immutable config
-	pool  packetPool
+	pool packetPool
 
 	// Monotonic whole-fabric statistics.
 	PacketsSent      uint64
 	PacketsDelivered uint64
-	MinimalTaken     uint64
-	NonMinimalTaken  uint64
 
 	// Network transit time (injection-head to delivery, excluding the
 	// injection queue wait) split by route class, data packets only.
@@ -267,7 +268,6 @@ func New(k *sim.Kernel, topo *topology.Topology, params Params, engineCfg routin
 		topo:   topo,
 		params: params,
 		rng:    rand.New(rand.NewSource(seed)),
-		numVC:  12, // max hops on any route (10) with slack
 	}
 	f.engine = routing.NewEngine(topo, f, engineCfg)
 	f.hid = k.RegisterHandler(f)
@@ -288,8 +288,8 @@ func New(k *sim.Kernel, topo *topology.Topology, params Params, engineCfg routin
 			capFlits: params.BufferFlits,
 		}
 	}
-	injFlit := sim.Time(float64(FlitBytes) / topo.Cfg.InjectionBandwidth * 1e12)
-	ejFlit := sim.Time(float64(FlitBytes) / topo.Cfg.EjectBW() * 1e12)
+	// Aries NIC links are symmetric: ejection runs at the injection rate.
+	nicFlit := sim.Time(float64(FlitBytes) / topo.Cfg.InjectionBandwidth * 1e12)
 	f.inject = make([]*server, slots)
 	f.eject = make([]*server, slots)
 	for n := 0; n < slots; n++ {
@@ -299,13 +299,13 @@ func New(k *sim.Kernel, topo *topology.Topology, params Params, engineCfg routin
 		*inj = server{
 			fab: f, ctr: ctr, kind: kindInject,
 			bw: topo.Cfg.InjectionBandwidth, lat: topo.Cfg.NICLatency,
-			flitTime: injFlit,
+			flitTime: nicFlit,
 			capFlits: 0, // unbounded: host memory
 		}
 		*ej = server{
 			fab: f, ctr: ctr, kind: kindEject,
-			bw: topo.Cfg.EjectBW(), lat: topo.Cfg.NICLatency,
-			flitTime: ejFlit,
+			bw: topo.Cfg.InjectionBandwidth, lat: topo.Cfg.NICLatency,
+			flitTime: nicFlit,
 			capFlits: params.BufferFlits,
 		}
 		f.inject[n], f.eject[n] = inj, ej
@@ -323,7 +323,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params Params, engineCfg routin
 	// caps each sub-slice so an append past its slot copies out of the
 	// slab instead of stomping its neighbor.
 	const waiterSlots = 8 // initial blocked-upstream entries per server
-	nq := nLinks*f.numVC + 2*slots
+	nq := nLinks*numVC + 2*slots
 	qslab := make([]pktQueue, nq)
 	oslab := make([]int32, nq)
 	wslab := make([]int32, 2*len(f.servers)*waiterSlots)
@@ -334,7 +334,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params Params, engineCfg routin
 		s.idx = int32(i)
 		nvc := 1
 		if s.kind == kindLink {
-			nvc = f.numVC
+			nvc = numVC
 		}
 		s.queues = qslab[off : off+nvc : off+nvc]
 		s.occ = oslab[off : off+nvc : off+nvc]
@@ -608,14 +608,10 @@ func (f *Fabric) routePacket(p *Packet, mode routing.Mode) {
 	p.routed = true
 	p.routedAt = f.k.Now()
 	p.nonMin = nonMin
-	if nonMin {
-		f.NonMinimalTaken++
-		if p.msg != nil {
+	if p.msg != nil {
+		if nonMin {
 			p.msg.nonMin++
-		}
-	} else {
-		f.MinimalTaken++
-		if p.msg != nil {
+		} else {
 			p.msg.minimal++
 		}
 	}
@@ -630,18 +626,13 @@ func routeOverflow(n int) {
 }
 
 // vcForHop returns the buffer index used at a server by a packet whose hop
-// index there will be `hop`.
+// index there will be `hop`: the hop index itself on a link (below numVC,
+// since a route never outgrows its inline array), the one queue on a NIC.
 //
 //simlint:hotpath
 func (f *Fabric) vcForHop(s *server, hop int) int {
 	if s.kind != kindLink {
 		return 0
-	}
-	if hop < 0 {
-		hop = 0
-	}
-	if hop >= f.numVC {
-		hop = f.numVC - 1
 	}
 	return hop
 }

@@ -279,7 +279,7 @@ func TestNonMinimalUnderContention(t *testing.T) {
 		f.Send(topology.NodeID(n), topology.NodeID(g1base+n), 256*1024, routing.AD0)
 	}
 	f.Kernel().Run()
-	if f.NonMinimalTaken == 0 {
+	if f.NonMinimalCount == 0 {
 		t.Fatal("AD0 under heavy inter-group contention never took a non-minimal route")
 	}
 }
@@ -293,7 +293,7 @@ func TestAD3TakesFewerNonMinimal(t *testing.T) {
 			f.Send(topology.NodeID(n), topology.NodeID(g1base+n), 256*1024, mode)
 		}
 		f.Kernel().Run()
-		return f.NonMinimalTaken
+		return f.NonMinimalCount
 	}
 	ad0, ad3 := count(routing.AD0), count(routing.AD3)
 	if ad3 >= ad0 {
@@ -326,7 +326,7 @@ func TestRouterRatiosAndTileRatios(t *testing.T) {
 		f.Send(topology.NodeID(n), 0, 32*1024, routing.AD0)
 	}
 	f.Kernel().Run()
-	ratios := f.Counters().RouterRatios(nil)
+	ratios := f.Counters().RouterRatios()
 	if len(ratios) == 0 {
 		t.Fatal("no router ratios")
 	}

@@ -60,12 +60,6 @@ type Packet struct {
 	_ [8]byte // pad to 128 bytes: keeps every slab slot line-aligned
 }
 
-// Bytes returns the packet payload size.
-func (p *Packet) Bytes() int { return p.bytes }
-
-// Response reports whether this is a response-channel packet.
-func (p *Packet) Response() bool { return p.response }
-
 // Message is one application-level transfer, fragmented into packets at
 // the source NIC. The Done signal fires when the final packet is delivered
 // to the destination node.

@@ -304,9 +304,9 @@ func runPair(t *testing.T, seed int64, msgs int) {
 		t.Fatalf("seed %d: sent/delivered %d/%d vs %d/%d",
 			seed, fp.PacketsSent, fp.PacketsDelivered, fr.PacketsSent, fr.PacketsDelivered)
 	}
-	if fp.MinimalTaken != fr.MinimalTaken || fp.NonMinimalTaken != fr.NonMinimalTaken {
+	if fp.MinimalCount != fr.MinimalCount || fp.NonMinimalCount != fr.NonMinimalCount {
 		t.Fatalf("seed %d: route classes %d/%d vs %d/%d",
-			seed, fp.MinimalTaken, fp.NonMinimalTaken, fr.MinimalTaken, fr.NonMinimalTaken)
+			seed, fp.MinimalCount, fp.NonMinimalCount, fr.MinimalCount, fr.NonMinimalCount)
 	}
 	for i := range mp {
 		if !mp[i].Done.Fired() || !mr[i].Done.Fired() {

@@ -68,8 +68,6 @@ func (f *Fabric) Reset(seed int64) {
 
 	f.PacketsSent = 0
 	f.PacketsDelivered = 0
-	f.MinimalTaken = 0
-	f.NonMinimalTaken = 0
 	f.MinimalTransit = 0
 	f.MinimalCount = 0
 	f.NonMinimalTransit = 0

@@ -18,16 +18,6 @@ type zeroLoad struct{}
 
 func (zeroLoad) Load(topology.LinkID) int { return 0 }
 
-// Path is an ordered list of directed links from the source router to the
-// destination router. An empty path means source == destination.
-type Path struct {
-	Links      []topology.LinkID
-	NonMinimal bool
-}
-
-// Hops returns the number of router-to-router hops.
-func (p Path) Hops() int { return len(p.Links) }
-
 // Config tunes the adaptive engine.
 type Config struct {
 	// MinimalCandidates is how many distinct minimal paths (rank-3
@@ -356,24 +346,15 @@ func (e *Engine) route(mode Mode, rng *rand.Rand, src, dst topology.RouterID, ho
 }
 
 // RouteInto makes one adaptive routing decision for a packet from src to
-// dst under the given mode, appending the winning path to dst0 (typically
-// an empty slice over a packet's inline MaxPathLinks array) and reporting whether it is
-// non-minimal. This is the allocation-free entry the fabric uses: losing
-// candidates live and die in engine scratch. hopsTaken is the number of
-// hops the packet has already taken; only AD1's bias reads it.
+// dst under the given mode, appending the winning path (the directed links
+// from src to dst, none when src == dst) to dst0 (typically an empty slice
+// over a packet's inline MaxPathLinks array) and reporting whether it is
+// non-minimal. It allocates nothing: losing candidates live and die in
+// engine scratch. hopsTaken is the number of hops the packet has already
+// taken; only AD1's bias reads it.
 //
 //simlint:hotpath
 func (e *Engine) RouteInto(dst0 []topology.LinkID, mode Mode, rng *rand.Rand, src, dst topology.RouterID, hopsTaken int) ([]topology.LinkID, bool) {
 	links, nonMin := e.route(mode, rng, src, dst, hopsTaken)
 	return append(dst0, links...), nonMin
-}
-
-// Route is the convenience form of RouteInto: it returns the decision as
-// a freshly allocated Path the caller may keep.
-func (e *Engine) Route(mode Mode, rng *rand.Rand, src, dst topology.RouterID, hopsTaken int) Path {
-	links, nonMin := e.route(mode, rng, src, dst, hopsTaken)
-	if links == nil {
-		return Path{NonMinimal: nonMin}
-	}
-	return Path{Links: append([]topology.LinkID(nil), links...), NonMinimal: nonMin}
 }

@@ -13,9 +13,9 @@ func clampFuzz(v uint8, lo, hi int) int {
 }
 
 // FuzzMinimalPaths drives MinimalOnly routing over randomized small
-// dragonfly shapes and random endpoint pairs. Properties: the path is
-// link-contiguous from src to dst, minimal routes take at most 5
-// router-to-router hops (<=2 intra-group to the gateway, 1 rank-3
+// dragonfly shapes and random endpoint pairs. Properties (validatePath):
+// the path is link-contiguous from src to dst, minimal routes take at
+// most 5 router-to-router hops (<=2 intra-group to the gateway, 1 rank-3
 // crossing, <=2 intra-group to the destination), and neither a minimal
 // nor a Valiant route exceeds MaxPathLinks. The f.Add corpus doubles
 // as a regression suite under plain `go test`.
@@ -46,23 +46,17 @@ func FuzzMinimalPaths(f *testing.F) {
 
 		src := topology.RouterID(int(srcRaw) % topo.NumRouters())
 		dst := topology.RouterID(int(dstRaw) % topo.NumRouters())
-		p := e.Route(MinimalOnly, rng, src, dst, 0)
-		validatePath(t, topo, src, dst, p)
-		if p.Hops() > 5 {
-			t.Fatalf("minimal path %d->%d has %d hops (>5): %v", src, dst, p.Hops(), p.Links)
+		links, nonMin := route(e, MinimalOnly, rng, src, dst, 0)
+		if nonMin {
+			t.Fatalf("MinimalOnly route %d->%d marked non-minimal", src, dst)
 		}
-		if src == dst && p.Hops() != 0 {
-			t.Fatalf("self route has %d hops", p.Hops())
+		validatePath(t, topo, src, dst, links, false)
+		if src == dst && len(links) != 0 {
+			t.Fatalf("self route has %d hops", len(links))
 		}
 		// Valiant paths are the longest the engine builds; packets store
 		// routes inline in MaxPathLinks-sized arrays.
-		v := e.Route(ValiantOnly, rng, src, dst, 0)
-		validatePath(t, topo, src, dst, v)
-		for _, q := range []Path{p, v} {
-			if len(q.Links) > MaxPathLinks {
-				t.Fatalf("path %d->%d has %d links (> MaxPathLinks %d): %v",
-					src, dst, len(q.Links), MaxPathLinks, q.Links)
-			}
-		}
+		links, nonMin = route(e, ValiantOnly, rng, src, dst, 0)
+		validatePath(t, topo, src, dst, links, nonMin)
 	})
 }

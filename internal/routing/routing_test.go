@@ -107,30 +107,48 @@ func buildEngine(t testing.TB, groups int, est LoadEstimator) *Engine {
 	return NewEngine(topo, est, DefaultConfig())
 }
 
-// validatePath checks link-level connectivity from src to dst.
-func validatePath(t testing.TB, topo *topology.Topology, src, dst topology.RouterID, p Path) {
+// route makes one routing decision into a fresh slice.
+func route(e *Engine, mode Mode, rng *rand.Rand, src, dst topology.RouterID, hopsTaken int) ([]topology.LinkID, bool) {
+	return e.RouteInto(nil, mode, rng, src, dst, hopsTaken)
+}
+
+// validatePath checks link-level connectivity from src to dst and the
+// length bounds: at most MaxPathLinks links, and for a minimal path at
+// most 2 hops within a group or 5 across groups (<=2 to the gateway, one
+// rank-3 crossing, <=2 to the destination).
+func validatePath(t testing.TB, topo *topology.Topology, src, dst topology.RouterID, links []topology.LinkID, nonMin bool) {
 	t.Helper()
 	cur := src
-	for i, id := range p.Links {
+	for i, id := range links {
 		if id < 0 || int(id) >= len(topo.Links) {
 			t.Fatalf("hop %d: link id %d out of range", i, id)
 		}
 		l := topo.Link(id)
 		if l.Src != cur {
-			t.Fatalf("hop %d: link starts at %d, expected %d (path %v)", i, l.Src, cur, p.Links)
+			t.Fatalf("hop %d: link starts at %d, expected %d (path %v)", i, l.Src, cur, links)
 		}
 		cur = l.Dst
 	}
 	if cur != dst {
 		t.Fatalf("path ends at %d, want %d", cur, dst)
 	}
+	if len(links) > MaxPathLinks {
+		t.Fatalf("path %d->%d has %d links (> MaxPathLinks %d): %v", src, dst, len(links), MaxPathLinks, links)
+	}
+	limit := 5
+	if topo.GroupOfRouter(src) == topo.GroupOfRouter(dst) {
+		limit = 2
+	}
+	if !nonMin && len(links) > limit {
+		t.Fatalf("minimal %d->%d took %d hops (limit %d): %v", src, dst, len(links), limit, links)
+	}
 }
 
 func TestRouteSameRouter(t *testing.T) {
 	e := buildEngine(t, 3, nil)
-	p := e.Route(AD0, rand.New(rand.NewSource(1)), 5, 5, 0)
-	if p.Hops() != 0 {
-		t.Fatalf("self route has %d hops", p.Hops())
+	links, _ := route(e, AD0, rand.New(rand.NewSource(1)), 5, 5, 0)
+	if len(links) != 0 {
+		t.Fatalf("self route has %d hops", len(links))
 	}
 }
 
@@ -140,19 +158,11 @@ func TestMinimalPathLengths(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for src := 0; src < topo.NumRouters(); src += 3 {
 		for dst := 0; dst < topo.NumRouters(); dst += 5 {
-			p := e.Route(AD3, rng, topology.RouterID(src), topology.RouterID(dst), 0)
-			validatePath(t, topo, topology.RouterID(src), topology.RouterID(dst), p)
-			sameGroup := topo.GroupOfRouter(topology.RouterID(src)) == topo.GroupOfRouter(topology.RouterID(dst))
-			// Under zero load every choice is minimal: <=2 hops in-group,
-			// <=5 hops across groups.
-			limit := 5
-			if sameGroup {
-				limit = 2
-			}
-			if p.Hops() > limit {
-				t.Fatalf("minimal %d->%d took %d hops (limit %d)", src, dst, p.Hops(), limit)
-			}
-			if p.NonMinimal {
+			// Under zero load every choice is minimal, so validatePath
+			// holds it to the minimal hop limits.
+			links, nonMin := route(e, AD3, rng, topology.RouterID(src), topology.RouterID(dst), 0)
+			validatePath(t, topo, topology.RouterID(src), topology.RouterID(dst), links, false)
+			if nonMin {
 				t.Fatalf("zero-load route %d->%d marked non-minimal", src, dst)
 			}
 		}
@@ -227,12 +237,12 @@ func TestAdaptiveAvoidsLoadedGateway(t *testing.T) {
 	// AD0 should detour: every minimal first hop is saturated.
 	nonMin := 0
 	for i := 0; i < 50; i++ {
-		p := e.Route(AD0, rng, src, dst, 0)
-		validatePath(t, topo, src, dst, p)
-		if p.NonMinimal {
+		links, isNonMin := route(e, AD0, rng, src, dst, 0)
+		validatePath(t, topo, src, dst, links, isNonMin)
+		if isNonMin {
 			nonMin++
 			// The detour's first hop must avoid the saturated ports.
-			if est[p.Links[0]] >= 1000 {
+			if est[links[0]] >= 1000 {
 				t.Fatal("non-minimal path starts on a saturated port")
 			}
 		}
@@ -259,10 +269,10 @@ func TestAD3SticksToMinimalUnderModerateLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ad0NonMin, ad3NonMin := 0, 0
 	for i := 0; i < 100; i++ {
-		if e.Route(AD0, rng, src, dst, 0).NonMinimal {
+		if _, nonMin := route(e, AD0, rng, src, dst, 0); nonMin {
 			ad0NonMin++
 		}
-		if e.Route(AD3, rng, src, dst, 0).NonMinimal {
+		if _, nonMin := route(e, AD3, rng, src, dst, 0); nonMin {
 			ad3NonMin++
 		}
 	}
@@ -284,15 +294,15 @@ func TestIntraGroupRouting(t *testing.T) {
 			if a == b {
 				continue
 			}
-			p := e.Route(AD3, rng, topology.RouterID(a), topology.RouterID(b), 0)
-			validatePath(t, topo, topology.RouterID(a), topology.RouterID(b), p)
+			links, nonMin := route(e, AD3, rng, topology.RouterID(a), topology.RouterID(b), 0)
+			validatePath(t, topo, topology.RouterID(a), topology.RouterID(b), links, nonMin)
 			ra, rb := topo.Routers[a], topo.Routers[b]
 			wantHops := 2
 			if ra.Chassis == rb.Chassis || ra.Slot == rb.Slot {
 				wantHops = 1
 			}
-			if p.Hops() != wantHops {
-				t.Fatalf("intra-group %d->%d: %d hops, want %d", a, b, p.Hops(), wantHops)
+			if len(links) != wantHops {
+				t.Fatalf("intra-group %d->%d: %d hops, want %d", a, b, len(links), wantHops)
 			}
 		}
 	}
@@ -314,12 +324,12 @@ func TestIntraGroupValiant(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	sawDetour := false
 	for i := 0; i < 60; i++ {
-		p := e.Route(AD0, rng, a, b, 0)
-		validatePath(t, topo, a, b, p)
-		if p.NonMinimal {
+		links, nonMin := route(e, AD0, rng, a, b, 0)
+		validatePath(t, topo, a, b, links, nonMin)
+		if nonMin {
 			sawDetour = true
-			if p.Hops() < 2 {
-				t.Fatalf("intra-group detour with %d hops", p.Hops())
+			if len(links) < 2 {
+				t.Fatalf("intra-group detour with %d hops", len(links))
 			}
 		}
 	}
@@ -348,9 +358,9 @@ func TestRoutePropertyValidBounded(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			src := topology.RouterID(rng.Intn(topo.NumRouters()))
 			dst := topology.RouterID(rng.Intn(topo.NumRouters()))
-			p := e.Route(mode, rng, src, dst, 0)
+			links, _ := route(e, mode, rng, src, dst, 0)
 			cur := src
-			for _, id := range p.Links {
+			for _, id := range links {
 				l := topo.Link(id)
 				if l.Src != cur {
 					return false
@@ -360,7 +370,7 @@ func TestRoutePropertyValidBounded(t *testing.T) {
 			if cur != dst {
 				return false
 			}
-			if p.Hops() > 10 {
+			if len(links) > 10 {
 				return false
 			}
 		}
@@ -368,6 +378,37 @@ func TestRoutePropertyValidBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRouteWithinMaxPathLinks pins the invariant the fabric's virtual
+// channels rest on: on the scaled production machines, every mode's path
+// fits MaxPathLinks links (the VC count), whatever the load. Minimal paths
+// also stay within their hop limits.
+func TestRouteWithinMaxPathLinks(t *testing.T) {
+	modes := []Mode{AD0, AD1, AD2, AD3, MinimalOnly, ValiantOnly}
+	for _, cfg := range []topology.Config{topology.ThetaMiniConfig(), topology.CoriMiniConfig()} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			topo, err := topology.Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(5))
+			est := loadedEstimator{}
+			for i := range topo.Links {
+				est[topology.LinkID(i)] = rng.Intn(40)
+			}
+			e := NewEngine(topo, est, DefaultConfig())
+			nr := topo.NumRouters()
+			for _, mode := range modes {
+				for i := 0; i < 500; i++ {
+					src := topology.RouterID(rng.Intn(nr))
+					dst := topology.RouterID(rng.Intn(nr))
+					links, nonMin := route(e, mode, rng, src, dst, 0)
+					validatePath(t, topo, src, dst, links, nonMin)
+				}
+			}
+		})
 	}
 }
 
@@ -385,7 +426,7 @@ func TestAD1BiasGrowsWithHops(t *testing.T) {
 	detours := func(hops int) int {
 		n := 0
 		for i := 0; i < 100; i++ {
-			if e.Route(AD1, rng, src, dst, hops).NonMinimal {
+			if _, nonMin := route(e, AD1, rng, src, dst, hops); nonMin {
 				n++
 			}
 		}

@@ -210,7 +210,7 @@ func TestEventQueueMatchesHeap(t *testing.T) {
 	}{
 		{"dense equal-t groups", []delayKind{nextNs, nextNs, nextNs, zeroDelay, onePs}, allOps},
 		{"delays 1ps to 1ms", []delayKind{spread}, allOps},
-		{"zero-delay band and tail calls", []delayKind{zeroDelay, tailCall, tailCall, onePs, spread}, allOps},
+		{"zero-delay and tail calls", []delayKind{zeroDelay, tailCall, tailCall, onePs, spread}, allOps},
 		{"RunUntil at and between events", allDelays, []opKind{opSchedule, opUntilAt, opUntilBetween}},
 		{"Reset reuse", allDelays, []opKind{opSchedule, opSchedule, opUntilAt, opReset}},
 		{"everything", allDelays, allOps},

@@ -12,7 +12,7 @@ const ExactCap = 4096
 
 // Agg is an online, mergeable aggregate of a value stream that grows
 // with the machine or the window (per-tile counter ratios, LDMS
-// samples): count, sum, mean and percentiles in memory bounded by
+// samples): count, mean and percentiles in memory bounded by
 // ExactCap. Determinism contract: an Agg's state is a pure function of
 // its value insertion order. Merging an exact-mode Agg replays its
 // values in insertion order — so folding per-run aggregates in seed
@@ -21,7 +21,6 @@ const ExactCap = 4096
 // empty, ready-to-read aggregates (but Add requires a non-nil receiver).
 type Agg struct {
 	n        uint64
-	sum      float64
 	min, max float64
 
 	// exact holds the values in insertion order while n <= ExactCap; nil
@@ -50,7 +49,6 @@ func (a *Agg) Add(x float64) {
 		}
 	}
 	a.n++
-	a.sum += x
 	if a.sk == nil {
 		if len(a.exact) < ExactCap {
 			a.exact = append(a.exact, x)
@@ -107,7 +105,6 @@ func (a *Agg) Merge(b *Agg) {
 		}
 	}
 	a.n += b.n
-	a.sum += b.sum
 	if a.sk == nil {
 		a.spill()
 	}
@@ -121,14 +118,6 @@ func (a *Agg) Count() int {
 		return 0
 	}
 	return int(a.n)
-}
-
-// Sum returns the running sum.
-func (a *Agg) Sum() float64 {
-	if a == nil {
-		return 0
-	}
-	return a.sum
 }
 
 // Mean returns the arithmetic mean (0 if empty, matching Mean).

@@ -128,7 +128,7 @@ func percentileSorted(s []float64, p float64) float64 {
 
 // Histogram is a fixed-width binned density estimate.
 type Histogram struct {
-	Lo, Hi  float64
+	Lo      float64
 	Counts  []int
 	Total   int
 	BinSize float64
@@ -143,7 +143,7 @@ func NewHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
 	if hi <= lo {
 		hi = lo + 1
 	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins), BinSize: (hi - lo) / float64(bins)}
+	h := &Histogram{Lo: lo, Counts: make([]int, bins), BinSize: (hi - lo) / float64(bins)}
 	for _, x := range xs {
 		i := int((x - lo) / h.BinSize)
 		if i < 0 {

@@ -34,14 +34,7 @@ type Config struct {
 	Rank1Bandwidth     float64
 	Rank2Bandwidth     float64
 	Rank3Bandwidth     float64
-	InjectionBandwidth float64 // NIC to router
-	// EjectionBandwidth is the router-to-NIC rate. Zero means symmetric
-	// (InjectionBandwidth), which is the Aries configuration; setting it
-	// differently models asymmetric NIC rates and — because it decouples
-	// the inject and eject flit clocks at a node — is also what the
-	// network package's fused-equivalence tests use to keep simultaneous
-	// inject/eject completions from producing timestamp ties.
-	EjectionBandwidth float64
+	InjectionBandwidth float64 // NIC to router, and router to NIC (Aries NICs are symmetric)
 
 	// Per-hop propagation + switch latency.
 	Rank1Latency sim.Time
@@ -78,19 +71,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("topology: GlobalLinksPerPair must be >= 1")
 	case c.Rank1Bandwidth <= 0 || c.Rank2Bandwidth <= 0 || c.Rank3Bandwidth <= 0 || c.InjectionBandwidth <= 0:
 		return fmt.Errorf("topology: all bandwidths must be positive")
-	case c.EjectionBandwidth < 0:
-		return fmt.Errorf("topology: EjectionBandwidth must be >= 0 (0 = symmetric)")
 	}
 	return nil
-}
-
-// EjectBW returns the effective router-to-NIC bandwidth: EjectionBandwidth
-// when set, else the symmetric InjectionBandwidth.
-func (c Config) EjectBW() float64 {
-	if c.EjectionBandwidth > 0 {
-		return c.EjectionBandwidth
-	}
-	return c.InjectionBandwidth
 }
 
 const gb = 1e9 // bytes, decimal as in link-rate marketing
