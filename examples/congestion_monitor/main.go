@@ -50,9 +50,7 @@ func main() {
 	for _, s := range campaign.LDMS.Samples() {
 		var flits uint64
 		var stalls float64
-		for _, class := range []topology.TileClass{
-			topology.TileRank1, topology.TileRank2, topology.TileRank3,
-		} {
+		for _, class := range topology.NetworkTileClasses {
 			flits += s.Totals.Flits[class]
 			stalls += s.Totals.Stalls[class]
 		}

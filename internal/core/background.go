@@ -34,13 +34,6 @@ func startBackground(fab *network.Fabric, alloc *placement.Allocator,
 	if spec.TargetUtilization > 1 {
 		spec.TargetUtilization = 1
 	}
-	if spec.Classes == nil {
-		spec.Classes = workload.DefaultTrafficClasses()
-	}
-	zeroEnv := mpi.Env{}
-	if spec.Env == zeroEnv {
-		spec.Env = mpi.DefaultEnv()
-	}
 
 	k := fab.Kernel()
 	rng := rand.New(rand.NewSource(seed ^ 0x6261636b)) // "back"

@@ -153,8 +153,7 @@ type BackgroundSpec struct {
 	// TargetUtilization is the fraction of the machine's remaining
 	// nodes kept busy with noise jobs.
 	TargetUtilization float64
-	// Classes drives background traffic intensity; nil means
-	// workload.DefaultTrafficClasses.
+	// Classes drives background traffic intensity.
 	Classes []workload.TrafficClass
 	// Env is the routing configuration background jobs use — AD0 in the
 	// paper's "before" era, AD3 after the facilities changed defaults.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/topology"
 )
 
 // AblationPoint is one configuration's outcome in an ablation sweep.
@@ -65,7 +66,7 @@ func ablationRun(mp *machinePool, p Profile, mode routing.Mode, label string, se
 		},
 		func(_ int, job *core.JobResult) {
 			times = append(times, job.Runtime.Seconds())
-			for _, class := range networkClasses {
+			for _, class := range topology.NetworkTileClasses {
 				stalls += job.Report.LocalTiles.Stalls[class]
 				flits += float64(job.Report.LocalTiles.Flits[class])
 			}

@@ -67,7 +67,7 @@ func Fig13DefaultSwitch(p Profile, seed int64) (*Fig13Result, error) {
 			for _, s := range camp.LDMS.Samples() {
 				var flits uint64
 				var stalls float64
-				for _, class := range networkClasses {
+				for _, class := range topology.NetworkTileClasses {
 					flits += s.Totals.Flits[class]
 					stalls += s.Totals.Stalls[class]
 				}
@@ -90,7 +90,7 @@ func Fig13DefaultSwitch(p Profile, seed int64) (*Fig13Result, error) {
 func (s CampaignWindowStats) NetworkRatio() float64 {
 	var flits uint64
 	var stalls float64
-	for _, class := range networkClasses {
+	for _, class := range topology.NetworkTileClasses {
 		flits += s.Totals.Flits[class]
 		stalls += s.Totals.Stalls[class]
 	}

@@ -290,22 +290,16 @@ func appendAt[K1, K2 comparable](m map[K1]map[K2][]float64, k1 K1, k2 K2, x floa
 	inner[k2] = append(inner[k2], x)
 }
 
-// networkClasses are the three network tile classes (the "40 network
-// tiles" of the paper's Fig. 11).
-var networkClasses = []topology.TileClass{
-	topology.TileRank1, topology.TileRank2, topology.TileRank3,
-}
-
 // networkTileRatios pools a report's per-tile stalls-to-flits ratios over
 // the network tile classes. Requires the full Report — call it inside a
 // streaming fold, before the sample is compacted.
 func networkTileRatios(r *autoperf.Report) []float64 {
 	n := 0
-	for _, class := range networkClasses {
+	for _, class := range topology.NetworkTileClasses {
 		n += len(r.LocalTileRatios[class])
 	}
 	out := make([]float64, 0, n)
-	for _, class := range networkClasses {
+	for _, class := range topology.NetworkTileClasses {
 		out = append(out, r.LocalTileRatios[class]...)
 	}
 	return out

@@ -37,9 +37,7 @@ func (f *Fabric) injectRaw(src, dst topology.NodeID, bytes int) {
 	p.src, p.dst = src, dst
 	p.bytes, p.flits = bytes, f.flitsOf(bytes)
 	p.sendTime = f.k.Now()
-	inj := f.inject[src]
-	inj.bumpOcc(0, p.flits, f.k.Now())
-	f.pushPacket(inj, 0, p)
+	inj := f.enqueue(p)
 	f.PacketsSent++
 	f.tryStart(inj)
 }

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"slices"
+
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -156,8 +158,7 @@ func (c *Counters) RouterRatios() []float64 {
 		var flits uint64
 		var stalls float64
 		for t, n := range tiles {
-			switch c.topo.TileClassOf(t) {
-			case topology.TileRank1, topology.TileRank2, topology.TileRank3:
+			if slices.Contains(topology.NetworkTileClasses, c.topo.TileClassOf(t)) {
 				flits += n
 				stalls += c.Stalls[r][t]
 			}

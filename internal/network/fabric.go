@@ -159,7 +159,6 @@ type server struct {
 	occInt float64
 	occAt  sim.Time
 
-	fab     *Fabric  //simlint:resetsafe immutable wiring back to the owning fabric
 	lat     sim.Time //simlint:resetsafe immutable config: propagation after serialization
 	stallAt sim.Time
 	// ctr is the flat index into Counters.flits/stalls of the tile that
@@ -177,7 +176,7 @@ type server struct {
 	wakeGen   uint64
 	waitingOn []waitReg // downstream servers we are registered with
 
-	_ [16]byte // pad to 256 bytes: keeps every slab entry line-aligned
+	_ [24]byte // pad to 256 bytes: keeps every slab entry line-aligned
 }
 
 // linkLoad is one link's congestion-estimate state, kept apart from its
@@ -232,13 +231,13 @@ type Fabric struct {
 	params Params             //simlint:resetsafe immutable config; changes force a rebuild (core.Machine warm checks)
 	rng    *rand.Rand
 
-	inject []*server //simlint:resetsafe by NodeID; views into servers, which Reset rewinds element-wise
-	eject  []*server //simlint:resetsafe by NodeID; views into servers, which Reset rewinds element-wise
 	// servers is the one slab every server lives in, by server.idx
 	// (typed-event and waiter lookup): links first, so a LinkID is also
-	// its server's index, then each node's injection and ejection servers.
+	// its server's index, then node n's injection server at nLinks+2n and
+	// its ejection server right after (see injector and ejector).
 	servers []server
-	// loads is each link's congestion-estimate state, by LinkID.
+	// loads is each link's congestion-estimate state, by LinkID; its
+	// length is the link count.
 	loads    []linkLoad
 	hid      sim.HandlerID //simlint:resetsafe handler registration survives kernel Reset by design
 	counters *Counters
@@ -282,7 +281,7 @@ func New(k *sim.Kernel, topo *topology.Topology, params Params, engineCfg routin
 		l := &topo.Links[i]
 		s := &f.servers[i]
 		*s = server{
-			fab: f, kind: kindLink, ctr: int32(int(l.Src)*tiles + l.Tile),
+			kind: kindLink, ctr: int32(int(l.Src)*tiles + l.Tile),
 			bw: l.Bandwidth, lat: l.Latency,
 			flitTime: sim.Time(float64(FlitBytes) / l.Bandwidth * 1e12),
 			capFlits: params.BufferFlits,
@@ -290,25 +289,21 @@ func New(k *sim.Kernel, topo *topology.Topology, params Params, engineCfg routin
 	}
 	// Aries NIC links are symmetric: ejection runs at the injection rate.
 	nicFlit := sim.Time(float64(FlitBytes) / topo.Cfg.InjectionBandwidth * 1e12)
-	f.inject = make([]*server, slots)
-	f.eject = make([]*server, slots)
 	for n := 0; n < slots; n++ {
 		node := topology.NodeID(n)
 		ctr := int32(int(topo.RouterOfNode(node))*tiles + topo.ProcReqTile(topo.NICIndexOfNode(node)))
-		inj, ej := &f.servers[nLinks+2*n], &f.servers[nLinks+2*n+1]
-		*inj = server{
-			fab: f, ctr: ctr, kind: kindInject,
+		*f.injector(node) = server{
+			ctr: ctr, kind: kindInject,
 			bw: topo.Cfg.InjectionBandwidth, lat: topo.Cfg.NICLatency,
 			flitTime: nicFlit,
 			capFlits: 0, // unbounded: host memory
 		}
-		*ej = server{
-			fab: f, ctr: ctr, kind: kindEject,
+		*f.ejector(node) = server{
+			ctr: ctr, kind: kindEject,
 			bw: topo.Cfg.InjectionBandwidth, lat: topo.Cfg.NICLatency,
 			flitTime: nicFlit,
 			capFlits: params.BufferFlits,
 		}
-		f.inject[n], f.eject[n] = inj, ej
 	}
 
 	// Carve every server's per-VC queues and occupancies, and pre-size its
@@ -357,8 +352,9 @@ const (
 	// packet is the head of the server's arbitration-winning VC
 	// (lastVC), which cannot change while the server is busy.
 	evFinishTx uint8 = iota
-	// evArrive: packet b (slab slot) arrives at server a after
-	// propagation; it enters the VC its hop count selects.
+	// evArrive: packet b (slab slot) arrives at its next hop, server a,
+	// after propagation. arrive recomputes the server from the packet's
+	// route; a names it for the event stream.
 	evArrive
 	// evWake: flush server a's batched waiter snapshot (see pool.go).
 	evWake
@@ -384,14 +380,9 @@ const (
 func (f *Fabric) HandleEvent(kind uint8, a, b int64) {
 	switch kind {
 	case evFinishTx:
-		s := &f.servers[a]
-		p := s.queues[s.lastVC].front(&f.pool)
-		f.finishTx(s, p, f.next(s, p), s.lastVC)
+		f.finishTx(&f.servers[a])
 	case evArrive:
-		n := &f.servers[a]
-		p := f.packetOf(b)
-		f.pushPacket(n, f.vcForHop(n, p.hop), p)
-		f.tryStart(n)
+		f.arrive(f.packetOf(b))
 	case evWake:
 		f.wakeWaiters(&f.servers[a])
 	case evHopDone:
@@ -497,9 +488,9 @@ func (s *server) syncOcc(now sim.Time) {
 // occUnderflow panics rather than silently clamping.
 //
 //simlint:hotpath
-func (s *server) bumpOcc(vc, delta int, now sim.Time) {
+func (f *Fabric) bumpOcc(s *server, vc, delta int, now sim.Time) {
 	if s.pendingTx && now >= s.freeAt {
-		s.fab.settle(s)
+		f.settle(s)
 	}
 	s.syncOcc(now)
 	s.occ[vc] += int32(delta)
@@ -549,7 +540,7 @@ func (f *Fabric) flitsOf(bytes int) int {
 // Each packet is routed independently when it reaches the head of the
 // injection queue, so adaptive decisions see live congestion.
 func (f *Fabric) Send(src, dst topology.NodeID, bytes int, mode routing.Mode) *Message {
-	m := &Message{Src: src, Dst: dst, Bytes: bytes, Mode: mode, Done: sim.NewSignal()}
+	m := &Message{Src: src, Dst: dst, Bytes: bytes, Done: sim.NewSignal()}
 	if src == dst {
 		m.remaining = 0
 		if f.localTail == nil {
@@ -567,7 +558,7 @@ func (f *Fabric) Send(src, dst topology.NodeID, bytes int, mode routing.Mode) *M
 	}
 	m.remaining = nPackets
 	rem := bytes
-	inj := f.inject[src]
+	var inj *server
 	for i := 0; i < nPackets; i++ {
 		sz := PacketBytes
 		if sz > rem {
@@ -580,16 +571,27 @@ func (f *Fabric) Send(src, dst topology.NodeID, bytes int, mode routing.Mode) *M
 		p := f.allocPacket()
 		p.src, p.dst = src, dst
 		p.bytes, p.flits = sz, f.flitsOf(sz)
-		p.sendTime, p.msg = f.k.Now(), m
-		inj.bumpOcc(0, p.flits, f.k.Now())
-		f.pushPacket(inj, 0, p)
+		p.sendTime, p.msg, p.mode = f.k.Now(), m, mode
+		inj = f.enqueue(p)
 	}
 	f.PacketsSent += uint64(nPackets)
 	f.tryStart(inj)
 	return m
 }
 
-// routePacket assigns p's route using the adaptive engine and live load.
+// enqueue queues p at its source node's injection server and returns that
+// server, which the caller starts.
+//
+//simlint:hotpath
+func (f *Fabric) enqueue(p *Packet) *server {
+	inj := f.injector(p.src)
+	f.bumpOcc(inj, 0, p.flits, f.k.Now())
+	f.pushPacket(inj, 0, p)
+	return inj
+}
+
+// routePacket assigns p's route in its routing mode using the adaptive
+// engine and live load.
 // The winning path is copied into the packet's inline route array, so
 // only the engine's internal scratch and p itself are touched — no
 // per-decision allocation. The capped slice makes a path longer than the
@@ -597,10 +599,10 @@ func (f *Fabric) Send(src, dst topology.NodeID, bytes int, mode routing.Mode) *M
 // such a path can never silently move a route to the heap.
 //
 //simlint:hotpath
-func (f *Fabric) routePacket(p *Packet, mode routing.Mode) {
+func (f *Fabric) routePacket(p *Packet) {
 	srcR := f.topo.RouterOfNode(p.src)
 	dstR := f.topo.RouterOfNode(p.dst)
-	links, nonMin := f.engine.RouteInto(p.route[:0:len(p.route)], mode, f.rng, srcR, dstR, 0)
+	links, nonMin := f.engine.RouteInto(p.route[:0:len(p.route)], p.mode, f.rng, srcR, dstR, 0)
 	if len(links) > len(p.route) {
 		routeOverflow(len(links))
 	}
@@ -625,46 +627,33 @@ func routeOverflow(n int) {
 	panic(fmt.Sprintf("network: route of %d links exceeds routing.MaxPathLinks (%d)", n, routing.MaxPathLinks))
 }
 
-// vcForHop returns the buffer index used at a server by a packet whose hop
-// index there will be `hop`: the hop index itself on a link (below numVC,
-// since a route never outgrows its inline array), the one queue on a NIC.
+// injector and ejector return node n's NIC servers, which New lays out
+// after the links in pairs: injection at nLinks+2n, ejection after it.
 //
 //simlint:hotpath
-func (f *Fabric) vcForHop(s *server, hop int) int {
-	if s.kind != kindLink {
-		return 0
-	}
-	return hop
+func (f *Fabric) injector(n topology.NodeID) *server {
+	return &f.servers[len(f.loads)+2*int(n)]
 }
 
-// next returns the server a packet moves to after s (nil = delivered).
-//
 //simlint:hotpath
-func (f *Fabric) next(s *server, p *Packet) *server {
-	switch s.kind {
-	case kindInject:
-		if p.nroute == 0 {
-			return f.eject[p.dst]
-		}
-		return &f.servers[p.route[0]]
-	case kindLink:
-		if h := p.hop + 1; h < int(p.nroute) {
-			return &f.servers[p.route[h]]
-		}
-		return f.eject[p.dst]
-	default:
-		return nil
-	}
+func (f *Fabric) ejector(n topology.NodeID) *server {
+	return &f.servers[len(f.loads)+2*int(n)+1]
 }
 
-// hopAfter returns p.hop's value once it moves past s.
+// nextHop is the fabric's one hop rule: where p goes after the server now
+// holding it, which must not be an ejection server (serialization there
+// delivers). A packet's hop index is -1 at its injection server and h on
+// route link h, so its next hop is always hop+1: the server is
+// route[hop+1], or the destination's ejection server once the route runs
+// out. The VC there is the new hop index on a link and 0 at a NIC.
 //
 //simlint:hotpath
-func (f *Fabric) hopAfter(s *server, p *Packet) int {
-	if s.kind == kindInject {
-		return 0
+func (f *Fabric) nextHop(p *Packet) (n *server, vc, hop int) {
+	hop = p.hop + 1
+	if hop < int(p.nroute) {
+		return &f.servers[p.route[hop]], hop, hop
 	}
-	return p.hop + 1
+	return f.ejector(p.dst), 0, hop
 }
 
 // hasSpace reports whether server s can accept flits on VC vc. A server
@@ -694,17 +683,32 @@ func (s *server) counter(p *Packet) int32 {
 	return s.ctr
 }
 
+// release is a transmission's sender-side completion at s: dequeue the
+// head of the winning VC (lastVC), count its flits on s's tile, release
+// its input buffer space at time at, clear busy, and flush the blocked
+// upstreams. It returns the dequeued packet.
+//
+//simlint:hotpath
+func (f *Fabric) release(s *server, at sim.Time) *Packet {
+	vc := s.lastVC
+	p := f.popPacket(s, vc)
+	f.counters.flits[s.counter(p)] += uint64(p.flits)
+	f.bumpOcc(s, vc, -p.flits, at)
+	s.busy = false
+	f.flushWaiters(s)
+	return p
+}
+
 // settle performs a fused transmission's deferred sender-side completion
-// once its serialization-end instant has passed: count the flits on s's
-// tile, dequeue the packet, release the input buffer (backdated to
-// freeAt, which keeps the occupancy-time integral feeding Load exact),
-// and wake blocked upstreams. Every code path that reads or mutates
-// sender-side state — arbitration, space checks, occupancy bumps, load
-// queries, counter snapshots — settles first, so no reader can observe
-// the deferred state. A settle strictly after freeAt can only happen
-// when nothing needed the completion at freeAt itself (no backlog, no
-// waiters: those schedule an evSettle for exactly freeAt), which is why
-// deferring it to the fused hop-done is unobservable.
+// once its serialization-end instant has passed, releasing at freeAt
+// (backdated, which keeps the occupancy-time integral feeding Load
+// exact). Every code path that reads or mutates sender-side state —
+// arbitration, space checks, occupancy bumps, load queries, counter
+// snapshots — settles first, so no reader can observe the deferred state.
+// A settle strictly after freeAt can only happen when nothing needed the
+// completion at freeAt itself (no backlog, no waiters: those schedule an
+// evSettle for exactly freeAt), which is why deferring it to the fused
+// hop-done is unobservable.
 //
 //simlint:hotpath
 func (f *Fabric) settle(s *server) {
@@ -713,12 +717,7 @@ func (f *Fabric) settle(s *server) {
 	}
 	s.pendingTx = false
 	f.loads[s.idx].due = 0 // only link servers fuse, so idx is a LinkID
-	vc := s.lastVC
-	p := f.popPacket(s, vc)
-	f.counters.flits[s.counter(p)] += uint64(p.flits)
-	s.bumpOcc(vc, -p.flits, s.freeAt)
-	s.busy = false
-	f.flushWaiters(s)
+	f.release(s, s.freeAt)
 }
 
 // settleDue schedules the evSettle that makes a fused sender's deferred
@@ -745,16 +744,41 @@ func (s *server) fusedBacklog() bool {
 // hopDone is the fused per-link-hop event (Params.FuseLinks): packet p
 // has both finished serializing at link server s and propagated to its
 // next hop. The sender side settles here if no earlier touch already
-// did; the arrival side is identical to evArrive.
+// did; the arrival side is evArrive's.
 //
 //simlint:hotpath
 func (f *Fabric) hopDone(s *server, p *Packet) {
 	f.settle(s)
-	n := f.next(s, p)
-	p.hop = f.hopAfter(s, p)
-	f.pushPacket(n, f.vcForHop(n, p.hop), p)
-	f.tryStart(n)
+	f.arrive(p)
 	f.tryStart(s)
+}
+
+// arrive moves p into its next hop, on the VC and hop index nextHop
+// gives, and starts that server.
+//
+//simlint:hotpath
+func (f *Fabric) arrive(p *Packet) {
+	n, vc, hop := f.nextHop(p)
+	p.hop = hop
+	f.pushPacket(n, vc, p)
+	f.tryStart(n)
+}
+
+// hopDelay is the propagation delay of a link or injection hop from s into
+// n: s's latency plus the HopContention charge for n's backlog (crossbar
+// and arbitration contention at the next router). A fused completion n
+// owes settles first, so the backlog reads post-completion.
+//
+//simlint:hotpath
+func (f *Fabric) hopDelay(s, n *server) sim.Time {
+	if n.pendingTx {
+		f.settle(n)
+	}
+	delay := s.lat
+	if hc := f.params.HopContention; hc > 0 && n.occTotal > 0 {
+		delay += sim.Time(hc * float64(n.occTotal) * float64(n.flitTime))
+	}
+	return delay
 }
 
 // settleAll settles every overdue fused completion, bringing all
@@ -827,21 +851,18 @@ func (f *Fabric) startVC(s *server, vc int) bool {
 	if s.kind == kindInject && !p.routed {
 		// Route lazily at the head of the injection queue so the
 		// adaptive decision sees current congestion.
-		mode := p.rspMode
-		if p.msg != nil {
-			mode = p.msg.Mode
-		}
-		f.routePacket(p, mode)
+		f.routePacket(p)
 	}
-	n := f.next(s, p)
-	if n != nil {
+	var n *server // nil at an ejection server: serialization delivers
+	if s.kind != kindEject {
+		var dvc int
+		n, dvc, _ = f.nextHop(p)
 		// An overdue fused completion at the next hop must land before
 		// we read its buffer state (the reference model freed that
 		// space at n's freeAt).
 		if n.pendingTx {
 			f.settle(n)
 		}
-		dvc := f.vcForHop(n, f.hopAfter(s, p))
 		if !n.hasSpace(dvc, p.flits) {
 			f.registerWaiter(s, n)
 			if n.pendingTx {
@@ -853,7 +874,7 @@ func (f *Fabric) startVC(s *server, vc int) bool {
 		}
 		// Reserve downstream space for the whole serialization
 		// (wormhole-style occupancy).
-		n.bumpOcc(dvc, p.flits, f.k.Now())
+		f.bumpOcc(n, dvc, p.flits, f.k.Now())
 	}
 	if s.blocked {
 		// Charge the blocked interval, given the packet that finally
@@ -892,52 +913,27 @@ func (f *Fabric) startVC(s *server, vc int) bool {
 		s.pendingTx = true
 		s.freeAt = f.k.Now() + ser
 		f.loads[s.idx].due = s.freeAt
-		delay := ser + s.lat
-		if hc := f.params.HopContention; hc > 0 && n.occTotal > 0 {
-			delay += sim.Time(hc * float64(n.occTotal) * float64(n.flitTime))
-		}
-		f.k.AfterEvent(delay, f.hid, evHopDone, int64(s.idx), int64(p.idx))
+		f.k.AfterEvent(ser+f.hopDelay(s, n), f.hid, evHopDone, int64(s.idx), int64(p.idx))
 		return true
 	}
-	// Typed event: finishTx recovers (p, n, vc) from s itself —
-	// lastVC and the queue head are frozen while the server is busy.
+	// Typed event: finishTx recovers p from s itself — lastVC and the
+	// queue head are frozen while the server is busy.
 	f.k.AfterEvent(ser, f.hid, evFinishTx, int64(s.idx), 0)
 	return true
 }
 
-// finishTx completes serialization of p at s: counts flits, frees s's
-// buffer space, wakes waiters, forwards p downstream after propagation
-// latency, and re-arbitrates s.
+// finishTx completes serialization at s: releases the in-flight packet,
+// delivers it from an ejection server or forwards it to its next hop
+// after the propagation delay, and re-arbitrates s.
 //
 //simlint:hotpath
-func (f *Fabric) finishTx(s *server, p *Packet, n *server, vc int) {
-	// Count the traversal on s's tile.
-	f.counters.flits[s.counter(p)] += uint64(p.flits)
-
-	// Dequeue and free our input buffer space.
-	f.popPacket(s, vc)
-	s.bumpOcc(vc, -p.flits, f.k.Now())
-	s.busy = false
-
-	// Space freed here: one batched event wakes every blocked upstream.
-	f.flushWaiters(s)
-
-	if n == nil {
-		f.deliver(p) // ejection complete
+func (f *Fabric) finishTx(s *server) {
+	p := f.release(s, f.k.Now())
+	if s.kind == kindEject {
+		f.deliver(p)
 	} else {
-		p.hop = f.hopAfter(s, p)
-		// The next hop may owe a fused completion; its backlog must
-		// read post-completion before pricing the contention delay.
-		if n.pendingTx {
-			f.settle(n)
-		}
-		delay := s.lat
-		if hc := f.params.HopContention; hc > 0 && n.occTotal > 0 {
-			// Crossbar/arbitration contention at the next router,
-			// proportional to its current backlog.
-			delay += sim.Time(hc * float64(n.occTotal) * float64(n.flitTime))
-		}
-		f.k.AfterEvent(delay, f.hid, evArrive, int64(n.idx), int64(p.idx))
+		n, _, _ := f.nextHop(p)
+		f.k.AfterEvent(f.hopDelay(s, n), f.hid, evArrive, int64(n.idx), int64(p.idx))
 	}
 	f.tryStart(s)
 }
@@ -976,19 +972,12 @@ func (f *Fabric) deliver(p *Packet) {
 		}
 	}
 	// Every data packet sends its tracked response back to the source.
-	reqSrc, reqDst, reqSent := p.src, p.dst, p.sendTime
+	reqSrc, reqDst, reqSent, mode := p.src, p.dst, p.sendTime, p.mode
 	f.releasePacket(p)
-	mode := routing.AD0
-	if m != nil {
-		mode = m.Mode
-	}
 	rsp := f.allocPacket()
 	rsp.src, rsp.dst = reqDst, reqSrc
 	rsp.bytes, rsp.flits = responseBytes, f.flitsOf(responseBytes)
-	rsp.response, rsp.rspMode = true, mode
+	rsp.response, rsp.mode = true, mode
 	rsp.sendTime = reqSent // pair latency spans request + response
-	inj := f.inject[reqDst]
-	inj.bumpOcc(0, rsp.flits, f.k.Now())
-	f.pushPacket(inj, 0, rsp)
-	f.tryStart(inj)
+	f.tryStart(f.enqueue(rsp))
 }

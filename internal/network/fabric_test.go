@@ -21,6 +21,45 @@ func testFabric(t testing.TB, groups int, seed int64) *Fabric {
 	return New(k, topo, DefaultParams(), routing.DefaultConfig(), seed)
 }
 
+// TestNextHop pins the fabric's one hop rule on hand-built packets: the
+// injection server hands a packet to route[0] on VC 0, link hop h to
+// route[h+1] on VC h+1, and the last link, or the injection server of a
+// route with no links (source and destination on one router), to the
+// destination's ejection server on VC 0. The hop index always advances
+// by one.
+func TestNextHop(t *testing.T) {
+	f := testFabric(t, 2, 1)
+	const dst = topology.NodeID(3)
+	ej := f.ejector(dst)
+	if want := &f.servers[len(f.Topology().Links)+2*int(dst)+1]; ej != want || ej.kind != kindEject {
+		t.Fatalf("ejector(%d) is server %d (kind %d), want server %d of kind %d",
+			dst, ej.idx, ej.kind, want.idx, kindEject)
+	}
+	route := []topology.LinkID{5, 9, 2}
+	for _, c := range []struct {
+		name    string
+		route   []topology.LinkID
+		hop     int // hop index at the current server
+		want    *server
+		wantVC  int
+		wantHop int
+	}{
+		{"injection", route, -1, &f.servers[5], 0, 0},
+		{"link hop 0", route, 0, &f.servers[9], 1, 1},
+		{"link hop 1", route, 1, &f.servers[2], 2, 2},
+		{"last link", route, 2, ej, 0, 3},
+		{"no links", nil, -1, ej, 0, 0},
+	} {
+		p := &Packet{dst: dst, hop: c.hop, nroute: uint8(len(c.route))}
+		copy(p.route[:], c.route)
+		n, vc, hop := f.nextHop(p)
+		if n != c.want || vc != c.wantVC || hop != c.wantHop {
+			t.Errorf("%s: next hop is server %d on VC %d at hop %d, want server %d on VC %d at hop %d",
+				c.name, n.idx, vc, hop, c.want.idx, c.wantVC, c.wantHop)
+		}
+	}
+}
+
 func TestSendDelivers(t *testing.T) {
 	f := testFabric(t, 3, 1)
 	m := f.Send(0, 10, 4096, routing.AD0)

@@ -50,7 +50,11 @@ func buildFusedPair(t testing.TB, groups int, seed int64, hc float64) (fused, re
 		// and a response injection finishes both at the same picosecond,
 		// a structural timestamp tie at every busy NIC.
 		ejBW := topo.Cfg.InjectionBandwidth * 1.0009765625
-		for _, ej := range f.eject {
+		for i := range f.servers {
+			ej := &f.servers[i]
+			if ej.kind != kindEject {
+				continue
+			}
 			ej.bw = ejBW
 			ej.flitTime = sim.Time(float64(FlitBytes) / ejBW * 1e12)
 		}

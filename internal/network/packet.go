@@ -24,32 +24,33 @@ import (
 // boxed pointer).
 //
 // Which events carry the identity differs by path: the split model's
-// evFinishTx recovers its packet from the sender (queue head of lastVC,
-// frozen while the server is busy), but the fused evHopDone cannot — by
-// the time it fires the sender may have settled, re-arbitrated, and be
-// serializing a different packet — so it carries idx in its payload, the
-// same way evArrive always has.
+// evFinishTx recovers its packet from the sender (release pops the head
+// of lastVC, frozen while the server is busy), but the fused evHopDone
+// cannot — by the time it fires the sender may have settled,
+// re-arbitrated, and be serializing a different packet — so it carries
+// idx in its payload, the same way evArrive always has.
 //
 // qnext threads the per-VC queues through the slab (see pktQueue): a
 // packet sits in at most one queue at a time, so one link suffices.
 //
 // The route is stored inline (route[:nroute]) rather than in a separately
-// allocated slice, so the per-hop next-server lookup reads one object, and
-// the fields it needs — dst, hop, nroute and the first eight route links
-// (a Valiant route's maximum) — share the packet's first cache line. A
-// Packet is exactly 128 bytes and slab chunks are line-aligned, so every
-// slot starts on a cache line; TestHotLayout pins the size, the offsets
-// and the alignment.
+// allocated slice, so the per-hop next-server lookup (nextHop) reads one
+// object, and the fields it needs — dst, hop, nroute and the first eight
+// route links (a Valiant route's maximum) — share the packet's first cache
+// line. A Packet is exactly 128 bytes and slab chunks are line-aligned, so
+// every slot starts on a cache line; TestHotLayout pins the size, the
+// offsets and the alignment.
 type Packet struct {
 	idx      int32 //simlint:resetsafe slab-slot identity, fixed for the life of the Fabric
 	qnext    int32 // slab slot of the next packet in its VC queue; meaningful only while one is queued behind it
 	src, dst topology.NodeID
-	hop      int   // index into route of the link currently holding us
+	hop      int   // -1 at the injection server, h on route link h (see nextHop)
 	nroute   uint8 // links in route
 	routed   bool  // route assigned (happens lazily at injection head)
 	response bool  // response-VC packet (ack); does not trigger a response
 	nonMin   bool  // took a Valiant route
-	rspMode  routing.Mode
+	// mode is the routing mode: Send sets it, and the response copies it.
+	mode     routing.Mode
 	route    [routing.MaxPathLinks]topology.LinkID //simlint:resetsafe dead past nroute, which reset zeroes; routePacket overwrites it
 	bytes    int
 	flits    int
@@ -66,7 +67,6 @@ type Packet struct {
 type Message struct {
 	Src, Dst topology.NodeID
 	Bytes    int
-	Mode     routing.Mode
 
 	Done        *sim.Signal
 	DeliveredAt sim.Time

@@ -141,7 +141,7 @@ func (p *Packet) reset() {
 	p.nroute = 0
 	p.hop = -1
 	p.routed, p.response, p.nonMin = false, false, false
-	p.rspMode = 0
+	p.mode = 0
 	p.sendTime, p.routedAt = 0, 0
 	p.msg = nil
 }
@@ -155,9 +155,9 @@ func (f *Fabric) packetOf(idx int64) *Packet { return f.pool.at(int32(idx)) }
 // linked list threaded through the packet slab. head and tail are slab
 // slots, each queued packet's qnext names its successor, and both ends are
 // meaningful only while n > 0. A packet is in at most one VC queue at any
-// moment — settle and finishTx pop it before hopDone or evArrive pushes it
-// downstream — so the one link per packet is enough, and a queue costs 12
-// bytes whether it is empty or holds a thousand packets.
+// moment — release pops it before arrive pushes it downstream — so the
+// one link per packet is enough, and a queue costs 12 bytes whether it is
+// empty or holds a thousand packets.
 // TestQueueListsConsistent walks every list against n and nonEmpty.
 type pktQueue struct {
 	head, tail, n int32

@@ -169,14 +169,14 @@ func TestQueueListsConsistent(t *testing.T) {
 func TestUnmatchedReleasePanics(t *testing.T) {
 	f := testFabric(t, 2, 1)
 	s := &f.servers[0]
-	s.bumpOcc(3, 8, 0)
-	s.bumpOcc(3, -8, 0) // matched: fine
+	f.bumpOcc(s, 3, 8, 0)
+	f.bumpOcc(s, 3, -8, 0) // matched: fine
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unmatched release did not panic")
 		}
 	}()
-	s.bumpOcc(3, -1, 0)
+	f.bumpOcc(s, 3, -1, 0)
 }
 
 // checkPoolInvariants verifies the slab/free-list structure after a fully

@@ -190,18 +190,6 @@ func (p *MachinePool) Stats() PoolStats {
 	}
 }
 
-// Reset discards all idle machines and zeroes the counters. With no
-// queries in flight (the only state tests call it in) every subsequent
-// checkout is cold; a machine still live across a Reset keeps its
-// checkout identity and parks normally at its checkin. Serving never
-// needs Reset — tests use it as the explicit cold path.
-func (p *MachinePool) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.free = make(map[string][]*core.Machine)
-	p.hits, p.misses, p.discarded, p.prewarmed = 0, 0, 0, 0
-}
-
 // buildMachine constructs a fresh machine for a pool key (a validated
 // topology name — DecodeRequest only admits names topology.ByName
 // knows).

@@ -91,11 +91,6 @@ func (q Query) echo() RequestEcho {
 	return e
 }
 
-// networkTileClasses are the router tile classes counted into StallRatio.
-var networkTileClasses = []topology.TileClass{
-	topology.TileRank1, topology.TileRank2, topology.TileRank3,
-}
-
 // buildResponse aggregates the ensemble's samples into a response.
 // Samples arrive compact (Reduced digest only, no full report) in
 // (run, mode) interleaved order from the seed-order merge; each mode's
@@ -117,7 +112,7 @@ func buildResponse(q Query, samples []experiments.Sample) *Response {
 			}
 			mpiFracs = append(mpiFracs, frac)
 			transits = append(transits, s.MeanTransitSec)
-			for _, class := range networkTileClasses {
+			for _, class := range topology.NetworkTileClasses {
 				flits += s.Reduced.LocalTiles.Flits[class]
 				stalls += s.Reduced.LocalTiles.Stalls[class]
 			}

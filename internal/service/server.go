@@ -110,11 +110,6 @@ func (s *Server) Prewarm(names []string) error {
 	return nil
 }
 
-// ResetPool discards all warm machines, forcing subsequent queries cold.
-// The determinism tests use it to compare cold-pool against warm-pool
-// bytes on the live HTTP path.
-func (s *Server) ResetPool() { s.pool.Reset() }
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, "ok\n")

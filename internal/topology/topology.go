@@ -57,6 +57,10 @@ const (
 	NumTileClasses
 )
 
+// NetworkTileClasses are the three network tile classes (rank 1, 2 and
+// 3), the "40 network tiles" of the paper's Fig. 11, in class order.
+var NetworkTileClasses = []TileClass{TileRank1, TileRank2, TileRank3}
+
 func (c TileClass) String() string {
 	switch c {
 	case TileRank1:

@@ -40,15 +40,6 @@ func ThetaMix() Mix {
 	}
 }
 
-// totalWeight sums core-hour weights.
-func (m Mix) totalWeight() float64 {
-	t := 0.0
-	for _, b := range m.Buckets {
-		t += b.CoreHourWeight
-	}
-	return t
-}
-
 // SampleJob draws one job instance. Instance frequency is core-hour weight
 // divided by node count, so that core-hours (not job counts) follow the
 // bucket weights.
@@ -68,22 +59,6 @@ func (m Mix) SampleJob(rng *rand.Rand) (nodes int, duration sim.Time) {
 	}
 	duration = sim.Time(float64(m.MeanDuration) * (0.5 + rng.Float64()))
 	return nodes, duration
-}
-
-// FractionInRange returns the share of core-hours carried by jobs whose
-// size lies in [lo, hi] — used to validate the 40% claim for 128-512.
-func (m Mix) FractionInRange(lo, hi int) float64 {
-	t := m.totalWeight()
-	if t == 0 {
-		return 0
-	}
-	in := 0.0
-	for _, b := range m.Buckets {
-		if b.Nodes >= lo && b.Nodes <= hi {
-			in += b.CoreHourWeight
-		}
-	}
-	return in / t
 }
 
 // TrafficClass describes how intense a background job's communication is.

@@ -9,13 +9,21 @@ import (
 )
 
 func TestThetaMixShape(t *testing.T) {
-	m := ThetaMix()
+	total, in, covered := 0.0, 0.0, 0.0
+	for _, b := range ThetaMix().Buckets {
+		total += b.CoreHourWeight
+		if b.Nodes >= 128 && b.Nodes <= 512 {
+			in += b.CoreHourWeight
+		}
+		if b.Nodes >= 1 && b.Nodes <= 4224 {
+			covered += b.CoreHourWeight
+		}
+	}
 	// The paper: ~40% of core-hours from 128-512 node jobs.
-	frac := m.FractionInRange(128, 512)
-	if frac < 0.35 || frac > 0.45 {
+	if frac := in / total; frac < 0.35 || frac > 0.45 {
 		t.Errorf("128-512 core-hour fraction = %.2f, want ~0.40", frac)
 	}
-	if m.FractionInRange(1, 4224) < 0.999 {
+	if covered/total < 0.999 {
 		t.Error("weights do not cover all sizes")
 	}
 }
