@@ -58,7 +58,8 @@ func main() {
 		var runtimes, ratio []float64
 		t0 := time.Now()
 		var events uint64
-		callTime := map[string]float64{}
+		var callTime [mpi.NumCalls]float64
+		var called [mpi.NumCalls]bool
 		compute := 0.0
 		for run := 0; run < *runs; run++ {
 			spec := core.JobSpec{
@@ -99,22 +100,27 @@ func main() {
 				}
 			}
 			prof := job.Report.Profile
-			for name, st := range prof.ByCall {
-				callTime[name] += st.Time.Seconds() / float64(job.Report.Ranks)
+			for c, st := range prof.ByCall {
+				if st.Calls > 0 {
+					called[c] = true
+					callTime[c] += st.Time.Seconds() / float64(job.Report.Ranks)
+				}
 			}
 			compute += prof.ComputeTime.Seconds() / float64(job.Report.Ranks)
+			nonMinPct := 0.0
+			if total := job.MinimalPkts + job.NonMinimalPkts; total > 0 {
+				nonMinPct = 100 * float64(job.NonMinimalPkts) / float64(total)
+			}
 			fmt.Printf("  seed=%d mode=%s runtime=%.4fs nonmin=%.1f%% transit=%.2fus\n", run+1, mode,
-				job.Runtime.Seconds(),
-				100*float64(job.NonMinimalPkts)/float64(job.MinimalPkts+job.NonMinimalPkts+1),
-				job.MeanTransit.Seconds()*1e6)
+				job.Runtime.Seconds(), nonMinPct, job.MeanTransit.Seconds()*1e6)
 		}
 		mean, std := stats.MeanStd(runtimes)
 		fmt.Printf("%-6s %s mean=%.4fs std=%.4fs stall/flit=%.3f wall=%.1fs events=%dM\n",
 			*appName, mode, mean, std, stats.Mean(ratio), time.Since(t0).Seconds(), events/1e6)
 		fmt.Printf("    compute=%.4f", compute/float64(*runs))
-		for _, name := range []string{"MPI_Allreduce", "MPI_Waitall", "MPI_Wait", "MPI_Isend", "MPI_Alltoallv", "MPI_Recv", "MPI_Barrier"} {
-			if v, ok := callTime[name]; ok {
-				fmt.Printf(" %s=%.4f", name[4:], v/float64(*runs))
+		for _, c := range []mpi.Call{mpi.Allreduce, mpi.Waitall, mpi.Wait, mpi.Isend, mpi.Alltoallv, mpi.Recv, mpi.Barrier} {
+			if called[c] {
+				fmt.Printf(" %s=%.4f", c.Short(), callTime[c]/float64(*runs))
 			}
 		}
 		fmt.Println()

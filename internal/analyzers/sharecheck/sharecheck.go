@@ -15,11 +15,11 @@
 //  2. A *core.Machine must never be captured by a goroutine closure —
 //     neither a `go func` literal nor any closure handed to
 //     parallel.ReduceContext.
-//     Worker closures derive their machine from the worker index
-//     (machines[worker], pool.machine(worker)); capturing a machine
-//     value, or indexing a captured machine slice by anything other
-//     than the closure's worker parameter, shares one machine between
-//     workers. A fold closure runs on whichever worker unblocks it and
+//     Worker closures derive their machine by indexing a captured
+//     []*core.Machine with the worker index (ms[worker]); capturing a
+//     machine value, or indexing a captured machine slice by anything
+//     other than the closure's worker parameter, shares one machine
+//     between workers. A fold closure runs on whichever worker unblocks it and
 //     has no worker parameter, so any machine it reaches is shared.
 //  3. No package-level variable may hold a *core.Machine (directly or
 //     inside a struct/slice/map/array/pointer): a global machine is

@@ -197,21 +197,21 @@ func TestMILCDominantCalls(t *testing.T) {
 	prof := w.AggregateProfile()
 	top := prof.TopCalls(3)
 	// The paper's Table I: MILC's top calls are Allreduce, Wait(all), Isend.
-	want := map[string]bool{
-		"MPI_Allreduce": true, "MPI_Wait": true, "MPI_Waitall": true,
-		"MPI_Isend": true, "MPI_Irecv": true,
+	want := map[mpi.Call]bool{
+		mpi.Allreduce: true, mpi.Wait: true, mpi.Waitall: true,
+		mpi.Isend: true, mpi.Irecv: true,
 	}
 	for _, call := range top {
 		if !want[call] {
-			t.Errorf("unexpected dominant call %q (top=%v)", call, top)
+			t.Errorf("unexpected dominant call %s (top=%v)", call, top)
 		}
 	}
-	if prof.ByCall["MPI_Allreduce"] == nil {
+	if prof.ByCall[mpi.Allreduce].Calls == 0 {
 		t.Error("MILC without allreduce")
 	}
-	if prof.ByCall["MPI_Allreduce"].AvgBytes() != 8 {
+	if prof.ByCall[mpi.Allreduce].AvgBytes() != 8 {
 		t.Errorf("MILC allreduce avg bytes = %g, want 8 (scale does not apply to reductions)",
-			prof.ByCall["MPI_Allreduce"].AvgBytes())
+			prof.ByCall[mpi.Allreduce].AvgBytes())
 	}
 }
 
@@ -220,7 +220,7 @@ func TestQboxAlltoallvDominates(t *testing.T) {
 	w := runApp(t, Qbox{}, 12, cfg)
 	prof := w.AggregateProfile()
 	top := prof.TopCalls(1)
-	if len(top) == 0 || top[0] != "MPI_Alltoallv" {
+	if len(top) == 0 || top[0] != mpi.Alltoallv {
 		t.Errorf("Qbox top call = %v, want MPI_Alltoallv", top)
 	}
 }
@@ -229,17 +229,17 @@ func TestRayleighNoP2PPattern(t *testing.T) {
 	cfg := Config{Iterations: 2, Scale: 0.01, Seed: 3}
 	w := runApp(t, Rayleigh{}, 8, cfg)
 	prof := w.AggregateProfile()
-	a2av := prof.ByCall["MPI_Alltoallv"]
-	if a2av == nil {
+	a2av := prof.ByCall[mpi.Alltoallv]
+	if a2av.Calls == 0 {
 		t.Fatal("Rayleigh without alltoallv")
 	}
-	if prof.ByCall["MPI_Barrier"] == nil {
+	if prof.ByCall[mpi.Barrier].Calls == 0 {
 		t.Error("Rayleigh without barrier")
 	}
 	// Alltoallv must carry the overwhelming share of payload bytes.
 	var others uint64
-	for name, s := range prof.ByCall {
-		if name != "MPI_Alltoallv" {
+	for c, s := range prof.ByCall {
+		if mpi.Call(c) != mpi.Alltoallv {
 			others += s.Bytes
 		}
 	}
@@ -254,11 +254,11 @@ func TestHACCLargeMessages(t *testing.T) {
 	prof := w.AggregateProfile()
 	// The FFT messages (1.2MB) travel via Isend; even diluted by the
 	// smaller particle exchanges the average must stay large.
-	is := prof.ByCall["MPI_Isend"]
-	if is == nil || is.AvgBytes() < 250*1024 {
-		t.Errorf("HACC Isend avg bytes = %v", is)
+	is := prof.ByCall[mpi.Isend]
+	if is.AvgBytes() < 250*1024 {
+		t.Errorf("HACC Isend avg bytes = %v", is.AvgBytes())
 	}
-	if prof.ByCall["MPI_Wait"] == nil {
+	if prof.ByCall[mpi.Wait].Calls == 0 {
 		t.Error("HACC without MPI_Wait")
 	}
 }

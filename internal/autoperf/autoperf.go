@@ -8,6 +8,7 @@ package autoperf
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"repro/internal/mpi"
 	"repro/internal/network"
@@ -35,7 +36,10 @@ func Attach(fab *network.Fabric, nodes []topology.NodeID) *Collector {
 	}
 }
 
-// Report is one application's AutoPerf output.
+// Report is one application's AutoPerf output, and the one per-run record
+// campaigns keep: every field but LocalTileRatios is fixed-size, and a
+// retained sample drops those slices (see experiments.Sample.Compact).
+// Times are integer sim.Time, so seconds derived from them are exact.
 type Report struct {
 	App     string
 	Ranks   int
@@ -49,8 +53,9 @@ type Report struct {
 	LocalTiles network.ClassTotals
 
 	// LocalTileRatios gives per-tile stalls-to-flits samples by class
-	// over the same routers (the paper's Fig. 6 boxes).
-	LocalTileRatios map[topology.TileClass][]float64
+	// over the same routers (the paper's Fig. 6 boxes). They scale with
+	// router count.
+	LocalTileRatios [topology.NumTileClasses][]float64
 }
 
 // Finish captures the end snapshot and builds the report. The world must
@@ -58,17 +63,28 @@ type Report struct {
 func (c *Collector) Finish(app string, w *mpi.World) *Report {
 	delta := c.fab.Counters().Sub(c.start)
 	r := &Report{
-		App:             app,
-		Ranks:           w.Size(),
-		Runtime:         c.fab.Kernel().Now() - c.startAt,
-		Profile:         w.AggregateProfile(),
-		LocalTiles:      delta.Aggregate(c.routers),
-		LocalTileRatios: make(map[topology.TileClass][]float64),
+		App:        app,
+		Ranks:      w.Size(),
+		Runtime:    c.fab.Kernel().Now() - c.startAt,
+		Profile:    w.AggregateProfile(),
+		LocalTiles: delta.Aggregate(c.routers),
 	}
-	for class := topology.TileClass(0); class < topology.NumTileClasses; class++ {
-		r.LocalTileRatios[class] = delta.TileRatios(c.routers, class)
+	for class := range r.LocalTileRatios {
+		r.LocalTileRatios[class] = delta.TileRatios(c.routers, topology.TileClass(class))
 	}
 	return r
+}
+
+// MemBytes estimates the report's retained footprint (struct, profile,
+// app name and any tile-ratio samples still attached) for the service's
+// retained-record gauge. It is an accounting estimate, not a precise heap
+// measurement.
+func (r *Report) MemBytes() int {
+	b := int(unsafe.Sizeof(*r)+unsafe.Sizeof(*r.Profile)) + len(r.App)
+	for _, ratios := range r.LocalTileRatios {
+		b += 8 * cap(ratios)
+	}
+	return b
 }
 
 // MPIFraction returns the share of total runtime spent in MPI, summed over
@@ -86,10 +102,10 @@ func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "AutoPerf report: %s ranks=%d runtime=%v mpi=%.0f%%\n",
 		r.App, r.Ranks, r.Runtime, 100*r.MPIFraction())
-	for _, name := range r.Profile.TopCalls(0) {
-		s := r.Profile.ByCall[name]
+	for _, c := range r.Profile.TopCalls(0) {
+		s := r.Profile.ByCall[c]
 		fmt.Fprintf(&b, "  %-16s calls=%-8d avgBytes=%-10.0f time=%v\n",
-			name, s.Calls, s.AvgBytes(), s.Time)
+			c, s.Calls, s.AvgBytes(), s.Time)
 	}
 	for class := topology.TileClass(0); class < topology.NumTileClasses; class++ {
 		fmt.Fprintf(&b, "  tiles[%-8s] flits=%-12d stalls=%-14.0f ratio=%.3f\n",

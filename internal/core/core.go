@@ -28,7 +28,7 @@ import (
 // Machine describes one system configuration. Construct with NewMachine,
 // then adjust the public fields before the first Run if needed. A Machine
 // is not safe for concurrent use: parallel ensembles give each worker its
-// own Machine (see internal/experiments' machinePool).
+// own Machine (see internal/experiments' newMachines).
 type Machine struct {
 	Topo  *topology.Topology //simlint:resetsafe public configuration; Reset discards run state, not config
 	Net   network.Params     //simlint:resetsafe public configuration; Reset discards run state, not config

@@ -50,14 +50,14 @@ func (r *AblationResult) Render() string {
 // and returns the aggregate point. The seeded runs are independent, so
 // they fan out across the pool; each result folds in run order and is
 // dropped right after, so the sweep retains O(workers) full results.
-func ablationRun(mp *machinePool, p Profile, mode routing.Mode, label string, seed int64) (AblationPoint, error) {
+func ablationRun(ms []*core.Machine, p Profile, mode routing.Mode, label string, seed int64) (AblationPoint, error) {
 	var times []float64
 	var stalls, flits float64
 	var nonMin, total uint64
-	err := parallel.ReduceContext(context.Background(), mp.workers(), p.Runs,
+	err := parallel.ReduceContext(context.Background(), len(ms), p.Runs,
 		func(worker, i int) (*core.JobResult, error) {
 			spec := p.jobSpec(apps.MILC{}, p.NodesMedium, mode, placement.Dispersed, 0, seed+int64(i))
-			job, _, err := mp.machine(worker).RunOne(spec, core.RunOpts{
+			job, _, err := ms[worker].RunOne(spec, core.RunOpts{
 				Seed:       seed + int64(i),
 				Background: core.DefaultBackground(),
 				Warmup:     p.Warmup,
@@ -93,16 +93,15 @@ func ablationRun(mp *machinePool, p Profile, mode routing.Mode, label string, se
 func AblationCandidates(p Profile, mode routing.Mode, seed int64) (*AblationResult, error) {
 	res := &AblationResult{Axis: "routing candidates (minimal/valiant)", App: "MILC", Mode: mode}
 	for _, k := range []int{1, 2, 4} {
-		k := k
-		mp, err := p.thetaPool()
+		ms, err := p.thetaPool()
 		if err != nil {
 			return nil, err
 		}
-		mp.apply(func(m *core.Machine) {
+		for _, m := range ms {
 			m.Route.MinimalCandidates = k
 			m.Route.NonMinimalCandidates = k
-		})
-		pt, err := ablationRun(mp, p, mode, fmt.Sprintf("k=%d", k), seed)
+		}
+		pt, err := ablationRun(ms, p, mode, fmt.Sprintf("k=%d", k), seed)
 		if err != nil {
 			return nil, err
 		}
@@ -117,13 +116,14 @@ func AblationCandidates(p Profile, mode routing.Mode, seed int64) (*AblationResu
 func AblationBufferDepth(p Profile, mode routing.Mode, seed int64) (*AblationResult, error) {
 	res := &AblationResult{Axis: "per-VC buffer depth", App: "MILC", Mode: mode}
 	for _, flits := range []int{256, 768, 3072} {
-		flits := flits
-		mp, err := p.thetaPool()
+		ms, err := p.thetaPool()
 		if err != nil {
 			return nil, err
 		}
-		mp.apply(func(m *core.Machine) { m.Net.BufferFlits = flits })
-		pt, err := ablationRun(mp, p, mode,
+		for _, m := range ms {
+			m.Net.BufferFlits = flits
+		}
+		pt, err := ablationRun(ms, p, mode,
 			fmt.Sprintf("%dKB", flits*network.FlitBytes/1024), seed)
 		if err != nil {
 			return nil, err
@@ -149,16 +149,15 @@ func AblationEstimateQuality(p Profile, mode routing.Mode, seed int64) (*Ablatio
 		{"stale-3us", 3 * sim.Microsecond, 0},
 		{"stale+jitter", 3 * sim.Microsecond, 0.75},
 	} {
-		c := c
-		mp, err := p.thetaPool()
+		ms, err := p.thetaPool()
 		if err != nil {
 			return nil, err
 		}
-		mp.apply(func(m *core.Machine) {
+		for _, m := range ms {
 			m.Net.LoadStaleness = c.staleness
 			m.Net.LoadJitter = c.jitter
-		})
-		pt, err := ablationRun(mp, p, mode, c.label, seed)
+		}
+		pt, err := ablationRun(ms, p, mode, c.label, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +170,7 @@ func AblationEstimateQuality(p Profile, mode routing.Mode, seed int64) (*Ablatio
 // MIN/VAL bounds from the dragonfly literature.
 func AblationBaselines(p Profile, seed int64) (*AblationResult, error) {
 	res := &AblationResult{Axis: "routing policy bounds", App: "MILC", Mode: routing.AD0}
-	mp, err := p.thetaPool()
+	ms, err := p.thetaPool()
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +178,7 @@ func AblationBaselines(p Profile, seed int64) (*AblationResult, error) {
 		routing.MinimalOnly, routing.AD3, routing.AD2, routing.AD1,
 		routing.AD0, routing.ValiantOnly,
 	} {
-		pt, err := ablationRun(mp, p, mode, mode.String(), seed)
+		pt, err := ablationRun(ms, p, mode, mode.String(), seed)
 		if err != nil {
 			return nil, err
 		}

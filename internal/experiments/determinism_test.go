@@ -42,16 +42,20 @@ func checkEnsembleDeterminism(t *testing.T, app apps.App) {
 	if len(seq) != len(par) {
 		t.Fatalf("sample counts differ: sequential %d, parallel %d", len(seq), len(par))
 	}
-	// Campaign samples come back compact: the digest is attached and the
-	// full report dropped on the worker, before the sample is retained.
+	// Campaign samples come back compact: the report is kept without its
+	// tile-ratio slices before the sample is retained.
 	for i := range seq {
-		if seq[i].Report != nil || seq[i].Reduced == nil {
-			t.Fatalf("sample %d not compact: Report attached=%v, Reduced attached=%v",
-				i, seq[i].Report != nil, seq[i].Reduced != nil)
+		if seq[i].Report == nil {
+			t.Fatalf("sample %d lost its report", i)
+		}
+		for class, ratios := range seq[i].Report.LocalTileRatios {
+			if ratios != nil {
+				t.Fatalf("sample %d retained %d tile ratios of class %d", i, len(ratios), class)
+			}
 		}
 	}
-	// DeepEqual follows the Reduced pointers, so this compares the full
-	// retained contents — runtimes, per-call digest times, tile totals.
+	// DeepEqual follows the Report pointers, so this compares the full
+	// retained contents — runtimes, per-call profiles, tile totals.
 	for i := range seq {
 		if !reflect.DeepEqual(seq[i], par[i]) {
 			t.Errorf("sample %d (seed %d, mode %s) differs between workers=1 and workers=8",

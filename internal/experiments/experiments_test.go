@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/mpi"
 	"repro/internal/routing"
 	"repro/internal/sim"
 )
@@ -86,21 +88,21 @@ func TestTable1(t *testing.T) {
 // campaign that Figs. 2, 5 and 6 derive from.
 func milcStudy(t *testing.T, p Profile, seed int64, reorder bool) *Table2Result {
 	t.Helper()
-	mp, err := p.thetaPool()
+	ms, err := p.thetaPool()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return milcStudyOn(t, p, mp, seed, reorder)
+	return milcStudyOn(t, p, ms, seed, reorder)
 }
 
-// milcStudyOn is milcStudy on a given machine pool.
-func milcStudyOn(t *testing.T, p Profile, mp *machinePool, seed int64, reorder bool) *Table2Result {
+// milcStudyOn is milcStudy on the given per-worker machines.
+func milcStudyOn(t *testing.T, p Profile, ms []*core.Machine, seed int64, reorder bool) *Table2Result {
 	t.Helper()
 	list := []apps.App{apps.MILC{}}
 	if reorder {
 		list = append(list, apps.MILC{Reorder: true})
 	}
-	t2, err := p.productionStudy(mp, list, seed)
+	t2, err := p.productionStudy(ms, list, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +174,7 @@ func TestFig5Fig6(t *testing.T) {
 		if run.Compute <= 0 {
 			t.Fatal("no compute time in breakdown")
 		}
-		if run.Parts["MPI_Allreduce"] <= 0 {
+		if run.Parts[mpi.Allreduce] <= 0 {
 			t.Fatal("no allreduce share")
 		}
 	}

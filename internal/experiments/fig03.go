@@ -37,17 +37,17 @@ type Fig3Result struct {
 
 // Fig3GroupsSpanned runs the production campaigns at all three sizes.
 func Fig3GroupsSpanned(p Profile, seed int64) (*Fig3Result, error) {
-	mp, err := p.thetaPool()
+	ms, err := p.thetaPool()
 	if err != nil {
 		return nil, err
 	}
-	return groupsSpannedStudy(mp, "Fig. 3", "Theta", p,
+	return groupsSpannedStudy(ms, "Fig. 3", "Theta", p,
 		[]apps.App{apps.MILC{}, apps.MILC{Reorder: true}},
 		[]int{p.NodesSmall, p.NodesMedium, p.NodesLarge}, seed)
 }
 
 // groupsSpannedStudy is shared with Fig. 4 (Cori).
-func groupsSpannedStudy(mp *machinePool, figure, machine string, p Profile,
+func groupsSpannedStudy(ms []*core.Machine, figure, machine string, p Profile,
 	appList []apps.App, sizes []int, seed int64) (*Fig3Result, error) {
 
 	res := &Fig3Result{
@@ -68,7 +68,7 @@ func groupsSpannedStudy(mp *machinePool, figure, machine string, p Profile,
 			var pooled []float64
 			perMode := map[routing.Mode][]float64{}
 			pts := make([]GroupsPoint, 0, p.Runs*len(modes))
-			err := production(context.Background(), mp, p, a, nodes, modes,
+			err := production(context.Background(), ms, p, a, nodes, modes,
 				core.DefaultBackground(), seed+int64(nodes), func(s *Sample) {
 					pooled = append(pooled, s.RuntimeSec)
 					perMode[s.Mode] = append(perMode[s.Mode], s.RuntimeSec)

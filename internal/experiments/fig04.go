@@ -9,10 +9,10 @@ import (
 // cables per group pair vs Theta's 12) makes minimal bias matter even at
 // the large size. The result type is shared with Fig. 3.
 func Fig4CoriGroupsSpanned(p Profile, seed int64) (*Fig3Result, error) {
-	mp, err := p.coriPool()
+	ms, err := p.coriPool()
 	if err != nil {
 		return nil, err
 	}
-	return groupsSpannedStudy(mp, "Fig. 4", "Cori", p, []apps.App{apps.MILC{}},
+	return groupsSpannedStudy(ms, "Fig. 4", "Cori", p, []apps.App{apps.MILC{}},
 		[]int{p.NodesSmall, p.CoriNodesMedium, p.NodesLarge}, seed)
 }

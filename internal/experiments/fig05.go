@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/mpi"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -16,7 +17,7 @@ type BreakdownRun struct {
 	Mode    routing.Mode
 	Total   float64
 	Compute float64
-	Parts   map[string]float64 // dominant calls
+	Parts   [mpi.NumCalls]float64 // dominant calls; zero elsewhere
 	Other   float64
 }
 
@@ -24,36 +25,33 @@ type BreakdownRun struct {
 type BreakdownResult struct {
 	App      string
 	Figure   string
-	Dominant []string
+	Dominant []mpi.Call
 	Runs     []BreakdownRun
 }
 
 // breakdownFromSamples converts production samples into stacked
 // decompositions using the app-wide dominant calls. It reads the compact
-// Reduced digest (per-call times are integer sim.Time there, so the
-// numbers are identical to what the full profile produced).
-func breakdownFromSamples(app, figure string, dominant []string, samples []Sample) *BreakdownResult {
+// Report's profile, whose per-call times are integer sim.Time.
+func breakdownFromSamples(app, figure string, dominant []mpi.Call, samples []Sample) *BreakdownResult {
 	res := &BreakdownResult{App: app, Figure: figure, Dominant: dominant}
 	for _, s := range samples {
 		if s.App != app {
 			continue
 		}
-		d := s.Reduced
-		ranks := float64(d.Ranks)
+		prof := s.Report.Profile
+		ranks := float64(s.Report.Ranks)
 		run := BreakdownRun{
 			Mode:    s.Mode,
 			Total:   s.RuntimeSec,
-			Compute: d.ComputeTime.Seconds() / ranks,
-			Parts:   map[string]float64{},
+			Compute: prof.ComputeTime.Seconds() / ranks,
 		}
 		var accounted sim.Time
-		for _, call := range dominant {
-			if st, ok := d.CallTime[call]; ok {
-				run.Parts[call] = st.Seconds() / ranks
-				accounted += st
-			}
+		for _, c := range dominant {
+			t := prof.ByCall[c].Time
+			run.Parts[c] = t.Seconds() / ranks
+			accounted += t
 		}
-		run.Other = (d.MPITime - accounted).Seconds() / ranks
+		run.Other = (prof.MPITime() - accounted).Seconds() / ranks
 		res.Runs = append(res.Runs, run)
 	}
 	return res
@@ -65,7 +63,7 @@ func (r *BreakdownResult) Render() string {
 	fmt.Fprintf(&b, "%s — %s runtime decomposition per run (seconds, per-rank mean)\n", r.Figure, r.App)
 	header := fmt.Sprintf("%-5s %-9s %-9s", "mode", "total", "compute")
 	for _, c := range r.Dominant {
-		header += fmt.Sprintf(" %-13s", strings.TrimPrefix(c, "MPI_"))
+		header += fmt.Sprintf(" %-13s", c.Short())
 	}
 	fmt.Fprintf(&b, "%s %-9s\n", header, "otherMPI")
 	for _, run := range r.Runs {
@@ -98,5 +96,5 @@ func (r *BreakdownResult) Render() string {
 // MPI_Wait(all), MPI_Isend and other MPI, one bar per run, AD0 vs AD3.
 func Fig5FromSamples(samples []Sample) *BreakdownResult {
 	return breakdownFromSamples("MILC", "Fig. 5",
-		[]string{"MPI_Allreduce", "MPI_Waitall", "MPI_Isend"}, samples)
+		[]mpi.Call{mpi.Allreduce, mpi.Waitall, mpi.Isend}, samples)
 }

@@ -15,9 +15,9 @@ import (
 type tileAggs = map[routing.Mode]map[topology.TileClass]*stats.Agg
 
 // foldTileRatios folds one full sample's per-class tile ratios into dst.
-// Must run inside the streaming fold, while s.Report is still attached.
-// Every class gets an aggregate (even if empty), mirroring the report's
-// LocalTileRatios keys.
+// Must run inside the streaming fold, before Compact drops the report's
+// tile ratios. Every class gets an aggregate (even if empty), mirroring
+// the report's LocalTileRatios classes.
 func foldTileRatios(dst tileAggs, s *Sample) {
 	for class := topology.TileClass(0); class < topology.NumTileClasses; class++ {
 		aggAt(dst, s.Mode, class).AddAll(s.Report.LocalTileRatios[class])

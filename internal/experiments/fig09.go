@@ -36,7 +36,7 @@ type Fig9Result struct {
 // its fold, keeping output identical to the sequential sweep in O(workers)
 // memory.
 func Fig9ControlledAllModes(p Profile, seed int64) (*Fig9Result, error) {
-	mp, err := p.thetaPool()
+	ms, err := p.thetaPool()
 	if err != nil {
 		return nil, err
 	}
@@ -58,10 +58,10 @@ func Fig9ControlledAllModes(p Profile, seed int64) (*Fig9Result, error) {
 		a := a
 		perMode := map[routing.Mode][]float64{}
 		var pool []float64
-		err := parallel.ReduceContext(context.Background(), mp.workers(), len(modes)*len(policies),
+		err := parallel.ReduceContext(context.Background(), len(ms), len(modes)*len(policies),
 			func(worker, idx int) (*core.RunResult, error) {
 				mi, policy := idx/len(policies), policies[idx%len(policies)]
-				return ensembleRun(mp.machine(worker), p, a, count, p.NodesMedium,
+				return ensembleRun(ms[worker], p, a, count, p.NodesMedium,
 					modes[mi], policy, seed+int64(mi)*101)
 			},
 			func(idx int, run *core.RunResult) {

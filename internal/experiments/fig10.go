@@ -54,7 +54,7 @@ func Fig12HACCEnsembleCounters(p Profile, seed int64) (*Fig10Result, error) {
 }
 
 func ensembleCounterStudy(p Profile, a apps.App, figure string, count, nodes int, seed int64) (*Fig10Result, error) {
-	mp, err := p.thetaPool()
+	ms, err := p.thetaPool()
 	if err != nil {
 		return nil, err
 	}
@@ -66,9 +66,9 @@ func ensembleCounterStudy(p Profile, a apps.App, figure string, count, nodes int
 	// The two modes' ensembles are independent whole-machine runs; fan
 	// them out, summarize each run on its worker, and store the summaries
 	// in mode order.
-	err = parallel.ReduceContext(context.Background(), mp.workers(), len(modes),
+	err = parallel.ReduceContext(context.Background(), len(ms), len(modes),
 		func(worker, idx int) (EnsembleCounters, error) {
-			m := mp.machine(worker)
+			m := ms[worker]
 			run, err := ensembleRun(m, p, a, count, nodes, modes[idx], placement.Dispersed, seed)
 			if err != nil {
 				return EnsembleCounters{}, err

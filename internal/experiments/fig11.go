@@ -37,7 +37,7 @@ type Fig11Result struct {
 // ratio aggregates fold in run order, so output matches the sequential
 // sweep exactly — and no regime retains a full report past its fold.
 func Fig11RegimeComparison(p Profile, seed int64) (*Fig11Result, error) {
-	mp, err := p.thetaPool()
+	ms, err := p.thetaPool()
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +47,7 @@ func Fig11RegimeComparison(p Profile, seed int64) (*Fig11Result, error) {
 
 		// Production: noisy machine.
 		prodAgg := aggAt(res.Ratios, mode, RegimeProduction)
-		err := production(context.Background(), mp, p, apps.MILC{}, p.NodesMedium,
+		err := production(context.Background(), ms, p, apps.MILC{}, p.NodesMedium,
 			[]routing.Mode{mode}, core.DefaultBackground(), seed, func(s *Sample) {
 				prodAgg.AddAll(networkTileRatios(s.Report))
 			})
@@ -57,9 +57,9 @@ func Fig11RegimeComparison(p Profile, seed int64) (*Fig11Result, error) {
 
 		// Isolated: one job alone.
 		isoAgg := aggAt(res.Ratios, mode, RegimeIsolated)
-		err = parallel.ReduceContext(context.Background(), mp.workers(), p.Runs,
+		err = parallel.ReduceContext(context.Background(), len(ms), p.Runs,
 			func(worker, i int) (Sample, error) {
-				return isolatedSample(mp.machine(worker), p, apps.MILC{}, p.NodesMedium,
+				return isolatedSample(ms[worker], p, apps.MILC{}, p.NodesMedium,
 					mode, placement.Dispersed, seed+int64(i))
 			},
 			func(i int, s Sample) {
@@ -77,9 +77,9 @@ func Fig11RegimeComparison(p Profile, seed int64) (*Fig11Result, error) {
 			{RegimeControlledCompact, placement.Compact},
 			{RegimeControlledDisperse, placement.Dispersed},
 		}
-		err = parallel.ReduceContext(context.Background(), mp.workers(), len(regimes),
+		err = parallel.ReduceContext(context.Background(), len(ms), len(regimes),
 			func(worker, idx int) (*core.RunResult, error) {
-				return ensembleRun(mp.machine(worker), p, apps.MILC{}, p.EnsembleMedium,
+				return ensembleRun(ms[worker], p, apps.MILC{}, p.EnsembleMedium,
 					p.NodesMedium, mode, regimes[idx].policy, seed+977)
 			},
 			func(idx int, run *core.RunResult) {

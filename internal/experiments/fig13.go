@@ -44,17 +44,17 @@ type Fig13Result struct {
 // eras are independent whole-machine campaigns and fan out across the
 // worker pool; results are stored in era order.
 func Fig13DefaultSwitch(p Profile, seed int64) (*Fig13Result, error) {
-	mp, err := p.thetaPool()
+	ms, err := p.thetaPool()
 	if err != nil {
 		return nil, err
 	}
 	modes := []routing.Mode{routing.AD0, routing.AD3}
 	var eras [2]CampaignWindowStats
-	err = parallel.ReduceContext(context.Background(), mp.workers(), len(modes),
+	err = parallel.ReduceContext(context.Background(), len(ms), len(modes),
 		func(worker, idx int) (CampaignWindowStats, error) {
 			bg := core.DefaultBackground()
 			bg.Env = mpi.UniformEnv(modes[idx])
-			camp, err := mp.machine(worker).RunCampaign(p.CampaignWindow, *bg, ldms.Options{
+			camp, err := ms[worker].RunCampaign(p.CampaignWindow, *bg, ldms.Options{
 				Period:             p.LDMSPeriod,
 				RecordRouterRatios: true,
 				RecordNICLatency:   true,

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/routing"
 )
 
@@ -23,12 +22,14 @@ func TestFusedProfileFigures(t *testing.T) {
 	p := testProfile()
 	// splitStudy runs milcStudy on a fresh pool of split-link machines.
 	splitStudy := func(seed int64, reorder bool) *Table2Result {
-		mp, err := p.thetaPool()
+		ms, err := p.thetaPool()
 		if err != nil {
 			t.Fatal(err)
 		}
-		mp.apply(func(m *core.Machine) { m.Net.FuseLinks = false })
-		return milcStudyOn(t, p, mp, seed, reorder)
+		for _, m := range ms {
+			m.Net.FuseLinks = false
+		}
+		return milcStudyOn(t, p, ms, seed, reorder)
 	}
 
 	t2Ref, t2Fused := splitStudy(3, true), milcStudy(t, p, 3, true)

@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -119,13 +120,13 @@ func Standard() Profile {
 }
 
 // thetaPool builds one Theta machine per worker for parallel campaigns.
-func (p Profile) thetaPool() (*machinePool, error) {
-	return newMachinePool(p.Theta, p.workers())
+func (p Profile) thetaPool() ([]*core.Machine, error) {
+	return newMachines(p.Theta, p.workers())
 }
 
 // coriPool builds one Cori machine per worker.
-func (p Profile) coriPool() (*machinePool, error) {
-	return newMachinePool(p.Cori, p.workers())
+func (p Profile) coriPool() ([]*core.Machine, error) {
+	return newMachines(p.Cori, p.workers())
 }
 
 // iterationsFor returns the app's iteration count under this profile.

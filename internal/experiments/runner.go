@@ -15,43 +15,27 @@ import (
 	"repro/internal/topology"
 )
 
-// machinePool hands each parallel worker its own Machine. A Machine
-// mutates during Run — it rewinds and reuses a warm kernel/fabric pair
-// across the runs assigned to its slot (see core.Machine) — so
-// one-machine-per-worker is what keeps the no-shared-mutable-state
-// invariant between workers trivially auditable. The reuse is also the
-// point: each slot pays fabric construction once, not once per run.
-type machinePool struct {
-	machines []*core.Machine
-}
-
-// newMachinePool builds `workers` identical machines from cfg.
-func newMachinePool(cfg topology.Config, workers int) (*machinePool, error) {
+// newMachines builds `workers` identical machines from cfg, one per
+// parallel worker. A Machine mutates during Run — it rewinds and reuses a
+// warm kernel/fabric pair across the runs assigned to its slot (see
+// core.Machine) — so worker closures index the slice by their worker
+// parameter, which keeps the no-shared-mutable-state invariant between
+// workers trivially auditable (simlint's sharecheck checks it). The reuse
+// is also the point: each slot pays fabric construction once, not once
+// per run.
+func newMachines(cfg topology.Config, workers int) ([]*core.Machine, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	mp := &machinePool{machines: make([]*core.Machine, workers)}
-	for i := range mp.machines {
+	ms := make([]*core.Machine, workers)
+	for i := range ms {
 		m, err := core.NewMachine(cfg)
 		if err != nil {
 			return nil, err
 		}
-		mp.machines[i] = m
+		ms[i] = m
 	}
-	return mp, nil
-}
-
-// workers returns the pool's fan-out.
-func (mp *machinePool) workers() int { return len(mp.machines) }
-
-// machine returns the Machine owned by one worker slot.
-func (mp *machinePool) machine(worker int) *core.Machine { return mp.machines[worker] }
-
-// apply mutates every worker's machine identically (ablation sweeps).
-func (mp *machinePool) apply(f func(m *core.Machine)) {
-	for _, m := range mp.machines {
-		f(m)
-	}
+	return ms, nil
 }
 
 // runStream builds the explicit per-run random stream for one seed. Every
@@ -79,17 +63,12 @@ type Sample struct {
 	Nodes      int
 	Groups     int // dragonfly groups spanned by the placement
 	RuntimeSec float64
-	// Report is the run's full AutoPerf output. Campaign pipelines hold
-	// it only inside their streaming fold (its LocalTileRatios slices
-	// scale with router count); retained samples carry nil here and keep
-	// the fixed-size Reduced digest instead. Isolated/single-run paths
-	// still populate it.
+	// Report is the run's AutoPerf output; every Sample carries one.
+	// Inside a campaign's streaming fold it is complete; retained samples
+	// keep a compact copy without the LocalTileRatios slices, which scale
+	// with router count (see Compact). Figures, tables and the simd
+	// service read the rest of it.
 	Report *autoperf.Report
-	// Reduced is the fixed-size digest built on the worker right after
-	// the run completes; every Sample carries one. It survives compaction
-	// and is what long-lived consumers (figures, tables, the simd
-	// service) read.
-	Reduced *autoperf.Reduced
 	// MinPkts / NonMinPkts count the job's own adaptive routing decisions,
 	// and MeanTransitSec is the mean network transit of its packets —
 	// per-run routing diagnostics the simd service aggregates into its
@@ -107,18 +86,20 @@ type Sample struct {
 
 // MPISec returns the per-rank average MPI time in seconds.
 func (s Sample) MPISec() float64 {
-	if s.Reduced.Ranks == 0 {
+	if s.Report.Ranks == 0 {
 		return 0
 	}
-	return s.Reduced.MPITime.Seconds() / float64(s.Reduced.Ranks)
+	return s.Report.Profile.MPITime().Seconds() / float64(s.Report.Ranks)
 }
 
-// Compact returns the sample with its full Report dropped; the Reduced
-// digest (always present on campaign samples) carries everything a
-// retained sample needs. Folds that keep samples beyond the streaming
-// window must keep this, not the original.
+// Compact returns the sample with a copy of its Report that drops the
+// tile-ratio slices; the original Report is left untouched. Folds that
+// keep samples beyond the streaming window must keep this, not the
+// original.
 func (s Sample) Compact() Sample {
-	s.Report = nil
+	r := *s.Report
+	r.LocalTileRatios = [topology.NumTileClasses][]float64{}
+	s.Report = &r
 	return s
 }
 
@@ -149,19 +130,18 @@ func (p Profile) jobSpec(app apps.App, nodes int, mode routing.Mode,
 // the default AD0).
 //
 // Each (run, mode) task executes on its worker's own Machine and its
-// full Sample — Report attached, Reduced digest already built — is
-// handed to fold in strict (run, mode) order, exactly the order the
+// full Sample — complete Report attached — is handed to fold in strict (run, mode) order, exactly the order the
 // sequential nested loop would produce. The Report reference is dropped
 // as soon as fold returns, so with parallel.ReduceContext's bounded
 // reordering window the campaign retains O(workers) Reports at any
 // moment, no matter how many runs it has. fold must not keep s.Report
 // (or s itself) past its return; retain s.Compact() instead.
-func production(ctx context.Context, mp *machinePool, p Profile,
+func production(ctx context.Context, ms []*core.Machine, p Profile,
 	app apps.App, nodes int, modes []routing.Mode, bg *core.BackgroundSpec,
 	seedBase int64, fold func(s *Sample)) error {
 
-	maxGroups := mp.machine(0).Topo.Cfg.Groups
-	return parallel.ReduceContext(ctx, mp.workers(), p.Runs*len(modes),
+	maxGroups := ms[0].Topo.Cfg.Groups
+	return parallel.ReduceContext(ctx, len(ms), p.Runs*len(modes),
 		func(worker, idx int) (Sample, error) {
 			i, mode := idx/len(modes), modes[idx%len(modes)]
 			seed := seedBase + int64(i)
@@ -171,7 +151,7 @@ func production(ctx context.Context, mp *machinePool, p Profile,
 			// seed draw the same spread on any worker.
 			gr := 1 + runStream(seed, saltGroupSpread).Intn(maxGroups)
 			spec := p.jobSpec(app, nodes, mode, placement.Dispersed, gr, seed)
-			job, res, err := mp.machine(worker).RunOne(spec, core.RunOpts{
+			job, res, err := ms[worker].RunOne(spec, core.RunOpts{
 				Seed:       seed,
 				Background: bg,
 				Warmup:     p.Warmup,
@@ -184,7 +164,6 @@ func production(ctx context.Context, mp *machinePool, p Profile,
 				Nodes: nodes, Groups: job.GroupsSpanned,
 				RuntimeSec: job.Runtime.Seconds(),
 				Report:     job.Report,
-				Reduced:    job.Report.Reduce(),
 				MinPkts:    job.MinimalPkts, NonMinPkts: job.NonMinimalPkts,
 				MeanTransitSec: job.MeanTransit.Seconds(),
 				Events:         res.EventsExecuted,
@@ -199,20 +178,20 @@ func production(ctx context.Context, mp *machinePool, p Profile,
 // one configuration; len(machines) sets the fan-out, and each machine is
 // rewound warm across the runs assigned to its slot exactly as the batch
 // pool does, so results are byte-identical to a batch campaign with the
-// same arguments. Samples come back compact, in seed order: the full
-// per-run autoperf.Report is digested into Sample.Reduced on the worker
-// and dropped, so a long-lived service process retains fixed-size
-// samples. Cancelling ctx stops undispatched runs and returns ctx's
-// error; runs already simulating complete first and their samples are
-// kept (failed tasks contribute nothing, so callers that need
-// all-or-nothing semantics discard the slice when err != nil).
+// same arguments. Samples come back compact, in seed order: each per-run
+// autoperf.Report loses its tile-ratio slices in the fold, so a
+// long-lived service process retains fixed-size samples. Cancelling ctx
+// stops undispatched runs and returns ctx's error; runs already
+// simulating complete first and their samples are kept (failed tasks
+// contribute nothing, so callers that need all-or-nothing semantics
+// discard the slice when err != nil).
 func (p Profile) SamplesOn(ctx context.Context, machines []*core.Machine,
 	app apps.App, nodes int, modes []routing.Mode, bg *core.BackgroundSpec,
 	seedBase int64) ([]Sample, error) {
 
 	out := make([]Sample, 0, p.Runs*len(modes))
-	err := production(ctx, &machinePool{machines: machines}, p, app, nodes,
-		modes, bg, seedBase, func(s *Sample) { out = append(out, s.Compact()) })
+	err := production(ctx, machines, p, app, nodes, modes, bg, seedBase,
+		func(s *Sample) { out = append(out, s.Compact()) })
 	return out, err
 }
 
@@ -224,11 +203,11 @@ func (p Profile) SamplesOn(ctx context.Context, machines []*core.Machine,
 func ProductionEnsemble(p Profile, app apps.App, nodes int,
 	modes []routing.Mode, seedBase int64) ([]Sample, error) {
 
-	mp, err := p.thetaPool()
+	ms, err := p.thetaPool()
 	if err != nil {
 		return nil, err
 	}
-	return p.SamplesOn(context.Background(), mp.machines, app, nodes, modes,
+	return p.SamplesOn(context.Background(), ms, app, nodes, modes,
 		core.DefaultBackground(), seedBase)
 }
 
@@ -246,7 +225,6 @@ func isolatedSample(m *core.Machine, p Profile, app apps.App, nodes int,
 		Nodes: nodes, Groups: job.GroupsSpanned,
 		RuntimeSec: job.Runtime.Seconds(),
 		Report:     job.Report,
-		Reduced:    job.Report.Reduce(),
 	}, nil
 }
 

@@ -26,14 +26,14 @@ func TestEnsembleWarmPoolArtifactBytes(t *testing.T) {
 	modes := []routing.Mode{routing.AD0, routing.AD3}
 	app := apps.MILC{}
 
-	mp, err := p.thetaPool()
+	ms, err := p.thetaPool()
 	if err != nil {
 		t.Fatal(err)
 	}
 	campaign := func() ([]Sample, *Fig6Result) {
 		tiles := tileAggs{}
 		var samples []Sample
-		err := production(context.Background(), mp, p, app, p.NodesMedium, modes,
+		err := production(context.Background(), ms, p, app, p.NodesMedium, modes,
 			core.DefaultBackground(), 42, func(s *Sample) {
 				samples = append(samples, s.Compact())
 				foldTileRatios(tiles, s)

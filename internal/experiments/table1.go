@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/mpi"
 	"repro/internal/parallel"
 	"repro/internal/placement"
 	"repro/internal/routing"
@@ -29,43 +30,37 @@ type Table1Result struct {
 }
 
 // p2pCalls and collCalls classify MPI interfaces for the size columns.
-var p2pCalls = []string{"MPI_Isend", "MPI_Send"}
-var collCalls = []string{"MPI_Allreduce", "MPI_Alltoallv", "MPI_Bcast"}
+var p2pCalls = []mpi.Call{mpi.Isend, mpi.Send}
+var collCalls = []mpi.Call{mpi.Allreduce, mpi.Alltoallv, mpi.Bcast}
 
 // Table1Characterization runs each app isolated at the medium size on the
 // default routing and extracts its communication properties. The six apps
 // are independent single runs, so they fan out one per worker; each row
 // is folded in app order and the full report dropped right after, so at
-// most O(workers) reports are live at once. The byte/call columns need
-// the full per-call profile, which is why this folds Reports rather than
-// consuming compact digests.
+// most O(workers) reports are live at once.
 func Table1Characterization(p Profile, seed int64) (*Table1Result, error) {
-	mp, err := p.thetaPool()
+	ms, err := p.thetaPool()
 	if err != nil {
 		return nil, err
 	}
 	res := &Table1Result{Nodes: p.NodesMedium}
 	all := apps.All()
-	err = parallel.ReduceContext(context.Background(), mp.workers(), len(all),
+	err = parallel.ReduceContext(context.Background(), len(ms), len(all),
 		func(worker, idx int) (Sample, error) {
-			return isolatedSample(mp.machine(worker), p, all[idx],
+			return isolatedSample(ms[worker], p, all[idx],
 				p.NodesMedium, routing.AD0, placement.Compact, seed)
 		},
 		func(idx int, s Sample) {
 			prof := s.Report.Profile
 			row := Table1Row{App: all[idx].Name(), MPIPercent: 100 * s.Report.MPIFraction()}
 			var p2pBytes, p2pCallsN, collBytes, collCallsN uint64
-			for _, name := range p2pCalls {
-				if st := prof.ByCall[name]; st != nil {
-					p2pBytes += st.Bytes
-					p2pCallsN += st.Calls
-				}
+			for _, c := range p2pCalls {
+				p2pBytes += prof.ByCall[c].Bytes
+				p2pCallsN += prof.ByCall[c].Calls
 			}
-			for _, name := range collCalls {
-				if st := prof.ByCall[name]; st != nil {
-					collBytes += st.Bytes
-					collCallsN += st.Calls
-				}
+			for _, c := range collCalls {
+				collBytes += prof.ByCall[c].Bytes
+				collCallsN += prof.ByCall[c].Calls
 			}
 			if p2pCallsN > 0 {
 				row.P2PAvgBytes = float64(p2pBytes) / float64(p2pCallsN)
@@ -73,9 +68,8 @@ func Table1Characterization(p Profile, seed int64) (*Table1Result, error) {
 			if collCallsN > 0 {
 				row.CollBytes = float64(collBytes) / float64(collCallsN)
 			}
-			top := prof.TopCalls(3)
-			for i := 0; i < 3 && i < len(top); i++ {
-				row.TopCalls[i] = top[i]
+			for i, c := range prof.TopCalls(3) {
+				row.TopCalls[i] = c.String()
 			}
 			res.Rows = append(res.Rows, row)
 		})

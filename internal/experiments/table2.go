@@ -38,26 +38,26 @@ type Table2Result struct {
 // Table2AllApps runs the production campaign for every application at the
 // medium size under AD0 and AD3, collecting per-run values as the runs stream.
 func Table2AllApps(p Profile, seed int64) (*Table2Result, error) {
-	mp, err := p.thetaPool()
+	ms, err := p.thetaPool()
 	if err != nil {
 		return nil, err
 	}
-	return p.productionStudy(mp, apps.All(), seed)
+	return p.productionStudy(ms, apps.All(), seed)
 }
 
 // productionStudy runs the medium-size AD0-vs-AD3 production campaign for
-// each app in list, in order, on the warm pool mp. Every app's runs start
+// each app in list, in order, on the warm machines ms. Every app's runs start
 // from the same seed, so an app's samples do not depend on which other
 // apps the list holds: a study over just MILC reproduces the MILC part of
 // Table II (and with it Figs. 2, 5 and 6) run for run.
-func (p Profile) productionStudy(mp *machinePool, list []apps.App, seed int64) (*Table2Result, error) {
+func (p Profile) productionStudy(ms []*core.Machine, list []apps.App, seed int64) (*Table2Result, error) {
 	res := &Table2Result{Nodes: p.NodesMedium, Tiles: tileAggs{}}
 	modes := []routing.Mode{routing.AD0, routing.AD3}
 	for _, a := range list {
 		rt := map[routing.Mode][]float64{}
 		mpiT := map[routing.Mode][]float64{}
 		isMILC := a.Name() == apps.MILC{}.Name()
-		err := production(context.Background(), mp, p, a, p.NodesMedium, modes,
+		err := production(context.Background(), ms, p, a, p.NodesMedium, modes,
 			core.DefaultBackground(), seed, func(s *Sample) {
 				res.Samples = append(res.Samples, s.Compact())
 				rt[s.Mode] = append(rt[s.Mode], s.RuntimeSec)

@@ -24,7 +24,7 @@ func (r *Rank) startColl() {
 
 // Barrier blocks until all ranks arrive (dissemination algorithm).
 func (r *Rank) Barrier() {
-	r.timed("MPI_Barrier", 0, func() {
+	r.timed(Barrier, 0, func() {
 		r.startColl()
 		n := r.Size()
 		for k, round := 1, 0; k < n; k, round = k<<1, round+1 {
@@ -42,7 +42,7 @@ func (r *Rank) Barrier() {
 // result everywhere (recursive doubling, with pre/post folding for
 // non-power-of-two sizes).
 func (r *Rank) Allreduce(bytes int) {
-	r.timed("MPI_Allreduce", bytes, func() {
+	r.timed(Allreduce, bytes, func() {
 		r.startColl()
 		r.allreduceBody(bytes)
 	})
@@ -89,7 +89,7 @@ func (r *Rank) allreduceBody(bytes int) {
 
 // Bcast distributes a vector from root (binomial tree).
 func (r *Rank) Bcast(root, bytes int) {
-	r.timed("MPI_Bcast", bytes, func() {
+	r.timed(Bcast, bytes, func() {
 		r.startColl()
 		n := r.Size()
 		rel := (r.id - root + n) % n
@@ -132,7 +132,7 @@ func (r *Rank) Alltoallv(sendCounts []int) {
 			total += c
 		}
 	}
-	r.timed("MPI_Alltoallv", total, func() {
+	r.timed(Alltoallv, total, func() {
 		r.startColl()
 		n := r.Size()
 		pow2 := n&(n-1) == 0

@@ -171,8 +171,8 @@ func TestAllreduceCompletes(t *testing.T) {
 			r.Allreduce(1024)
 		})
 		prof := w.AggregateProfile()
-		s := prof.ByCall["MPI_Allreduce"]
-		if n > 1 && (s == nil || s.Calls != uint64(2*n)) {
+		s := prof.ByCall[Allreduce]
+		if n > 1 && s.Calls != uint64(2*n) {
 			t.Fatalf("n=%d: allreduce calls = %+v", n, s)
 		}
 	}
@@ -185,7 +185,7 @@ func TestBcastFromEveryRoot(t *testing.T) {
 			runWorld(t, w, k, func(r *Rank) {
 				r.Bcast(root, 4096)
 			})
-			if s := w.AggregateProfile().ByCall["MPI_Bcast"]; s == nil || s.Calls != uint64(n) {
+			if s := w.AggregateProfile().ByCall[Bcast]; s.Calls != uint64(n) {
 				t.Fatalf("n=%d root=%d: bcast calls = %+v", n, root, s)
 			}
 		}
@@ -209,7 +209,7 @@ func TestAlltoallCompletes(t *testing.T) {
 			r.Alltoallv(uniformCounts(n, 2048))
 		})
 		prof := w.AggregateProfile()
-		if s := prof.ByCall["MPI_Alltoallv"]; s == nil || s.Bytes != uint64(n*(n-1)*2048) {
+		if s := prof.ByCall[Alltoallv]; s.Bytes != uint64(n*(n-1)*2048) {
 			t.Fatalf("n=%d: alltoallv stats = %+v", n, s)
 		}
 	}
@@ -255,10 +255,10 @@ func TestProfileAccounting(t *testing.T) {
 	if p0.ComputeTime != 100*sim.Microsecond {
 		t.Errorf("compute time = %v", p0.ComputeTime)
 	}
-	if p0.ByCall["MPI_Send"] == nil || p0.ByCall["MPI_Send"].Bytes != 1<<20 {
-		t.Errorf("send stats = %+v", p0.ByCall["MPI_Send"])
+	if p0.ByCall[Send].Calls != 1 || p0.ByCall[Send].Bytes != 1<<20 {
+		t.Errorf("send stats = %+v", p0.ByCall[Send])
 	}
-	if p0.ByCall["MPI_Allreduce"] == nil {
+	if p0.ByCall[Allreduce].Calls == 0 {
 		t.Error("no allreduce in profile")
 	}
 	agg := w.AggregateProfile()

@@ -52,7 +52,7 @@ func (r *Rank) isend(dst, tag, bytes int, a2a bool) *Request {
 // latency-bound operations feel routing changes).
 func (r *Rank) Isend(dst, tag, bytes int) *Request {
 	var req *Request
-	r.timed("MPI_Isend", bytes, func() { req = r.isend(dst, tag, bytes, false) })
+	r.timed(Isend, bytes, func() { req = r.isend(dst, tag, bytes, false) })
 	return req
 }
 
@@ -76,7 +76,7 @@ func (r *Rank) irecv(src, tag int) *Request {
 // AnyTag as wildcards.
 func (r *Rank) Irecv(src, tag, bytes int) *Request {
 	var req *Request
-	r.timed("MPI_Irecv", bytes, func() { req = r.irecv(src, tag) })
+	r.timed(Irecv, bytes, func() { req = r.irecv(src, tag) })
 	return req
 }
 
@@ -109,12 +109,12 @@ func (r *Rank) wait(req *Request) { r.proc.Wait(req.done) }
 
 // Wait blocks until req completes (MPI_Wait).
 func (r *Rank) Wait(req *Request) {
-	r.timed("MPI_Wait", 0, func() { r.wait(req) })
+	r.timed(Wait, 0, func() { r.wait(req) })
 }
 
 // Waitall blocks until every request completes (MPI_Waitall).
 func (r *Rank) Waitall(reqs ...*Request) {
-	r.timed("MPI_Waitall", 0, func() {
+	r.timed(Waitall, 0, func() {
 		for _, q := range reqs {
 			r.wait(q)
 		}
@@ -123,7 +123,7 @@ func (r *Rank) Waitall(reqs ...*Request) {
 
 // Send is a blocking send (MPI_Send): returns when delivered.
 func (r *Rank) Send(dst, tag, bytes int) {
-	r.timed("MPI_Send", bytes, func() {
+	r.timed(Send, bytes, func() {
 		req := r.isend(dst, tag, bytes, false)
 		r.wait(req)
 	})
@@ -131,7 +131,7 @@ func (r *Rank) Send(dst, tag, bytes int) {
 
 // Recv is a blocking receive (MPI_Recv).
 func (r *Rank) Recv(src, tag, bytes int) {
-	r.timed("MPI_Recv", bytes, func() {
+	r.timed(Recv, bytes, func() {
 		req := r.irecv(src, tag)
 		r.wait(req)
 	})

@@ -12,6 +12,37 @@ import (
 	"repro/internal/sim"
 )
 
+// Call identifies one profiled MPI interface (the vocabulary of the
+// paper's Table I). The constants are declared in alphabetical order of
+// their names, so ordering Calls orders their names.
+type Call uint8
+
+const (
+	Allreduce Call = iota
+	Alltoallv
+	Barrier
+	Bcast
+	Irecv
+	Isend
+	Recv
+	Send
+	Wait
+	Waitall
+	// NumCalls is the number of profiled interfaces.
+	NumCalls
+)
+
+var callNames = [NumCalls]string{
+	"MPI_Allreduce", "MPI_Alltoallv", "MPI_Barrier", "MPI_Bcast", "MPI_Irecv",
+	"MPI_Isend", "MPI_Recv", "MPI_Send", "MPI_Wait", "MPI_Waitall",
+}
+
+// String returns the interface's MPI name, e.g. "MPI_Allreduce".
+func (c Call) String() string { return callNames[c] }
+
+// Short returns the name without its "MPI_" prefix, e.g. "Allreduce".
+func (c Call) Short() string { return callNames[c][len("MPI_"):] }
+
 // CallStats accumulates AutoPerf-style statistics for one MPI interface:
 // call count, total payload bytes, and total wallclock spent in the call.
 type CallStats struct {
@@ -29,24 +60,16 @@ func (s CallStats) AvgBytes() float64 {
 }
 
 // Profile is one rank's MPI usage profile, the per-rank unit AutoPerf
-// aggregates. ComputeTime covers all non-MPI wallclock.
+// aggregates. ComputeTime covers all non-MPI wallclock. The zero value
+// is an empty profile.
 type Profile struct {
-	ByCall      map[string]*CallStats
+	ByCall      [NumCalls]CallStats
 	ComputeTime sim.Time
 }
 
-// NewProfile returns an empty profile.
-func NewProfile() *Profile {
-	return &Profile{ByCall: make(map[string]*CallStats)}
-}
-
 // add records one completed MPI call.
-func (p *Profile) add(call string, bytes int, elapsed sim.Time) {
-	s := p.ByCall[call]
-	if s == nil {
-		s = &CallStats{}
-		p.ByCall[call] = s
-	}
+func (p *Profile) add(call Call, bytes int, elapsed sim.Time) {
+	s := &p.ByCall[call]
 	s.Calls++
 	s.Bytes += uint64(bytes)
 	s.Time += elapsed
@@ -55,7 +78,6 @@ func (p *Profile) add(call string, bytes int, elapsed sim.Time) {
 // MPITime returns total time across all MPI calls.
 func (p *Profile) MPITime() sim.Time {
 	var t sim.Time
-	//simlint:allow detrand commutative sum; iteration order cannot reach the result
 	for _, s := range p.ByCall {
 		t += s.Time
 	}
@@ -67,13 +89,8 @@ func (p *Profile) TotalTime() sim.Time { return p.MPITime() + p.ComputeTime }
 
 // Merge adds other's counts into p (used to aggregate across ranks).
 func (p *Profile) Merge(other *Profile) {
-	//simlint:allow detrand per-key commutative accumulation; visit order cannot reach the result
-	for call, s := range other.ByCall {
-		d := p.ByCall[call]
-		if d == nil {
-			d = &CallStats{}
-			p.ByCall[call] = d
-		}
+	for c, s := range other.ByCall {
+		d := &p.ByCall[c]
 		d.Calls += s.Calls
 		d.Bytes += s.Bytes
 		d.Time += s.Time
@@ -81,23 +98,25 @@ func (p *Profile) Merge(other *Profile) {
 	p.ComputeTime += other.ComputeTime
 }
 
-// TopCalls returns call names sorted by descending time (the paper's
-// "MPI Call 1/2/3" columns in Table I).
-func (p *Profile) TopCalls(n int) []string {
-	names := make([]string, 0, len(p.ByCall))
-	//simlint:allow detrand collection order erased by the total sort.Slice order below (time, then name)
-	for name := range p.ByCall {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		si, sj := p.ByCall[names[i]], p.ByCall[names[j]]
-		if si.Time != sj.Time {
-			return si.Time > sj.Time
+// TopCalls returns the interfaces called at least once, sorted by
+// descending time and then by name (the paper's "MPI Call 1/2/3" columns
+// in Table I). n > 0 keeps only the first n.
+func (p *Profile) TopCalls(n int) []Call {
+	var calls []Call
+	for c := Call(0); c < NumCalls; c++ {
+		if p.ByCall[c].Calls > 0 {
+			calls = append(calls, c)
 		}
-		return names[i] < names[j]
-	})
-	if n > 0 && len(names) > n {
-		names = names[:n]
 	}
-	return names
+	sort.Slice(calls, func(i, j int) bool {
+		ti, tj := p.ByCall[calls[i]].Time, p.ByCall[calls[j]].Time
+		if ti != tj {
+			return ti > tj
+		}
+		return calls[i] < calls[j]
+	})
+	if n > 0 && len(calls) > n {
+		calls = calls[:n]
+	}
+	return calls
 }

@@ -33,7 +33,6 @@ func UniformEnv(m routing.Mode) Env {
 // of a shared fabric.
 type World struct {
 	fab   *network.Fabric
-	nodes []topology.NodeID
 	env   Env
 	ranks []*Rank
 
@@ -54,10 +53,9 @@ type World struct {
 // NewWorld creates a world with one rank per node in nodes.
 func NewWorld(fab *network.Fabric, nodes []topology.NodeID, env Env) *World {
 	w := &World{
-		fab:   fab,
-		nodes: nodes,
-		env:   env,
-		Done:  sim.NewSignal(),
+		fab:  fab,
+		env:  env,
+		Done: sim.NewSignal(),
 	}
 	w.ranks = make([]*Rank, len(nodes))
 	for i := range nodes {
@@ -65,7 +63,6 @@ func NewWorld(fab *network.Fabric, nodes []topology.NodeID, env Env) *World {
 			world: w,
 			id:    i,
 			node:  nodes[i],
-			prof:  NewProfile(),
 		}
 	}
 	return w
@@ -77,18 +74,15 @@ func (w *World) Size() int { return len(w.ranks) }
 // Rank returns rank i (for post-run inspection of its profile).
 func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 
-// Nodes returns the node of each rank.
-func (w *World) Nodes() []topology.NodeID { return w.nodes }
-
 // Runtime returns the wallclock from Run to the last rank finishing.
 // Valid once Done has fired.
 func (w *World) Runtime() sim.Time { return w.finishAt - w.startAt }
 
 // AggregateProfile merges all rank profiles.
 func (w *World) AggregateProfile() *Profile {
-	p := NewProfile()
+	p := &Profile{}
 	for _, r := range w.ranks {
-		p.Merge(r.prof)
+		p.Merge(&r.prof)
 	}
 	return p
 }
@@ -122,7 +116,7 @@ type Rank struct {
 	id    int
 	node  topology.NodeID
 	proc  *sim.Proc
-	prof  *Profile
+	prof  Profile
 
 	posted     []*Request  // posted receives awaiting a matching arrival
 	unexpected []*envelope // arrivals awaiting a matching receive
@@ -140,11 +134,8 @@ func (r *Rank) ID() int { return r.id }
 // Size returns the world size.
 func (r *Rank) Size() int { return r.world.Size() }
 
-// Node returns the node this rank runs on.
-func (r *Rank) Node() topology.NodeID { return r.node }
-
 // Profile returns this rank's MPI usage profile.
-func (r *Rank) Profile() *Profile { return r.prof }
+func (r *Rank) Profile() *Profile { return &r.prof }
 
 // Now returns the current virtual time.
 func (r *Rank) Now() sim.Time { return r.proc.Now() }
@@ -164,8 +155,8 @@ func (r *Rank) modeFor(a2a bool) routing.Mode {
 	return r.world.env.RoutingMode
 }
 
-// timed runs fn and accounts its elapsed time to the named MPI call.
-func (r *Rank) timed(call string, bytes int, fn func()) {
+// timed runs fn and accounts its elapsed time to the MPI call.
+func (r *Rank) timed(call Call, bytes int, fn func()) {
 	start := r.proc.Now()
 	fn()
 	r.prof.add(call, bytes, r.proc.Now()-start)

@@ -34,9 +34,10 @@ type metrics struct {
 	coldBuilds uint64
 
 	// Streaming-reduction counters: how many samples came back compact
-	// (full report digested on the worker and dropped) and the retained
-	// size of those digests in bytes — the O(runs)-vs-O(workers) memory
-	// story made observable.
+	// (report kept without its tile-ratio slices) and the retained size of
+	// those compact reports in bytes — the O(runs)-vs-O(workers) memory
+	// story made observable. The gauge keeps its historical
+	// retained_digest_bytes name.
 	samplesReduced uint64
 	digestBytes    uint64
 }

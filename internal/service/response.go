@@ -92,7 +92,7 @@ func (q Query) echo() RequestEcho {
 }
 
 // buildResponse aggregates the ensemble's samples into a response.
-// Samples arrive compact (Reduced digest only, no full report) in
+// Samples arrive compact (Report without its tile-ratio slices) in
 // (run, mode) interleaved order from the seed-order merge; each mode's
 // per-run values are collected in that fixed order, so float summation
 // order — and therefore the marshaled bytes — is independent of pool
@@ -113,8 +113,8 @@ func buildResponse(q Query, samples []experiments.Sample) *Response {
 			mpiFracs = append(mpiFracs, frac)
 			transits = append(transits, s.MeanTransitSec)
 			for _, class := range topology.NetworkTileClasses {
-				flits += s.Reduced.LocalTiles.Flits[class]
-				stalls += s.Reduced.LocalTiles.Stalls[class]
+				flits += s.Report.LocalTiles.Flits[class]
+				stalls += s.Report.LocalTiles.Stalls[class]
 			}
 			minPkts += s.MinPkts
 			nonMinPkts += s.NonMinPkts

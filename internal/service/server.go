@@ -209,7 +209,7 @@ func (s *Server) execute(q Query) (int, []byte) {
 	for _, smp := range samples {
 		events += smp.Events
 		packets += smp.Packets
-		digestBytes += uint64(smp.Reduced.MemBytes())
+		digestBytes += uint64(smp.Report.MemBytes())
 	}
 	s.metrics.recordSim(events, packets, warmAfter-warmBefore, coldAfter-coldBefore)
 	s.metrics.recordReduced(uint64(len(samples)), digestBytes)

@@ -11,8 +11,8 @@
 #   5. GET /metrics reflects the queries: executed counter, pool hits,
 #      zero misses (the -prewarm flag absorbed the cold start), the
 #      simulation-cost gauges (events/packet, warm fabric reuses), and
-#      the streaming-reduction gauges (every retained sample compact,
-#      nonzero digest bytes)
+#      the streaming-reduction gauges (every retained sample a compact
+#      report without tile-ratio slices, nonzero retained bytes)
 #
 # Usage: scripts/smoke.sh [port]   (default 8091)
 set -euo pipefail
@@ -98,7 +98,7 @@ grep -q '^simd_machine_cold_builds_total 0$' <<<"$metrics" || {
 	exit 1
 }
 # 2 executions x 2 runs x 2 modes: every sample must come back as a
-# compact digest (report dropped on the worker).
+# compact report (tile-ratio slices dropped in the fold).
 grep -q '^simd_samples_reduced_total 8$' <<<"$metrics" || {
 	echo "expected all 8 samples reduced to compact digests:" >&2
 	echo "$metrics" >&2
