@@ -1,26 +1,27 @@
 // Command simlint runs the repository's custom static-analysis suite
-// (detrand, resetcheck, hotpath, sharecheck — see DESIGN.md "Static
-// invariants") over the module:
+// (detrand, resetcheck, sharecheck — see DESIGN.md "Static invariants")
+// over the module:
 //
 //	go run ./cmd/simlint ./...
 //
 // Unlike a per-package checker, simlint loads every requested package
 // (plus its module-internal dependencies) into one driver run, builds
 // the static call graph across them, and runs each analyzer once over
-// the whole set — the interprocedural checks (transitive hot-path
-// allocation, output-order taint) need the whole module in view.
+// the whole set — the interprocedural check (output-order taint) needs
+// the whole module in view.
 //
 // It prints one line per finding — or one JSON object per line with
 // -json, for CI to turn into per-file annotations — and exits nonzero
-// when any survive their //simlint:allow / //simlint:resetsafe /
-// //simlint:cold suppressions. A //simlint:allow naming an analyzer
-// outside the suite is itself a finding: it suppresses nothing, so a
-// renamed analyzer cannot leave its directives silently inert. CI
-// treats a nonzero exit as a build failure, which is the point: the
-// invariants these analyzers enforce
-// (explicit RNG streams, complete Reset coverage, allocation-free hot
-// paths, deterministic output rendering, per-worker machine ownership)
-// fail silently at runtime but loudly here.
+// when any survive their //simlint:allow / //simlint:resetsafe
+// suppressions. A //simlint:<verb> directive that no analyzer of the
+// suite reads — an allow naming an analyzer outside the suite, or a
+// verb of a retired analyzer — is itself a finding: it does nothing, so
+// a renamed or deleted analyzer cannot leave its directives silently
+// inert. CI treats a nonzero exit as a build failure, which is the
+// point: the invariants these analyzers enforce (explicit RNG streams,
+// complete Reset coverage, deterministic output rendering, per-worker
+// machine ownership) fail silently at runtime but loudly here. The
+// allocation-free hot path is gated by scripts/allocs.sh instead.
 package main
 
 import (
@@ -77,7 +78,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
 		os.Exit(2)
 	}
-	diags = append(diags, mod.UnknownAllows(analyzers.All)...)
+	diags = append(diags, mod.UnknownDirectives(analyzers.All)...)
 
 	cwd, _ := os.Getwd()
 	enc := json.NewEncoder(os.Stdout)

@@ -1,7 +1,9 @@
 // Package stale is a simlint fixture: two allow directives on a map
 // range that no analyzer flags (the package is outside detrand's scope
-// and nothing renders from it). The one naming a live analyzer is
-// silent; the one naming an analyzer outside the suite is a finding.
+// and nothing renders from it), and two directives of the retired
+// hotpath analyzer. The allow naming a live analyzer is silent; the one
+// naming an analyzer outside the suite is a finding, and so is each
+// directive whose verb no analyzer reads.
 package stale
 
 func sum(m map[string]int) int {
@@ -12,3 +14,9 @@ func sum(m map[string]int) int {
 	}
 	return t
 }
+
+//simlint:hotpath
+func hot() int { return 1 }
+
+//simlint:cold x
+func cold() int { return hot() }

@@ -32,6 +32,10 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
+	// Directives lists the //simlint:<verb> annotations the analyzer
+	// reads besides the shared allow; any other verb is reported as
+	// inert (Module.UnknownDirectives).
+	Directives []string
 	// Run applies the analyzer to the whole module, once per driver
 	// run, reporting findings through pass.Reportf.
 	Run func(*Pass) error
@@ -77,17 +81,27 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // suppressions maps file -> line -> analyzer names allowed there.
 type suppressions map[string]map[int][]string
 
-var allowRE = regexp.MustCompile(`^//simlint:allow\s+([A-Za-z0-9_-]+)\s+\S`)
+var (
+	directiveRE = regexp.MustCompile(`^//simlint:([A-Za-z0-9_-]+)`)
+	allowRE     = regexp.MustCompile(`^//simlint:allow\s+([A-Za-z0-9_-]+)\s+\S`)
+)
 
-// forEachAllow calls fn for every //simlint:allow directive (with a
-// reason) in files, with its position and the analyzer it names.
-func forEachAllow(fset *token.FileSet, files []*ast.File, fn func(token.Position, string)) {
+// forEachDirective calls fn for every //simlint:<verb> comment in
+// files, with its position, its verb and, for an allow with a reason,
+// the analyzer it names ("" for any other directive).
+func forEachDirective(fset *token.FileSet, files []*ast.File, fn func(pos token.Position, verb, allowed string)) {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if m := allowRE.FindStringSubmatch(c.Text); m != nil {
-					fn(fset.Position(c.Pos()), m[1])
+				m := directiveRE.FindStringSubmatch(c.Text)
+				if m == nil {
+					continue
 				}
+				allowed := ""
+				if a := allowRE.FindStringSubmatch(c.Text); a != nil {
+					allowed = a[1]
+				}
+				fn(fset.Position(c.Pos()), m[1], allowed)
 			}
 		}
 	}
@@ -98,7 +112,10 @@ func forEachAllow(fset *token.FileSet, files []*ast.File, fn func(token.Position
 // (trailing style) and on L+1 (comment-above style).
 func collectSuppressions(fset *token.FileSet, files []*ast.File) suppressions {
 	s := suppressions{}
-	forEachAllow(fset, files, func(pos token.Position, name string) {
+	forEachDirective(fset, files, func(pos token.Position, _, name string) {
+		if name == "" {
+			return
+		}
 		byLine := s[pos.Filename]
 		if byLine == nil {
 			byLine = map[int][]string{}
@@ -137,41 +154,21 @@ func sortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// HasDirective reports whether a comment group contains the given
-// //simlint:<name> directive as a standalone comment line (the
-// annotation grammar for function markers like //simlint:hotpath).
-func HasDirective(doc *ast.CommentGroup, name string) bool {
-	if doc == nil {
-		return false
-	}
-	want := "//simlint:" + name
-	for _, c := range doc.List {
-		text := strings.TrimSpace(c.Text)
-		if text == want || strings.HasPrefix(text, want+" ") {
-			return true
-		}
-	}
-	return false
-}
-
-// DirectiveReason extracts the free-text reason following a
-// //simlint:<name> directive in doc or trailing comment groups, and
-// whether the directive is present at all.
-func DirectiveReason(groups []*ast.CommentGroup, name string) (string, bool) {
-	prefix := "//simlint:" + name
+// DirectiveReason returns the free-text reason following a
+// //simlint:<name> directive in doc or trailing comment groups, or ""
+// when the directive is absent or bare: a directive without a reason
+// exempts nothing.
+func DirectiveReason(groups []*ast.CommentGroup, name string) string {
+	prefix := "//simlint:" + name + " "
 	for _, g := range groups {
 		if g == nil {
 			continue
 		}
 		for _, c := range g.List {
-			text := strings.TrimSpace(c.Text)
-			if text == prefix {
-				return "", true
-			}
-			if strings.HasPrefix(text, prefix+" ") {
-				return strings.TrimSpace(strings.TrimPrefix(text, prefix)), true
+			if rest, ok := strings.CutPrefix(c.Text, prefix); ok && strings.TrimSpace(rest) != "" {
+				return strings.TrimSpace(rest)
 			}
 		}
 	}
-	return "", false
+	return ""
 }

@@ -101,24 +101,29 @@ func (m *Module) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// UnknownAllows reports every //simlint:allow directive in the module
-// that names an analyzer outside suite: such a directive suppresses
-// nothing, so a renamed or retired analyzer would otherwise leave it
-// silently inert.
-func (m *Module) UnknownAllows(suite []*Analyzer) []Diagnostic {
-	known := map[string]bool{}
+// UnknownDirectives reports every //simlint: directive in the module
+// that no analyzer of suite reads: an allow naming an analyzer outside
+// the suite, or a verb other than allow that no analyzer lists in its
+// Directives. Such a directive does nothing, so a renamed or retired
+// analyzer would otherwise leave it silently inert.
+func (m *Module) UnknownDirectives(suite []*Analyzer) []Diagnostic {
+	analyzers, verbs := map[string]bool{}, map[string]bool{"allow": true}
 	for _, a := range suite {
-		known[a.Name] = true
+		analyzers[a.Name] = true
+		for _, v := range a.Directives {
+			verbs[v] = true
+		}
 	}
 	var diags []Diagnostic
+	report := func(pos token.Position, format string, args ...any) {
+		diags = append(diags, Diagnostic{Pos: pos, Analyzer: "simlint", Message: fmt.Sprintf(format, args...)})
+	}
 	for _, pkg := range m.Pkgs {
-		forEachAllow(m.Loader.Fset, pkg.Files, func(pos token.Position, name string) {
-			if !known[name] {
-				diags = append(diags, Diagnostic{
-					Pos:      pos,
-					Analyzer: "simlint",
-					Message:  fmt.Sprintf("//simlint:allow names unknown analyzer %q; the directive suppresses nothing", name),
-				})
+		forEachDirective(m.Loader.Fset, pkg.Files, func(pos token.Position, verb, allowed string) {
+			if !verbs[verb] {
+				report(pos, "//simlint:%s is read by no analyzer in the suite; the directive does nothing", verb)
+			} else if allowed != "" && !analyzers[allowed] {
+				report(pos, "//simlint:allow names unknown analyzer %q; the directive suppresses nothing", allowed)
 			}
 		})
 	}

@@ -66,49 +66,40 @@ func f() {
 }
 
 // TestDirectiveReason pins the //simlint:<name> <reason> extraction used
-// by hotpath's cold grammar: a bare directive is present with an empty
-// reason (which hotpath rejects), and the reason is everything after the
-// directive word.
+// by resetcheck's resetsafe grammar: the directive is found in a field's
+// doc or trailing comment, the reason is everything after the directive
+// word, and a bare directive reads as no reason at all, so it exempts
+// nothing.
 func TestDirectiveReason(t *testing.T) {
 	const src = `package p
 
-// helper does things.
-//
-//simlint:cold panic path; never returns
-func a() {}
-
-//simlint:cold
-func b() {}
-
-func c() {}
+type s struct {
+	// a is rebuilt by the owner.
+	//
+	//simlint:resetsafe immutable after construction
+	a int
+	b int //simlint:resetsafe  rewound by the caller
+	//simlint:resetsafe
+	c int
+	d int // a plain comment
+}
 `
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, "dir.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reasons := map[string]struct {
-		reason  string
-		present bool
-	}{}
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			continue
+	want := map[string]string{
+		"a": "immutable after construction",
+		"b": "rewound by the caller",
+		"c": "",
+		"d": "",
+	}
+	st := file.Decls[0].(*ast.GenDecl).Specs[0].(*ast.TypeSpec).Type.(*ast.StructType)
+	for _, f := range st.Fields.List {
+		name := f.Names[0].Name
+		if got := DirectiveReason([]*ast.CommentGroup{f.Doc, f.Comment}, "resetsafe"); got != want[name] {
+			t.Errorf("%s: reason %q, want %q", name, got, want[name])
 		}
-		r, present := DirectiveReason([]*ast.CommentGroup{fd.Doc}, "cold")
-		reasons[fd.Name.Name] = struct {
-			reason  string
-			present bool
-		}{r, present}
-	}
-	if got := reasons["a"]; !got.present || got.reason != "panic path; never returns" {
-		t.Errorf("a: got (%q, %v), want full reason and present", got.reason, got.present)
-	}
-	if got := reasons["b"]; !got.present || got.reason != "" {
-		t.Errorf("b: got (%q, %v), want bare directive present with empty reason", got.reason, got.present)
-	}
-	if got := reasons["c"]; got.present {
-		t.Errorf("c: directive reported present on an unannotated function")
 	}
 }

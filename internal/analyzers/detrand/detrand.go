@@ -303,9 +303,9 @@ func reach(m *analysis.Module) map[*types.Func]*types.Func {
 				continue
 			}
 			witness[fn] = root
-			for _, site := range m.Graph.Sites[fn] {
-				if site.Callee != nil && m.Graph.Decls[site.Callee] != nil {
-					stack = append(stack, site.Callee)
+			for _, callee := range m.Graph.Callees[fn] {
+				if m.Graph.Decls[callee] != nil {
+					stack = append(stack, callee)
 				}
 			}
 		}

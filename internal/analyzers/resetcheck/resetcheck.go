@@ -37,7 +37,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "resetcheck",
 	Doc: "every field of a struct with a Reset method must be assigned in " +
 		"Reset (directly or via a callee) or carry //simlint:resetsafe <reason>",
-	Run: run,
+	Directives: []string{"resetsafe"},
+	Run:        run,
 }
 
 // methodIndex maps receiver base-type name -> method name -> decl.
@@ -125,7 +126,7 @@ func structFields(st *ast.StructType) (names []string, exempt map[string]bool, f
 	exempt = map[string]bool{}
 	fieldPos = map[string]ast.Node{}
 	for _, f := range st.Fields.List {
-		_, safe := analysis.DirectiveReason([]*ast.CommentGroup{f.Doc, f.Comment}, "resetsafe")
+		safe := analysis.DirectiveReason([]*ast.CommentGroup{f.Doc, f.Comment}, "resetsafe") != ""
 		var fnames []string
 		if len(f.Names) == 0 {
 			if n := recvTypeName(f.Type); n != "" { // embedded

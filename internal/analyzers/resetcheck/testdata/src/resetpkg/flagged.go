@@ -29,3 +29,11 @@ func (t *twoPhase) reset() { // want "twoPhase.cold is not reset by reset"
 		t.hot[i] = 0
 	}
 }
+
+// bareSafe carries a resetsafe without a reason: like a reasonless
+// allow, it exempts nothing.
+type bareSafe struct {
+	id int //simlint:resetsafe
+}
+
+func (b *bareSafe) Reset() {} // want "bareSafe.id is not reset by Reset"

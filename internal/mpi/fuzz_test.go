@@ -95,7 +95,7 @@ func FuzzAlltoallv(f *testing.F) {
 					row += uint64(counts[r][d])
 				}
 			}
-			st := w.Rank(r).Profile().ByCall[Alltoallv]
+			st := w.ranks[r].prof.ByCall[Alltoallv]
 			if st.Calls != 1 {
 				t.Fatalf("rank %d: missing MPI_Alltoallv profile entry", r)
 			}

@@ -251,7 +251,7 @@ func TestProfileAccounting(t *testing.T) {
 		}
 		r.Allreduce(8)
 	})
-	p0 := w.Rank(0).Profile()
+	p0 := &w.ranks[0].prof
 	if p0.ComputeTime != 100*sim.Microsecond {
 		t.Errorf("compute time = %v", p0.ComputeTime)
 	}

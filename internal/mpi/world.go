@@ -71,9 +71,6 @@ func NewWorld(fab *network.Fabric, nodes []topology.NodeID, env Env) *World {
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.ranks) }
 
-// Rank returns rank i (for post-run inspection of its profile).
-func (w *World) Rank(i int) *Rank { return w.ranks[i] }
-
 // Runtime returns the wallclock from Run to the last rank finishing.
 // Valid once Done has fired.
 func (w *World) Runtime() sim.Time { return w.finishAt - w.startAt }
@@ -133,9 +130,6 @@ func (r *Rank) ID() int { return r.id }
 
 // Size returns the world size.
 func (r *Rank) Size() int { return r.world.Size() }
-
-// Profile returns this rank's MPI usage profile.
-func (r *Rank) Profile() *Profile { return &r.prof }
 
 // Now returns the current virtual time.
 func (r *Rank) Now() sim.Time { return r.proc.Now() }

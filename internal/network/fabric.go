@@ -204,16 +204,12 @@ func (s *server) queued() bool { return s.nonEmpty != 0 }
 
 // pushPacket appends p to s's VC vc queue (buffer space must already be
 // accounted via occ/occTotal).
-//
-//simlint:hotpath
 func (f *Fabric) pushPacket(s *server, vc int, p *Packet) {
 	s.queues[vc].push(&f.pool, p)
 	s.nonEmpty |= 1 << uint(vc)
 }
 
 // popPacket dequeues the head of s's VC vc queue.
-//
-//simlint:hotpath
 func (f *Fabric) popPacket(s *server, vc int) *Packet {
 	q := &s.queues[vc]
 	p := q.pop(&f.pool)
@@ -375,8 +371,6 @@ const (
 
 // HandleEvent implements sim.Handler: the fabric's allocation-free event
 // dispatch.
-//
-//simlint:hotpath
 func (f *Fabric) HandleEvent(kind uint8, a, b int64) {
 	switch kind {
 	case evFinishTx:
@@ -404,8 +398,6 @@ func (f *Fabric) HandleEvent(kind uint8, a, b int64) {
 
 // complete records m's delivery at the current time and fires its Done
 // signal.
-//
-//simlint:hotpath
 func (f *Fabric) complete(m *Message) {
 	m.DeliveredAt = f.k.Now()
 	if m.OnDelivered != nil {
@@ -442,8 +434,6 @@ const LoadUnitBytes = 256
 // defining properties of the hardware's credit-based congestion metric:
 // it lags reality by a round-trip, and it reflects sustained utilization
 // rather than the instantaneous queue.
-//
-//simlint:hotpath
 func (f *Fabric) Load(id topology.LinkID) int {
 	ld := &f.loads[id]
 	now := f.k.Now()
@@ -470,8 +460,6 @@ func (f *Fabric) Load(id topology.LinkID) int {
 
 // syncOcc folds the occupancy-time integral forward to now. Must be
 // called before every occTotal change.
-//
-//simlint:hotpath
 func (s *server) syncOcc(now sim.Time) {
 	if now > s.occAt {
 		s.occInt += float64(s.occTotal) * float64(now-s.occAt)
@@ -486,8 +474,6 @@ func (s *server) syncOcc(now sim.Time) {
 // release matches an earlier reservation of the same packet's flits, so
 // occupancy never goes negative; if it does, the model is broken and
 // occUnderflow panics rather than silently clamping.
-//
-//simlint:hotpath
 func (f *Fabric) bumpOcc(s *server, vc, delta int, now sim.Time) {
 	if s.pendingTx && now >= s.freeAt {
 		f.settle(s)
@@ -501,8 +487,6 @@ func (f *Fabric) bumpOcc(s *server, vc, delta int, now sim.Time) {
 }
 
 // occUnderflow reports a buffer release with no matching reservation.
-//
-//simlint:cold panic formatting on a model-bug path that never returns
 func (s *server) occUnderflow(vc, delta int) {
 	panic(fmt.Sprintf("network: server %d released %d flits on VC %d it never reserved (VC occupancy %d)",
 		s.idx, -delta, vc, s.occ[vc]))
@@ -511,8 +495,6 @@ func (s *server) occUnderflow(vc, delta int) {
 // jitter applies the estimate error model: a multiplicative uniform error
 // of ±LoadJitter. Zero load stays zero (an idle port has no credits
 // outstanding, so the hardware reads it exactly).
-//
-//simlint:hotpath
 func (f *Fabric) jitter(load int) int {
 	j := f.params.LoadJitter
 	if j <= 0 || load == 0 {
@@ -581,8 +563,6 @@ func (f *Fabric) Send(src, dst topology.NodeID, bytes int, mode routing.Mode) *M
 
 // enqueue queues p at its source node's injection server and returns that
 // server, which the caller starts.
-//
-//simlint:hotpath
 func (f *Fabric) enqueue(p *Packet) *server {
 	inj := f.injector(p.src)
 	f.bumpOcc(inj, 0, p.flits, f.k.Now())
@@ -597,8 +577,6 @@ func (f *Fabric) enqueue(p *Packet) *server {
 // per-decision allocation. The capped slice makes a path longer than the
 // array reallocate rather than overrun it; routeOverflow then panics, so
 // such a path can never silently move a route to the heap.
-//
-//simlint:hotpath
 func (f *Fabric) routePacket(p *Packet) {
 	srcR := f.topo.RouterOfNode(p.src)
 	dstR := f.topo.RouterOfNode(p.dst)
@@ -621,21 +599,16 @@ func (f *Fabric) routePacket(p *Packet) {
 
 // routeOverflow reports a routing decision longer than a packet's inline
 // route array.
-//
-//simlint:cold panic formatting on a model-bug path that never returns
 func routeOverflow(n int) {
 	panic(fmt.Sprintf("network: route of %d links exceeds routing.MaxPathLinks (%d)", n, routing.MaxPathLinks))
 }
 
 // injector and ejector return node n's NIC servers, which New lays out
 // after the links in pairs: injection at nLinks+2n, ejection after it.
-//
-//simlint:hotpath
 func (f *Fabric) injector(n topology.NodeID) *server {
 	return &f.servers[len(f.loads)+2*int(n)]
 }
 
-//simlint:hotpath
 func (f *Fabric) ejector(n topology.NodeID) *server {
 	return &f.servers[len(f.loads)+2*int(n)+1]
 }
@@ -646,8 +619,6 @@ func (f *Fabric) ejector(n topology.NodeID) *server {
 // route link h, so its next hop is always hop+1: the server is
 // route[hop+1], or the destination's ejection server once the route runs
 // out. The VC there is the new hop index on a link and 0 at a NIC.
-//
-//simlint:hotpath
 func (f *Fabric) nextHop(p *Packet) (n *server, vc, hop int) {
 	hop = p.hop + 1
 	if hop < int(p.nroute) {
@@ -659,8 +630,6 @@ func (f *Fabric) nextHop(p *Packet) (n *server, vc, hop int) {
 // hasSpace reports whether server s can accept flits on VC vc. A server
 // with capFlits == 0 is unbounded; an empty VC always accepts one packet
 // regardless of size so oversized packets cannot wedge.
-//
-//simlint:hotpath
 func (s *server) hasSpace(vc, flits int) bool {
 	if s.capFlits == 0 {
 		return true
@@ -674,8 +643,6 @@ func (s *server) hasSpace(vc, flits int) bool {
 // counter returns the flat tile-counter index that records traffic
 // through s for packet p. NIC servers map to processor tiles, split
 // request/response by packet kind; a link's tile is the same for both.
-//
-//simlint:hotpath
 func (s *server) counter(p *Packet) int32 {
 	if p.response && s.kind != kindLink {
 		return s.ctr + 1
@@ -687,8 +654,6 @@ func (s *server) counter(p *Packet) int32 {
 // head of the winning VC (lastVC), count its flits on s's tile, release
 // its input buffer space at time at, clear busy, and flush the blocked
 // upstreams. It returns the dequeued packet.
-//
-//simlint:hotpath
 func (f *Fabric) release(s *server, at sim.Time) *Packet {
 	vc := s.lastVC
 	p := f.popPacket(s, vc)
@@ -709,8 +674,6 @@ func (f *Fabric) release(s *server, at sim.Time) *Packet {
 // completion at freeAt itself (no backlog, no waiters: those schedule an
 // evSettle for exactly freeAt), which is why deferring it to the fused
 // hop-done is unobservable.
-//
-//simlint:hotpath
 func (f *Fabric) settle(s *server) {
 	if !s.pendingTx || f.k.Now() < s.freeAt {
 		return
@@ -723,8 +686,6 @@ func (f *Fabric) settle(s *server) {
 // settleDue schedules the evSettle that makes a fused sender's deferred
 // completion happen at exactly freeAt. Called when backlog or waiters
 // appear while the transmission is still in flight.
-//
-//simlint:hotpath
 func (f *Fabric) settleDue(s *server) {
 	if !s.settleEvt {
 		s.settleEvt = true
@@ -735,8 +696,6 @@ func (f *Fabric) settleDue(s *server) {
 // fusedBacklog reports whether a fused-pending sender has queued work
 // beyond its in-flight packet — work the split reference model would
 // start at freeAt, so the fused model must settle then too.
-//
-//simlint:hotpath
 func (s *server) fusedBacklog() bool {
 	return s.nonEmpty != 1<<uint(s.lastVC) || s.queues[s.lastVC].len() > 1
 }
@@ -745,8 +704,6 @@ func (s *server) fusedBacklog() bool {
 // has both finished serializing at link server s and propagated to its
 // next hop. The sender side settles here if no earlier touch already
 // did; the arrival side is evArrive's.
-//
-//simlint:hotpath
 func (f *Fabric) hopDone(s *server, p *Packet) {
 	f.settle(s)
 	f.arrive(p)
@@ -755,8 +712,6 @@ func (f *Fabric) hopDone(s *server, p *Packet) {
 
 // arrive moves p into its next hop, on the VC and hop index nextHop
 // gives, and starts that server.
-//
-//simlint:hotpath
 func (f *Fabric) arrive(p *Packet) {
 	n, vc, hop := f.nextHop(p)
 	p.hop = hop
@@ -768,8 +723,6 @@ func (f *Fabric) arrive(p *Packet) {
 // n: s's latency plus the HopContention charge for n's backlog (crossbar
 // and arbitration contention at the next router). A fused completion n
 // owes settles first, so the backlog reads post-completion.
-//
-//simlint:hotpath
 func (f *Fabric) hopDelay(s, n *server) sim.Time {
 	if n.pendingTx {
 		f.settle(n)
@@ -804,8 +757,6 @@ func (f *Fabric) settleAll() {
 // old modular loop, skipping empty VCs for free. tryStart is the hottest
 // fabric function (it runs per injection, arrival, completion, and wake),
 // and most servers have 1-2 of 12 VCs occupied.
-//
-//simlint:hotpath
 func (f *Fabric) tryStart(s *server) {
 	if s.pendingTx {
 		if f.k.Now() >= s.freeAt {
@@ -844,8 +795,6 @@ func (f *Fabric) tryStart(s *server) {
 // startVC tries to begin serializing the head of s's VC vc, reporting
 // whether serialization started (false: downstream full, caller moves to
 // the next candidate VC).
-//
-//simlint:hotpath
 func (f *Fabric) startVC(s *server, vc int) bool {
 	p := s.queues[vc].front(&f.pool)
 	if s.kind == kindInject && !p.routed {
@@ -925,8 +874,6 @@ func (f *Fabric) startVC(s *server, vc int) bool {
 // finishTx completes serialization at s: releases the in-flight packet,
 // delivers it from an ejection server or forwards it to its next hop
 // after the propagation delay, and re-arbitrates s.
-//
-//simlint:hotpath
 func (f *Fabric) finishTx(s *server) {
 	p := f.release(s, f.k.Now())
 	if s.kind == kindEject {
@@ -939,8 +886,6 @@ func (f *Fabric) finishTx(s *server) {
 }
 
 // deliver completes a packet at its destination node.
-//
-//simlint:hotpath
 func (f *Fabric) deliver(p *Packet) {
 	f.PacketsDelivered++
 	if !p.response {

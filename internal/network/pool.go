@@ -63,15 +63,11 @@ type packetPool struct {
 }
 
 // at resolves slot idx to its packet.
-//
-//simlint:hotpath
 func (pl *packetPool) at(idx int32) *Packet {
 	return &pl.chunks[idx>>chunkShift][idx&chunkMask]
 }
 
 // grow appends one chunk, stamping each slot with its index.
-//
-//simlint:cold slab growth on a pool miss: each chunk is allocated once per fabric, then recycled
 func (pl *packetPool) grow() {
 	c := new([chunkSize]Packet)
 	base := int32(len(pl.chunks)) << chunkShift
@@ -97,8 +93,6 @@ func (pl *packetPool) reset() {
 // allocPacket returns a reset packet. With recycle disabled
 // (Params.NoRecycle) it always takes a fresh slot, which is the reference
 // behaviour the pool property tests compare against.
-//
-//simlint:hotpath
 func (f *Fabric) allocPacket() *Packet {
 	pool := &f.pool
 	if n := len(pool.free); n > 0 && !f.params.NoRecycle {
@@ -119,8 +113,6 @@ func (f *Fabric) allocPacket() *Packet {
 }
 
 // releasePacket returns a delivered packet to the free list.
-//
-//simlint:hotpath
 func (f *Fabric) releasePacket(p *Packet) {
 	if f.params.NoRecycle {
 		return
@@ -132,8 +124,6 @@ func (f *Fabric) releasePacket(p *Packet) {
 // reset clears a recycled packet to its zero state, keeping idx. The route
 // array is left as is: nroute = 0 makes its contents dead, and routePacket
 // overwrites them.
-//
-//simlint:hotpath
 func (p *Packet) reset() {
 	p.qnext = 0
 	p.src, p.dst = 0, 0
@@ -147,8 +137,6 @@ func (p *Packet) reset() {
 }
 
 // packetOf resolves a typed-event payload back to its packet.
-//
-//simlint:hotpath
 func (f *Fabric) packetOf(idx int64) *Packet { return f.pool.at(int32(idx)) }
 
 // pktQueue is one virtual channel's FIFO of queued packets: a singly
@@ -167,7 +155,6 @@ func (q *pktQueue) empty() bool                  { return q.n == 0 }
 func (q *pktQueue) len() int                     { return int(q.n) }
 func (q *pktQueue) front(pl *packetPool) *Packet { return pl.at(q.head) }
 
-//simlint:hotpath
 func (q *pktQueue) push(pl *packetPool, p *Packet) {
 	if q.n == 0 {
 		q.head = p.idx
@@ -178,7 +165,6 @@ func (q *pktQueue) push(pl *packetPool, p *Packet) {
 	q.n++
 }
 
-//simlint:hotpath
 func (q *pktQueue) pop(pl *packetPool) *Packet {
 	p := pl.at(q.head)
 	q.head = p.qnext
@@ -200,8 +186,6 @@ type waitReg struct {
 // registerWaiter records that s is waiting for space at n, deduplicated
 // against live registrations. The scan is over s's own small set (bounded
 // by the distinct next-hop servers of s's VC heads), not n's waiter list.
-//
-//simlint:hotpath
 func (f *Fabric) registerWaiter(s, n *server) {
 	for i := range s.waitingOn {
 		r := &s.waitingOn[i]
@@ -232,8 +216,6 @@ func (f *Fabric) registerWaiter(s, n *server) {
 // have used, but without a heap push/pop — wakes are the third-largest
 // event class on the packet path. TryTailCall refuses whenever the
 // ordering would differ, and the queued event remains the fallback.
-//
-//simlint:hotpath
 func (f *Fabric) flushWaiters(s *server) {
 	if len(s.waiters) == 0 {
 		return
@@ -249,8 +231,6 @@ func (f *Fabric) flushWaiters(s *server) {
 // server in the snapshot, in registration order (the same order the old
 // one-event-per-waiter scheme preserved through consecutive sequence
 // numbers).
-//
-//simlint:hotpath
 func (f *Fabric) wakeWaiters(s *server) {
 	for _, w := range s.waking {
 		f.tryStart(&f.servers[w])

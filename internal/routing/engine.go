@@ -100,8 +100,6 @@ func (e *Engine) Topology() *topology.Topology { return e.topo }
 // minimal and gives the AD3 shift a meaningful threshold: with an idle
 // 6-hop Valiant alternative, a minimal path must queue ~24 units (~6KB)
 // before AD3 lets go of it.
-//
-//simlint:hotpath
 func (e *Engine) pathLoad(links []topology.LinkID) int {
 	if len(links) == 0 {
 		return 0
@@ -111,8 +109,6 @@ func (e *Engine) pathLoad(links []topology.LinkID) int {
 
 // leastLoaded returns the link in ls with the smallest load, breaking ties
 // by earliest index. ls must be non-empty.
-//
-//simlint:hotpath
 func (e *Engine) leastLoaded(ls []topology.LinkID) topology.LinkID {
 	best := ls[0]
 	bestLoad := e.est.Load(best)
@@ -127,8 +123,6 @@ func (e *Engine) leastLoaded(ls []topology.LinkID) topology.LinkID {
 // intraGroup appends a minimal path between two routers of the same group
 // to dst (<= 2 hops: rank-1, rank-2, or one of each in load-preferred
 // order).
-//
-//simlint:hotpath
 func (e *Engine) intraGroup(buf []topology.LinkID, a, b topology.RouterID) []topology.LinkID {
 	if a == b {
 		return buf
@@ -159,8 +153,6 @@ func (e *Engine) intraGroup(buf []topology.LinkID, a, b topology.RouterID) []top
 
 // minimalInterGroup appends one minimal path from src to dst (different
 // groups) through the given rank-3 gateway link to buf.
-//
-//simlint:hotpath
 func (e *Engine) minimalInterGroup(buf []topology.LinkID, src, dst topology.RouterID, gw topology.LinkID) []topology.LinkID {
 	g := e.topo.Link(gw)
 	buf = e.intraGroup(buf, src, g.Src)
@@ -174,8 +166,6 @@ func (e *Engine) minimalInterGroup(buf []topology.LinkID, src, dst topology.Rout
 // backed by engine scratch (or the topology's own link table when it has
 // at most k entries): it is valid only until the next sampleGateways call
 // and must not be mutated.
-//
-//simlint:hotpath
 func (e *Engine) sampleGateways(rng *rand.Rand, a, b topology.GroupID, k int) []topology.LinkID {
 	all := e.topo.GlobalLinks(a, b)
 	if len(all) <= k {
@@ -212,8 +202,6 @@ func (e *Engine) sampleGateways(rng *rand.Rand, a, b topology.GroupID, k int) []
 // gateway choices (or the <=2-hop intra-group path when src and dst share
 // a group). The result is scratch-backed: valid until the next bestMinimal
 // call on this engine.
-//
-//simlint:hotpath
 func (e *Engine) bestMinimal(rng *rand.Rand, src, dst topology.RouterID) []topology.LinkID {
 	t := e.topo
 	ga, gb := t.GroupOfRouter(src), t.GroupOfRouter(dst)
@@ -242,8 +230,6 @@ func (e *Engine) bestMinimal(rng *rand.Rand, src, dst topology.RouterID) []topol
 // intermediate group (inter-group traffic) or a random intermediate router
 // (intra-group traffic). The result is scratch-backed: valid until the
 // next bestNonMinimal call on this engine.
-//
-//simlint:hotpath
 func (e *Engine) bestNonMinimal(rng *rand.Rand, src, dst topology.RouterID) []topology.LinkID {
 	t := e.topo
 	ga, gb := t.GroupOfRouter(src), t.GroupOfRouter(dst)
@@ -321,8 +307,6 @@ func (e *Engine) bestNonMinimal(rng *rand.Rand, src, dst topology.RouterID) []to
 // every LoadEstimator query, in order) is a frozen interface: golden
 // artifacts depend on it byte-for-byte, so restructuring must not add,
 // drop, or reorder a single draw (see DESIGN.md).
-//
-//simlint:hotpath
 func (e *Engine) route(mode Mode, rng *rand.Rand, src, dst topology.RouterID, hopsTaken int) ([]topology.LinkID, bool) {
 	if src == dst {
 		return nil, false
@@ -352,8 +336,6 @@ func (e *Engine) route(mode Mode, rng *rand.Rand, src, dst topology.RouterID, ho
 // non-minimal. It allocates nothing: losing candidates live and die in
 // engine scratch. hopsTaken is the number of hops the packet has already
 // taken; only AD1's bias reads it.
-//
-//simlint:hotpath
 func (e *Engine) RouteInto(dst0 []topology.LinkID, mode Mode, rng *rand.Rand, src, dst topology.RouterID, hopsTaken int) ([]topology.LinkID, bool) {
 	links, nonMin := e.route(mode, rng, src, dst, hopsTaken)
 	return append(dst0, links...), nonMin

@@ -68,8 +68,6 @@ func NewMachinePool(keyCap int) *MachinePool {
 // most recently parked (warmest) machine and building a fresh one on a
 // pool miss. The caller must Checkin the machine when its query
 // completes, success or failure.
-//
-//simlint:hotpath
 func (p *MachinePool) Checkout(key string) (*core.Machine, error) {
 	p.mu.Lock()
 	if free := p.free[key]; len(free) > 0 {
@@ -150,8 +148,6 @@ func (p *MachinePool) CheckoutN(key string, n int) ([]*core.Machine, error) {
 // Checkin parks a machine back in the pool (or discards it when the key
 // already holds keyCap idle machines). Checking in a machine that is not
 // currently checked out is a caller bug and panics.
-//
-//simlint:hotpath
 func (p *MachinePool) Checkin(m *core.Machine) {
 	p.mu.Lock()
 	key, live := p.inUse[m]
@@ -193,8 +189,6 @@ func (p *MachinePool) Stats() PoolStats {
 // buildMachine constructs a fresh machine for a pool key (a validated
 // topology name — DecodeRequest only admits names topology.ByName
 // knows).
-//
-//simlint:cold pool-miss construction path; fabric build dominates any formatting
 func buildMachine(key string) (*core.Machine, error) {
 	cfg, err := topology.ByName(key)
 	if err != nil {
@@ -203,8 +197,8 @@ func buildMachine(key string) (*core.Machine, error) {
 	return core.NewMachine(cfg)
 }
 
-// Cold panic/error helpers, outlined so the annotated hot paths stay
-// free of boxing and formatting.
+// Cold panic/error helpers, outlined so the warm Checkout/Checkin cycle
+// stays free of boxing and formatting (TestPoolWarmCycleAllocFree).
 
 func badCheckout() {
 	panic("service: pool handed out a machine that is already live")

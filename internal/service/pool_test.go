@@ -49,6 +49,30 @@ func TestPoolCheckoutCheckin(t *testing.T) {
 	}
 }
 
+// TestPoolWarmCycleAllocFree pins the pool's per-query overhead on the
+// warm path: on a prewarmed key, a Checkout served from the idle list
+// followed by its Checkin allocates nothing — the idle slice keeps its
+// capacity and the in-use map reuses its slot.
+func TestPoolWarmCycleAllocFree(t *testing.T) {
+	p := NewMachinePool(2)
+	if err := p.Prewarm("test", 1); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		m, err := p.Checkout("test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Checkin(m)
+	})
+	if allocs != 0 {
+		t.Errorf("warm Checkout+Checkin allocates %.1f objects per cycle, want 0", allocs)
+	}
+	if s := p.Stats(); s.Misses != 0 || s.Hits != 101 {
+		t.Errorf("every checkout should be a warm hit: %+v", s)
+	}
+}
+
 // TestPoolPrewarm pins the prewarm contract: prewarmed machines are
 // parked idle with their fabric already constructed, the first checkout
 // against the key is a pool hit (not a miss), and the first run on that

@@ -88,9 +88,9 @@ func (h *recordingHandler) HandleEvent(kind uint8, a, b int64) {
 // TestSignalFireAllocFree pins Signal.Fire at zero allocations per fire
 // in steady state. Fire runs on the fabric's packet-delivery hot path
 // (every completed message fires its Done signal), and it once allocated
-// one closure per waiter per fire — an interprocedural leak no
-// per-function check could see (simlint's hotpath analyzer caught it
-// through its callee summaries). Signals are
+// one closure per waiter per fire, two calls below the fabric's deliver.
+// scripts/allocs.sh would now list such a closure as a runtime.newobject
+// call in Fire; this test checks the path as it runs. Signals are
 // one-shot, so the test prepares one signal with parked waiters per
 // AllocsPerRun round rather than reusing one.
 func TestSignalFireAllocFree(t *testing.T) {

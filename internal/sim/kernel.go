@@ -138,15 +138,11 @@ func (k *Kernel) Pending() int { return k.events.len() }
 
 // panicPast reports scheduling before the current time. Outlined from the
 // schedulers so the hot typed-event path stays free of fmt in its body.
-//
-//simlint:cold panic formatting on a model-bug path that never returns
 func (k *Kernel) panicPast(t Time) {
 	panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 }
 
 // panicPayload reports a typed-event scalar outside the packable range.
-//
-//simlint:cold panic formatting on a model-bug path that never returns
 func panicPayload(a, b int64) {
 	panic(fmt.Sprintf("sim: typed-event payload (%d, %d) outside [0, 2^%d)", a, b, payloadBits))
 }
@@ -168,8 +164,6 @@ func (k *Kernel) RegisterHandler(h Handler) HandlerID {
 // heap-allocated in steady state. Events fire in (time, scheduling
 // sequence) order. Scheduling in the past panics: that is always a model
 // bug, and silently reordering would break determinism guarantees.
-//
-//simlint:hotpath
 func (k *Kernel) AtEvent(t Time, h HandlerID, kind uint8, a, b int64) {
 	if t < k.now {
 		k.panicPast(t)
@@ -194,8 +188,6 @@ func pack(h HandlerID, kind uint8, a, b int64) uint64 {
 // then. On false the caller must schedule normally. Multiple tail calls
 // registered during one event run in registration order, still matching
 // zero-delay event semantics.
-//
-//simlint:hotpath
 func (k *Kernel) TryTailCall(h HandlerID, kind uint8, a, b int64) bool {
 	if !k.inEvent || k.events.hasNow() {
 		return false
@@ -208,8 +200,6 @@ func (k *Kernel) TryTailCall(h HandlerID, kind uint8, a, b int64) bool {
 }
 
 // AfterEvent schedules a typed event d after the current time.
-//
-//simlint:hotpath
 func (k *Kernel) AfterEvent(d Time, h HandlerID, kind uint8, a, b int64) {
 	k.AtEvent(k.now+d, h, kind, a, b)
 }
@@ -220,8 +210,6 @@ func (k *Kernel) Stop() { k.stopped = true }
 
 // exec dispatches one event to its handler, then drains any tail calls it
 // (or its continuations) registered.
-//
-//simlint:hotpath
 func (k *Kernel) exec(pay uint64) {
 	k.stats.EventsExecuted++
 	k.stats.Digest = fold(fold(k.stats.Digest, uint64(k.now)), pay)
@@ -242,8 +230,6 @@ func (k *Kernel) exec(pay uint64) {
 }
 
 // dispatch unpacks a payload and calls its handler.
-//
-//simlint:hotpath
 func (k *Kernel) dispatch(pay uint64) {
 	k.handlers[pay>>48&0xff].HandleEvent(uint8(pay>>56),
 		int64(pay>>payloadBits&maxPayload), int64(pay&maxPayload))
@@ -259,8 +245,6 @@ func (k *Kernel) dispatch(pay uint64) {
 // order. Virtual time advances only once b[0] is drained, and only as
 // far as limit: the queue's advance leaves everything as it was when the
 // next event is later.
-//
-//simlint:hotpath
 func (k *Kernel) step(limit Time) bool {
 	if k.events.hasNow() {
 		e := k.events.pop()

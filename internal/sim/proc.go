@@ -123,8 +123,6 @@ func (s *Signal) Fired() bool { return s.fired }
 // current virtual time. Firing an already-fired signal is a no-op. Fire is
 // allocation-free: each waiter's resume is a typed event naming its proc
 // id, so firing from the packet-delivery hot path never touches the heap.
-//
-//simlint:hotpath
 func (s *Signal) Fire(k *Kernel) {
 	if s.fired {
 		return

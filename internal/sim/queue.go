@@ -58,7 +58,6 @@ type eventQueue struct {
 // bucket returns the index of the bucket that holds an event at t.
 func (q *eventQueue) bucket(t Time) int { return bits.Len64(uint64(t ^ q.last)) }
 
-//simlint:hotpath
 func (q *eventQueue) push(e event) {
 	i := q.bucket(e.t)
 	q.b[i] = append(q.b[i], e)
@@ -77,8 +76,6 @@ func (q *eventQueue) hasNow() bool { return q.head < len(q.b[0]) }
 
 // pop removes the next event of b[0]. The caller has checked hasNow or
 // just had advance succeed.
-//
-//simlint:hotpath
 func (q *eventQueue) pop() event {
 	e := q.b[0][q.head]
 	q.head++
@@ -88,8 +85,6 @@ func (q *eventQueue) pop() event {
 // advance refills a drained b[0] with the earliest queued events and
 // returns how many events it re-bucketed, or 0, changing nothing, when
 // the queue is empty or its earliest event is later than limit.
-//
-//simlint:hotpath
 func (q *eventQueue) advance(limit Time) int {
 	if q.mask == 0 {
 		return 0

@@ -6,9 +6,12 @@ package repro_test
 // of a finished campaign is bounded by the fixed-size compact reports —
 // it must NOT scale with Runs the way retaining the full reports would.
 //
-// The gate measures the retained-heap growth from a Runs=N to a Runs=4N
-// campaign and requires it to stay below what the extra runs' full
-// reports would have cost (probed by retaining one real report graph).
+// The gate is deterministic: every retained sample's Report.MemBytes()
+// must be one size, the same at Runs=N and Runs=4N, and that size must
+// be below one full report's by at least the full report's tile-ratio
+// bytes (below the full size alone would pass a campaign that keeps one
+// tile-ratio class per sample). A coarse ceiling on the retained-heap
+// growth from N to 4N backs it up for state kept outside the reports.
 
 import (
 	"runtime"
@@ -46,6 +49,32 @@ func TestCampaignMemoryBudget(t *testing.T) {
 	}
 	modes := []routing.Mode{routing.AD0, routing.AD3}
 	base := benchProfile().Runs
+
+	// One full report: what each sample would retain uncompacted.
+	p := benchProfile()
+	m, err := core.NewMachine(p.Theta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, _, err := m.RunOne(core.JobSpec{
+		App:       apps.MILC{},
+		Cfg:       apps.Config{Iterations: p.Iterations["MILC"], Scale: p.Scale["MILC"], Seed: 42},
+		Nodes:     p.NodesMedium,
+		Placement: placement.Dispersed,
+		Env:       mpi.UniformEnv(routing.AD0),
+	}, core.RunOpts{Seed: 42, Background: core.DefaultBackground(), Warmup: p.Warmup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, ratioBytes := job.Report.MemBytes(), 0
+	for _, ratios := range job.Report.LocalTileRatios {
+		ratioBytes += 8 * cap(ratios)
+	}
+	if ratioBytes == 0 {
+		t.Fatal("the full report carries no tile ratios; the gate would compare nothing")
+	}
+
+	compact := 0 // the retained-report size every sample must share
 	campaign := func(runs int) func() any {
 		return func() any {
 			p := benchProfile()
@@ -62,45 +91,16 @@ func TestCampaignMemoryBudget(t *testing.T) {
 				if samples[i].Report == nil {
 					t.Fatalf("sample %d lost its report", i)
 				}
-				for class, ratios := range samples[i].Report.LocalTileRatios {
-					if ratios != nil {
-						t.Fatalf("sample %d retained %d tile ratios of class %d", i, len(ratios), class)
-					}
+				b := samples[i].Report.MemBytes()
+				if compact == 0 {
+					compact = b
+				}
+				if b != compact {
+					t.Errorf("runs=%d: sample %d retains a %dB report, the first sample %dB: the retained record's size varies with the run", runs, i, b, compact)
 				}
 			}
 			return samples
 		}
-	}
-
-	// Probe: the retained size of one real report graph, measured on an
-	// already-warm machine so the machine's own steady-state allocations
-	// don't leak into the delta.
-	p := benchProfile()
-	m, err := core.NewMachine(p.Theta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := core.JobSpec{
-		App:       apps.MILC{},
-		Cfg:       apps.Config{Iterations: p.Iterations["MILC"], Scale: p.Scale["MILC"], Seed: 42},
-		Nodes:     p.NodesMedium,
-		Placement: placement.Dispersed,
-		Env:       mpi.UniformEnv(routing.AD0),
-	}
-	opts := core.RunOpts{Seed: 42, Background: core.DefaultBackground(), Warmup: p.Warmup}
-	if _, _, err := m.RunOne(spec, opts); err != nil { // warm the fabric
-		t.Fatal(err)
-	}
-	probe := retainedBytes(t, func() any {
-		job, _, err := m.RunOne(spec, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return job.Report
-	})
-	runtime.KeepAlive(m)
-	if probe <= 0 {
-		t.Fatalf("report probe measured %d bytes retained; expected a positive report graph", probe)
 	}
 
 	campaign(base)() // settle one-time allocations (pools, lazy globals)
@@ -108,11 +108,14 @@ func TestCampaignMemoryBudget(t *testing.T) {
 	large := retainedBytes(t, campaign(4*base))
 	growth := large - small
 	extraTasks := 3 * base * len(modes)
-	budget := int64(extraTasks) * probe
-	t.Logf("retained: runs=%d %dB, runs=%d %dB, growth %dB; one-report probe %dB, budget (%d reports) %dB",
-		base, small, 4*base, large, growth, probe, extraTasks, budget)
-	if growth >= budget {
+	ceiling := int64(extraTasks * full)
+	t.Logf("retained report %dB, full report %dB (%dB of tile ratios); retained heap: runs=%d %dB, runs=%d %dB, growth %dB, ceiling (%d full reports) %dB",
+		compact, full, ratioBytes, base, small, 4*base, large, growth, extraTasks, ceiling)
+	if compact > full-ratioBytes {
+		t.Errorf("a retained sample's report is %dB, more than a full report's %dB less its %dB of tile ratios: campaigns keep tile-ratio state", compact, full, ratioBytes)
+	}
+	if growth >= ceiling {
 		t.Errorf("retained heap grew %dB from runs=%d to runs=%d — at least as much as the %d extra runs' full reports (%dB): the campaign is retaining report-scale state",
-			growth, base, 4*base, extraTasks, budget)
+			growth, base, 4*base, extraTasks, ceiling)
 	}
 }

@@ -8,16 +8,16 @@
 #                   edit skipped gofmt)
 #   2. go vet     — the stock toolchain analyzers
 #   3. simlint    — the repo's own analyzer suite, one analyzer per
-#                   invariant (detrand, resetcheck, hotpath,
-#                   sharecheck); see internal/analyzers and DESIGN.md
-#                   "Static invariants". Built once and run as a binary
-#                   — the module driver loads the whole tree in one
-#                   pass, so one process covers every package.
+#                   invariant (detrand, resetcheck, sharecheck); see
+#                   internal/analyzers and DESIGN.md "Static
+#                   invariants". Built once and run as a binary — the
+#                   module driver loads the whole tree in one pass, so
+#                   one process covers every package.
 #   4. fixtures   — the analyzers' own tests (go test
 #                   ./internal/analyzers/... ./cmd/simlint), so a rule
 #                   regression fails here, not only in the test job
-#   5. escapes    — compiler-truth escape-analysis golden for the hot
-#                   packages (scripts/escapes.sh)
+#   5. allocs     — compiler-truth inventory of allocating calls in the
+#                   packet-path packages (scripts/allocs.sh)
 #
 # Usage: scripts/lint.sh
 set -euo pipefail
@@ -43,7 +43,7 @@ go build -o "$simlint_dir/simlint" ./cmd/simlint
 echo "== analyzer tests ==" >&2
 go test ./internal/analyzers/... ./cmd/simlint
 
-echo "== escape golden ==" >&2
-scripts/escapes.sh
+echo "== allocation inventory ==" >&2
+scripts/allocs.sh
 
 echo "lint clean" >&2

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # smoke.sh — boot the simd daemon and drive one end-to-end query, the
 # exact sequence CI's service-smoke job runs. Gates, in order:
-#   1. simlint over the service packages (the pool checkout path carries
-#      hotpath/resetcheck annotations; see DESIGN.md "Service layer")
+#   1. simlint over the service packages (the pooled types carry
+#      resetcheck annotations; see DESIGN.md "Service layer")
 #   2. simd builds and starts serving with -prewarm test
 #   3. GET /healthz answers "ok"
 #   4. POST /v1/query on the tiny "test" topology returns HTTP 200 with
